@@ -1,4 +1,10 @@
-"""Content-addressed file cache for bases, differentials, and ranks."""
+"""File cache for slice bases and differentials.
+
+Entries are keyed by the complex spec, the vertex count and a format
+version.  Files are written to a temporary name and renamed into place,
+so a reader never sees one half written; a file that fails to parse, such
+as one cut off by a crash, is recomputed and rewritten.
+"""
 
 from __future__ import annotations
 
@@ -40,12 +46,11 @@ class FileCache:
 
     def basis(self, spec: ComplexSpec, vertices: int) -> BasisSlice:
         path = self.basis_path(spec, vertices)
-        if path.exists():
-            loaded = load_basis(path.read_text())
-            if loaded.spec == spec and loaded.num_vertices == vertices:
-                return loaded
+        loaded = _read(path, load_basis)
+        if loaded is not None and loaded.spec == spec and loaded.num_vertices == vertices:
+            return loaded
         fresh = enumerate_basis(spec, vertices)
-        path.write_text(dump_basis(fresh))
+        _write(path, dump_basis(fresh))
         return fresh
 
     def matrix(self, spec: ComplexSpec, vertices: int) -> IntSparseMatrix:
@@ -53,12 +58,11 @@ class FileCache:
         path = self.matrix_path(spec, vertices)
         src = self.basis(spec, vertices)
         dst = self.basis(spec, vertices - 1)
-        if path.exists():
-            loaded = load_sms(path.read_text())
-            if loaded.nrows == len(dst) and loaded.ncols == len(src):
-                return loaded
+        loaded = _read(path, load_sms)
+        if loaded is not None and loaded.nrows == len(dst) and loaded.ncols == len(src):
+            return loaded
         fresh = differential_matrix(src, dst)
-        path.write_text(dump_sms(fresh))
+        _write(path, dump_sms(fresh))
         return fresh
 
 
@@ -66,3 +70,26 @@ def resolve_cache(explicit: str | None) -> FileCache | None:
     """Cache from the --cache flag, else GC_CACHE_DIR, else nothing."""
     root = explicit or os.environ.get("GC_CACHE_DIR")
     return FileCache(root) if root else None
+
+
+def _read(path: Path, parse):
+    """The parsed file, or None when it is missing or does not parse."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return None
+    try:
+        return parse(text)
+    except (ValueError, KeyError):  # KeyError: a .gls header cut between fields
+        return None
+
+
+def _write(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -5,7 +5,7 @@ Two rank engines: sparse Gaussian elimination with pluggable pivoting
 lower bound, from the minimal polynomial of a preconditioned Gram
 operator recovered by Berlekamp-Massey).  Arithmetic is exact for any
 odd prime; the vectorized fast path kicks in for p < 2**25 where int64
-products cannot overflow.
+products cannot overflow, and long sums of them are reduced in chunks.
 """
 
 from __future__ import annotations
@@ -17,6 +17,26 @@ import numpy as np
 DEFAULT_PRIME = 3323
 
 _FAST_PRIME_LIMIT = 1 << 25  # products stay below 2**50 in int64
+_INT64_SUM_LIMIT = 1 << 63
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int):
+    """``a.dot(b)`` mod p for int64 operands with entries in [0, p).
+
+    Each output entry sums one product, below (p - 1)**2, per index of
+    the shared axis.  When that many products could reach 2**63 the
+    shared axis is reduced in chunks short enough to stay exact.
+    """
+    n = b.shape[0]
+    if n * (p - 1) ** 2 < _INT64_SUM_LIMIT:
+        return a.dot(b) % p
+    step = (_INT64_SUM_LIMIT - 1) // (p - 1) ** 2
+    if step == 0:
+        raise ValueError(f"p = {p} is too large: one product overflows int64")
+    out = 0
+    for start in range(0, n, step):
+        out = (out + a[..., start:start + step].dot(b[start:start + step]) % p) % p
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -363,7 +383,7 @@ class _BMState:
         L = self.L
         if L:
             window = np.array(seq[n - L:n][::-1], dtype=np.int64)
-            d = (a + int(self.c[1:L + 1].dot(window))) % p
+            d = (a + int(_matmul_mod(self.c[1:L + 1], window, p))) % p
         else:
             d = a % p
         if d == 0:
@@ -459,7 +479,7 @@ def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int) -> int:
     state = _BMState(p)
     w = u.copy()
     for k in range(limit):
-        state.push(int(u.dot(w) % p))
+        state.push(int(_matmul_mod(u, w, p)))
         processed = k + 1
         # the recurrence is trusted once it has held for a safety margin
         # past the 2L terms that determine it
@@ -491,7 +511,7 @@ def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int) -> 
     w = u.copy()
     seq = []
     for _ in range(2 * nblocks + 1):
-        seq.append((u.T @ w) % p)
+        seq.append(_matmul_mod(u.T, w, p))
         wn = np.empty_like(w)
         for c in range(blocking):
             wn[:, c] = op.apply(w[:, c])

@@ -89,6 +89,79 @@ def brute_canonicalize(graph: Multigraph, parity: Parity):
     return best, vertex_orientation_sign(graph, best_perm, parity)
 
 
+def _reference_refine(cells, weights):
+    while True:
+        changed = False
+        new_cells = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                wv = weights[v]
+                key = tuple(sum(wv[u] for u in other) for other in cells)
+                groups.setdefault(key, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(groups):
+                    new_cells.append(groups[key])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def reference_canonical_data(graph: Multigraph):
+    """(canonical edge tuple, all minimal labelings) by the dense search.
+
+    Dense per-pass refinement (every vertex against every cell, on every
+    pass) plus backtracking over every child of every node.  The sparse
+    production core must agree with it exactly: the same minimal edge list
+    and the same labelings in the same order.
+    """
+    n = graph.num_vertices
+    edges = graph.edges
+    if n == 1:
+        return edges, ((0,),)
+    weights = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        weights[u][v] += 1
+        weights[v][u] += 1
+    groups = {}
+    for v in range(n):
+        mults = sorted((m for m in weights[v] if m), reverse=True)
+        groups.setdefault((sum(mults), tuple(mults)), []).append(v)
+    cells = _reference_refine([groups[k] for k in sorted(groups)], weights)
+    best = None
+    labelings = []
+
+    def search(cells):
+        nonlocal best
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            pos = [0] * n
+            for i, c in enumerate(cells):
+                pos[c[0]] = i
+            key = relabel_sorted(graph, pos)
+            if best is None or key < best:
+                best = key
+                labelings.clear()
+            if key == best:
+                labelings.append(tuple(pos))
+            return
+        for v in cell:
+            others = [u for u in cell if u != v]
+            search(_reference_refine(cells[:idx] + [[v], others] + cells[idx + 1:],
+                                     weights))
+
+    search(cells)
+    return best, tuple(labelings)
+
+
 def naive_enumerate(num_vertices: int, num_edges: int, *, min_degree: int = 3,
                     connected: bool = True, simple_only: bool = False):
     """All isomorphism classes by filtering every sorted edge multiset.

@@ -1,18 +1,23 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from gchom.complexes import raw_slice, vertex_splits
 from gchom.graphs import (
     Multigraph,
     Parity,
     SelfEdgeError,
     automorphism_group_size,
+    canonical_data,
     canonicalize,
     is_connected,
     is_triconnected,
     orientation_sign,
 )
+from gchom.kneissler import a_graph, a_prime_graph, barrel, x_graph, y_graph
 
 import oracles
 
@@ -27,6 +32,21 @@ def random_multigraph(rng, num_vertices, num_edges):
     return Multigraph.from_edges(
         num_vertices, (rng.choice(pairs) for _ in range(num_edges))
     )
+
+
+def core_test_graphs() -> list[Multigraph]:
+    """Raw slices and their splits for g <= 5, family graphs for g <= 6."""
+    graphs = []
+    for g in range(2, 6):
+        for v in range(2, 2 * g - 1):
+            for parent in raw_slice(g, v):
+                graphs.append(parent)
+                graphs.extend(vertex_splits(parent))
+    for g in range(4, 7):
+        for build, degree in ((barrel, g - 1), (x_graph, g - 2), (y_graph, g - 2),
+                              (a_graph, g - 2), (a_prime_graph, g - 2)):
+            graphs.extend(build(p) for p in itertools.permutations(range(degree)))
+    return graphs
 
 
 def test_rejects_self_edges():
@@ -56,6 +76,29 @@ def test_automorphism_group_sizes():
     assert automorphism_group_size(K4) == 24
     assert automorphism_group_size(THETA) == 12
     assert automorphism_group_size(PATH2) == 2
+
+
+def test_search_matches_reference_search():
+    graphs = core_test_graphs()
+    rng = random.Random(61)
+    for g in rng.choices(graphs, k=500):
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        graphs.append(g.relabel(perm))
+    for g in graphs:
+        canon, labelings = canonical_data(g)
+        assert (canon.edges, labelings) == oracles.reference_canonical_data(g)
+
+
+def test_automorphism_group_size_matches_brute_force():
+    graphs = sorted(set(core_test_graphs()), key=lambda g: (g.num_vertices, g.edges))
+    small = [g for g in graphs if g.num_vertices <= 6]
+    seven = [g for g in graphs if g.num_vertices == 7]
+    # every graph up to 6 vertices, and a seeded sample at 7 (5040 permutations each)
+    for g in small + random.Random(67).sample(seven, 60):
+        parallel = math.prod(math.factorial(m) for m in Counter(g.edges).values())
+        expected = len(oracles.brute_vertex_automorphisms(g)) * parallel
+        assert automorphism_group_size(g) == expected
 
 
 def test_canonicalize_idempotent():

@@ -14,6 +14,7 @@ from gchom.linalg import (
     PrimeField,
     RankResult,
     TwoPhase,
+    _matmul_mod,
     berlekamp_massey,
     gauss_rank,
     precondition,
@@ -166,6 +167,24 @@ def test_berlekamp_massey_degree_exact_for_generic_plants():
             seq.append(sum(c * a for c, a in zip(coeffs, seq[-degree:])) % P)
         hits += len(berlekamp_massey(seq, P)) - 1 == degree
     assert hits == 30
+
+
+def test_long_sums_stay_exact_near_the_prime_limit():
+    # the Wiedemann inner products sum n products below 2**50 each, so at
+    # n = 50,000 a plain int64 sum wraps around many times
+    p = 33554393  # the largest prime below 2**25
+    n = 50_000
+    rng = np.random.Generator(np.random.PCG64(2025))
+    u = rng.integers(0, p, size=(n, 3), dtype=np.int64)
+    w = rng.integers(0, p, size=(n, 3), dtype=np.int64)
+    cols_u = [u[:, i].tolist() for i in range(3)]
+    cols_w = [w[:, j].tolist() for j in range(3)]
+    exact = [[sum(a * b for a, b in zip(cu, cw)) % p for cw in cols_w] for cu in cols_u]
+    assert _matmul_mod(u.T, w, p).tolist() == exact
+    assert int(_matmul_mod(u[:, 0], w[:, 0], p)) == exact[0][0]
+    # past 2**31.5 a single product overflows, which must fail loudly
+    with pytest.raises(ValueError, match="too large"):
+        berlekamp_massey([1, 2, 3, 4], (1 << 61) - 1)
 
 
 def test_minimal_polynomial_divides_characteristic_polynomial():
