@@ -27,6 +27,9 @@ from gchom.graphs import (
     CanonicalResult,
     Multigraph,
     Parity,
+    _canonical_data,
+    _orbit_sizes,
+    automorphism_generators,
     canonical_data,
     canonicalize,
     is_connected,
@@ -144,7 +147,7 @@ def graphs_by_edge_addition(num_vertices: int, num_edges: int, *,
                             deficit += need
                     if deficit > 2 * remaining:
                         continue
-                child = Multigraph(num_vertices, tuple(sorted(g.edges + ((u, v),))))
+                child = Multigraph._trusted(num_vertices, tuple(sorted(g.edges + ((u, v),))))
                 nxt.add(canonical_data(child)[0])
         level = nxt
     out = [
@@ -181,7 +184,7 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> list[Multigraph]:
                 edges = []
                 for (u, v), m in zip(sup_edges, mults):
                     edges.extend([(u, v)] * m)
-                g = Multigraph(num_vertices, tuple(sorted(edges)))
+                g = Multigraph._trusted(num_vertices, tuple(sorted(edges)))
                 out.add(canonical_data(g)[0])
     return sorted(out, key=lambda m: m.edges)
 
@@ -201,43 +204,70 @@ def _compositions(total: int, parts: int):
 
 
 def vertex_splits(graph: Multigraph) -> list[Multigraph]:
-    """All one-vertex splits keeping minimum degree 3.
+    """One-vertex splits keeping minimum degree 3, one per Aut(graph) orbit.
 
     Splitting vertex v distributes its half-edges over two vertices
     joined by a fresh edge; both sides must keep at least two old
-    half-edges.  Only vertices of degree >= 4 split.  The new vertex
-    gets the highest label; results are not canonicalized.
+    half-edges.  Only vertices of degree >= 4 split.  A split is v with
+    the number of half-edges to each neighbor that move, up to swapping
+    the sides.  Automorphisms act on splits, and splits in one orbit give
+    isomorphic graphs, so only the first split of each orbit (in the order
+    of v, then of the counts) is built.  The new vertex gets the highest
+    label; results are not canonicalized.
     """
-    out = []
     n = graph.num_vertices
     degrees = graph.degrees()
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in set(graph.edges):
-        m = graph.multiplicity(u, v)
+    for (u, v), m in Counter(graph.edges).items():
         incident[u].append((v, m))
         incident[v].append((u, m))
-    base_edges = list(graph.edges)
+    for row in incident:
+        row.sort()
+    splits = []  # (v, moved counts in the order of incident[v])
     for v in range(n):
         d = degrees[v]
         if d < 4:
             continue
-        nbrs = sorted(incident[v])
-        others = [e for e in base_edges if v not in e]
-        counts = [m for _, m in nbrs]
+        counts = [m for _, m in incident[v]]
         for take in itertools.product(*(range(m + 1) for m in counts)):
-            size = sum(take)
-            if not (2 <= size <= d - 2):
+            if not 2 <= sum(take) <= d - 2:
                 continue
             comp = tuple(m - k for m, k in zip(counts, take))
             if take > comp:  # unordered pair of sides, keep one representative
                 continue
-            edges = list(others)
-            for (x, _), k, c in zip(nbrs, take, comp):
-                edges.extend([(n, x)] * k)
-                edges.extend([(v, x)] * c)
-            edges.append((v, n))
-            out.append(Multigraph.from_edges(n + 1, edges))
+            splits.append((v, take))
+    generators = automorphism_generators(graph)
+    if generators:
+        splits = [splits[i] for i in _orbit_sizes(
+            len(splits), _split_images(splits, incident, generators))]
+    out = []
+    for v, group in itertools.groupby(splits, key=lambda split: split[0]):
+        others = [e for e in graph.edges if v not in e]
+        for _, take in group:
+            edges = others + [(v, n)]
+            for (x, m), k in zip(incident[v], take):
+                edges.extend([(x, n)] * k)
+                edges.extend([(v, x) if v < x else (x, v)] * (m - k))
+            out.append(Multigraph._trusted(n + 1, tuple(sorted(edges))))
     return out
+
+
+def _split_images(splits, incident, generators):
+    """Per generator, the index of each split's image."""
+    index = {split: i for i, split in enumerate(splits)}
+    slot = [{x: i for i, (x, _) in enumerate(row)} for row in incident]
+    for gamma in generators:
+        perm = []
+        for v, take in splits:
+            w = gamma[v]
+            moved = [0] * len(take)
+            kept = [0] * len(take)
+            for (x, m), k in zip(incident[v], take):
+                i = slot[w][gamma[x]]
+                moved[i] = k
+                kept[i] = m - k
+            perm.append(index[(w, min(tuple(moved), tuple(kept)))])
+        yield perm
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +289,7 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     if v > 2:
         for parent in raw_slice(g, v - 1):
             for child in vertex_splits(parent):
-                found.add(canonical_data(child)[0])
+                found.add(_canonical_data(child)[0])  # one-shot: not cached
     found.update(_all_parallel_graphs(v, num_edges))
     return tuple(sorted(found, key=lambda m: m.edges))
 
@@ -283,6 +313,12 @@ def enumerate_basis(spec: ComplexSpec, num_vertices: int) -> BasisSlice:
 # ---------------------------------------------------------------------------
 
 
+def _is_parallel(edges, i: int) -> bool:
+    """Whether edge i has a parallel partner; sorted edges put it next to i."""
+    return (i > 0 and edges[i - 1] == edges[i]) or (
+        i + 1 < len(edges) and edges[i + 1] == edges[i])
+
+
 def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> CanonicalResult:
     """Contract one edge and canonicalize, with the orientation sign.
 
@@ -296,9 +332,9 @@ def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> Canonic
     edges = graph.edges
     if not 0 <= edge_index < len(edges):
         raise IndexError(f"edge index {edge_index} out of range")
-    u, v = edges[edge_index]
-    if graph.multiplicity(u, v) >= 2:
+    if _is_parallel(edges, edge_index):
         return CanonicalResult.zero()
+    u, v = edges[edge_index]
     n = graph.num_vertices
 
     def shift(x: int) -> int:
@@ -316,7 +352,7 @@ def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> Canonic
             mapped.append((a2, b2) if a2 < b2 else (b2, a2))
         order = sorted(range(len(mapped)), key=mapped.__getitem__)
         sign *= perm_sign(order)
-        result = Multigraph(n - 1, tuple(sorted(mapped)))
+        result = Multigraph._trusted(n - 1, tuple(sorted(mapped)))
     else:
         sign = -1 if (n - 1 - v) % 2 else 1
         mapped = []
@@ -328,12 +364,65 @@ def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> Canonic
                 sign = -sign
                 a2, b2 = b2, a2
             mapped.append((a2, b2))
-        result = Multigraph(n - 1, tuple(sorted(mapped)))
+        result = Multigraph._trusted(n - 1, tuple(sorted(mapped)))
 
     res = canonicalize(result, parity)
     if res.is_zero:
         return res
     return CanonicalResult(res.canonical, sign * res.sign)
+
+
+def _edge_orbits(graph: Multigraph) -> dict[int, int]:
+    """First edge index of each Aut(graph) orbit of simple edges -> its size.
+
+    Parallel edges are left out: contracting one gives zero.
+    """
+    edges = graph.edges
+    simple = [i for i in range(len(edges)) if not _is_parallel(edges, i)]
+    generators = automorphism_generators(graph)
+    if not generators:
+        return dict.fromkeys(simple, 1)
+    index = {edges[i]: k for k, i in enumerate(simple)}
+    perms = []
+    for gamma in generators:
+        perm = []
+        for i in simple:
+            a, b = gamma[edges[i][0]], gamma[edges[i][1]]
+            perm.append(index[(a, b) if a < b else (b, a)])
+        perms.append(perm)
+    return {simple[k]: size for k, size in _orbit_sizes(len(simple), perms).items()}
+
+
+def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity, *,
+                        strict: bool) -> dict[tuple[int, int], int]:
+    """Contraction differential as ``(source index, target index) -> coefficient``.
+
+    Each source graph contributes the signed sum of its edge contractions,
+    looked up in ``targets``.  A nonzero graph has only automorphisms of
+    sign +1, so contracting any edge of an Aut orbit gives the same term:
+    one edge per orbit is contracted and weighted by the orbit size.  A
+    zero source contributes nothing, as its terms cancel.  An image class
+    missing from ``targets`` raises RuntimeError when ``strict``, and is
+    dropped otherwise.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for j, graph in enumerate(sources):
+        if canonicalize(graph, parity).is_zero:
+            continue
+        for e, weight in _edge_orbits(graph).items():
+            res = contract_edge(graph, e, parity)
+            if res.is_zero:
+                continue
+            i = targets.get(res.canonical)
+            if i is None:
+                if strict:
+                    raise RuntimeError(
+                        f"contraction image missing from target slice: {res.canonical}"
+                    )
+                continue
+            key = (j, i)
+            acc[key] = acc.get(key, 0) + weight * res.sign
+    return {k: val for k, val in acc.items() if val}
 
 
 def differential_matrix(src: BasisSlice, dst: BasisSlice,
@@ -351,25 +440,10 @@ def differential_matrix(src: BasisSlice, dst: BasisSlice,
         raise ValueError("slice mismatch: src and dst must share one spec")
     if dst.num_vertices != src.num_vertices - 1:
         raise ValueError("dst must have one vertex fewer than src")
-    tri = src.spec.variant is Variant.TRICONNECTED
-    acc: dict[tuple[int, int], int] = {}
-    lookup = dst.index
-    for j, gen in enumerate(src.generators):
-        for e in range(gen.num_edges):
-            res = contract_edge(gen, e, parity)
-            if res.is_zero:
-                continue
-            i = lookup.get(res.canonical)
-            if i is None:
-                if tri:
-                    continue
-                raise RuntimeError(
-                    f"contraction image missing from target slice: {res.canonical}"
-                )
-            key = (i, j)
-            acc[key] = acc.get(key, 0) + res.sign
+    entries = contraction_entries(src.generators, dst.index, parity,
+                                  strict=src.spec.variant is Variant.FULL)
     return IntSparseMatrix(len(dst), len(src),
-                           {k: val for k, val in acc.items() if val})
+                           {(i, j): val for (j, i), val in entries.items()})
 
 
 # ---------------------------------------------------------------------------

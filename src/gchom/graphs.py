@@ -10,7 +10,8 @@ is identically zero as a generator.
 This module owns the graph type, the canonical-form search with sign
 tracking, and the structural predicates (connectivity, triconnectivity)
 used downstream.  The search refines partitions sparsely, pass by pass,
-and backtracks over individualizations.
+and backtracks over individualizations, pruned by the automorphisms it
+finds.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ class Multigraph:
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def _trusted(cls, num_vertices: int, edges: tuple) -> "Multigraph":
+        """Graph from edges already in storage normal form, not validated.
+
+        For graphs the package builds itself (canonical forms, splits,
+        contractions, family graphs); callers' graphs go through
+        ``__post_init__``.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "num_vertices", num_vertices)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
     def __post_init__(self):
         if self.num_vertices < 1:
@@ -205,15 +219,31 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # Canonical form search.
 #
 # Iterative degree/neighborhood refinement with multiplicities as edge
-# colors, then backtracking individualization.  Each refinement pass splits
-# every cell by its vertices' multiplicity counts into the cells present at
-# the start of the pass, and orders the parts by those count vectors; the
-# counts come from neighbor lists built once per graph, and only the counts
-# into the cells created by the pass before can differ within a cell.  The
-# canonical form is the lexicographically smallest relabeled edge list over
-# all leaves of the (isomorphism-invariant) search tree; every leaf
-# attaining it yields one automorphism, so the group order and the
-# orientation signs of the full automorphism group come for free.
+# colors, then backtracking individualization pruned by the automorphisms
+# found on the way (McKay & Piperno, "Practical graph isomorphism II",
+# 2014).  Each refinement pass splits every cell by its vertices'
+# multiplicity counts into the cells present at the start of the pass, and
+# orders the parts by those count vectors; the counts come from neighbor
+# lists built once per graph, and only the counts into the cells created by
+# the pass before can differ within a cell.
+#
+# The canonical form is the lexicographically smallest relabeled edge list
+# over the leaves of the (isomorphism-invariant) search tree.  Only two
+# leaves are kept: the first one reached, and the first one attaining the
+# smallest edge list so far (the best).  A later leaf with the edge list of
+# either differs from it by an automorphism.  Below the node where the two
+# paths part, that automorphism maps the kept leaf's branch, searched
+# before, onto the later leaf's branch, so the search returns to that
+# node.  Every automorphism found while a child of a first-path node
+# is searched fixes the vertices individualized above that node, so there a
+# child in the same orbit (union-find over the generators) as an explored
+# sibling is skipped.  A skipped subtree is always the image of one searched
+# before it, so the minimal edge list, and the first leaf attaining it in
+# search order, are those of the unpruned search.  The automorphisms found
+# generate Aut(graph), and each first-path node's first child gets its full
+# orbit under the stabilizer of the path, so the group order is the product
+# of those orbit sizes.  Only the two leaves are kept, so a search with a
+# trivial group holds no more than the unpruned search did.
 # ---------------------------------------------------------------------------
 
 
@@ -277,59 +307,192 @@ def _refine(cells: list[list[int]], nbrs, parts, base: int) -> list[list[int]]:
         cells = new_cells
 
 
-def _search(cells, parts, nbrs, base, edges, best) -> None:
-    """Visit every leaf below a node, keeping the minimal ones in ``best``.
+class _Search:
+    """State of one canonical-form search, passed down the recursion.
 
-    ``best`` holds the minimal leaf key, then the labelings of the leaves
-    attaining it, in search order.  A leaf's edge list is packed as the
-    sorted codes u * n + v (u < v), which order exactly as the sorted
-    (u, v) pairs do.  The recursion passes its state as arguments: a
-    recursive closure is a reference cycle, and leaving one per graph to
-    the cyclic garbage collector added about 7% to the g=6 tables' time.
+    ``path`` lists the vertices individualized on the way to the current
+    node.  ``first``/``first_key`` are the first leaf's labeling and edge
+    list; ``best``/``best_key``/``best_path`` describe the first leaf
+    attaining the minimal edge list found so far.  A labeling maps vertex
+    -> position; a leaf's edge list is packed as the sorted codes u * n + v
+    (u < v), which order exactly as the sorted (u, v) pairs do.  ``orbits``
+    is the union-find forest of the generators, made with the first one.
     """
-    cells = _refine(cells, nbrs, parts, base)
+
+    __slots__ = ("nbrs", "base", "edges", "path", "first", "first_key",
+                 "best", "best_key", "best_path", "generators", "orbits", "order")
+
+    def __init__(self, nbrs, base, edges):
+        self.nbrs = nbrs
+        self.base = base
+        self.edges = edges
+        self.path = []
+        self.first = self.first_key = None
+        self.best = self.best_key = self.best_path = None
+        self.generators = []
+        self.orbits = None
+        self.order = 1
+
+
+def _find(orbits, v: int) -> int:
+    """Root of v in a union-find forest whose roots are their trees' minima."""
+    while orbits[v] != v:
+        orbits[v] = v = orbits[orbits[v]]
+    return v
+
+
+def _join(orbits, perm) -> None:
+    """Merge the orbits of each point and its image under ``perm``."""
+    for v, w in enumerate(perm):
+        a, b = _find(orbits, v), _find(orbits, w)
+        if a != b:
+            orbits[max(a, b)] = min(a, b)
+
+
+def _orbit_sizes(size: int, perms) -> dict[int, int]:
+    """First point of each orbit of ``perms`` on range(size) -> orbit size.
+
+    The keys come in increasing order.
+    """
+    orbits = list(range(size))
+    for perm in perms:
+        _join(orbits, perm)
+    sizes: dict[int, int] = {}
+    for v in range(size):
+        root = _find(orbits, v)
+        sizes[root] = sizes.get(root, 0) + 1
+    return sizes
+
+
+def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
+    """Compare a leaf with the first and the best leaf; see `_search`."""
+    n = len(cells)
+    pos = [0] * n
+    for i, c in enumerate(cells):
+        pos[c[0]] = i
+    key = tuple(sorted([
+        pos[u] * n + pos[v] if pos[u] < pos[v] else pos[v] * n + pos[u]
+        for u, v in st.edges
+    ]))
+    if st.first is None:
+        st.first = st.best = pos
+        st.first_key = st.best_key = key
+        st.best_path = st.path[:]
+        return depth
+    if key == st.first_key:
+        _add_generator(st, st.first, pos)
+        return anchor
+    if key == st.best_key:
+        _add_generator(st, st.best, pos)
+        back = 0
+        for a, b in zip(st.path, st.best_path):
+            if a != b:
+                break
+            back += 1
+        return back
+    if key < st.best_key:
+        st.best, st.best_key, st.best_path = pos, key, st.path[:]
+    return depth
+
+
+def _add_generator(st: _Search, target, pos) -> None:
+    """Record the automorphism taking labeling ``target`` to ``pos``."""
+    inv = [0] * len(pos)
+    for v, i in enumerate(target):
+        inv[i] = v
+    gamma = [inv[i] for i in pos]
+    st.generators.append(gamma)
+    if st.orbits is None:
+        st.orbits = list(range(len(pos)))
+    _join(st.orbits, gamma)
+
+
+def _search(cells, parts, depth: int, anchor: int, st: _Search) -> int:
+    """Search below one node; return the depth the search resumes at.
+
+    ``anchor`` is the depth of the deepest first-path node on the path to
+    this node, which is ``depth`` itself on the first path.  The return
+    value is ``depth`` when the node is done, or a smaller depth when a
+    leaf below matched the first or the best leaf: the depth where the two
+    paths part.  The recursion passes its state as arguments: a recursive
+    closure is a reference cycle, and leaving one per graph to the cyclic
+    garbage collector added about 7% to the g=6 tables' time.
+    """
+    cells = _refine(cells, st.nbrs, parts, st.base)
     for idx, cell in enumerate(cells):
         if len(cell) > 1:
             break
     else:
-        n = len(cells)
-        pos = [0] * n
-        for i, c in enumerate(cells):
-            pos[c[0]] = i
-        key = tuple(sorted([
-            pos[u] * n + pos[v] if pos[u] < pos[v] else pos[v] * n + pos[u]
-            for u, v in edges
-        ]))
-        if key < best[0]:
-            best[:] = [key, tuple(pos)]
-        elif key == best[0]:
-            best.append(tuple(pos))
-        return
+        return _leaf(cells, depth, anchor, st)
     head, rest = cells[:idx], cells[idx + 1:]
+    path = st.path
+    if anchor < depth:
+        for v in cell:
+            path.append(v)
+            back = _search(head + [[v], [u for u in cell if u != v]] + rest, [[v]],
+                           depth + 1, anchor, st)
+            path.pop()
+            if back < depth:
+                return back
+        return depth
+    explored: list[int] = []
     for v in cell:
+        orbits = st.orbits
+        if orbits is not None and explored:
+            root = _find(orbits, v)
+            if any(_find(orbits, x) == root for x in explored):
+                continue
+        path.append(v)
         _search(head + [[v], [u for u in cell if u != v]] + rest, [[v]],
-                nbrs, base, edges, best)
+                depth + 1, depth if explored else depth + 1, st)
+        path.pop()
+        explored.append(v)
+    if st.orbits is not None:
+        root = _find(st.orbits, cell[0])
+        st.order *= sum(1 for u in cell if _find(st.orbits, u) == root)
+    return depth
+
+
+def _canonical_data(graph: Multigraph):
+    """Uncached `canonical_data`, for graphs labeled only once."""
+    n = graph.num_vertices
+    if n == 1:
+        return graph, ((0,),), 1
+    nbrs = _neighbors(graph)
+    cells = _initial_cells(nbrs)
+    st = _Search(nbrs, len(graph.edges) + 1, graph.edges)
+    # the initial cells are the parts of one split of the vertex set, and
+    # the degree is constant on each; the radix exceeds every degree
+    _search(cells, cells[:-1], 0, 0, st)
+    best = st.best
+    canon = Multigraph._trusted(n, tuple(divmod(code, n) for code in st.best_key))
+    labelings = (tuple(best),) + tuple(
+        tuple([best[w] for w in gamma]) for gamma in st.generators
+    )
+    return canon, labelings, st.order
 
 
 @lru_cache(maxsize=1 << 18)
-def canonical_data(graph: Multigraph) -> tuple[Multigraph, tuple[tuple[int, ...], ...]]:
-    """Canonical representative and all minimal labelings.
+def canonical_data(graph: Multigraph) -> tuple[Multigraph, tuple[tuple[int, ...], ...], int]:
+    """Canonical representative, minimal labelings and |Aut| of the vertices.
 
-    Returns ``(canonical, labelings)`` where each labeling maps original
-    vertex -> canonical position and relabels the graph onto the same
-    minimal edge list.  The labelings are in bijection with Aut(graph).
+    Returns ``(canonical, labelings, order)``.  A labeling maps original
+    vertex -> canonical position and relabels the graph onto the canonical
+    edge list.  ``labelings[0]`` is the first such labeling in the search
+    order; each later one is ``labelings[0]`` composed with one generator
+    of the vertex automorphism group, and the generators generate it.
+    ``order`` is the order of that group.
     """
-    n = graph.num_vertices
-    if n == 1:
-        return graph, ((0,),)
-    nbrs = _neighbors(graph)
-    cells = _initial_cells(nbrs)
-    best = [(n * n,)]  # above every leaf key, whose codes are below n * n
-    # the initial cells are the parts of one split of the vertex set, and
-    # the degree is constant on each; the radix exceeds every degree
-    _search(cells, cells[:-1], nbrs, len(graph.edges) + 1, graph.edges, best)
-    canon = Multigraph(n, tuple(divmod(code, n) for code in best[0]))
-    return canon, tuple(best[1:])
+    return _canonical_data(graph)
+
+
+def automorphism_generators(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """Generators of the vertex automorphism group, as vertex permutations."""
+    _, labelings, _ = canonical_data(graph)
+    inv = [0] * graph.num_vertices
+    for v, i in enumerate(labelings[0]):
+        inv[i] = v
+    return tuple(tuple([inv[i] for i in lab]) for lab in labelings[1:])
 
 
 @lru_cache(maxsize=1 << 18)
@@ -339,11 +502,12 @@ def canonicalize(graph: Multigraph, parity: Parity) -> CanonicalResult:
     Zero is returned exactly when some automorphism acts with sign -1 on
     the orientation datum; under even parity any graph with a parallel
     edge vanishes this way (swapping the two copies is an odd edge
-    permutation fixing the graph).
+    permutation fixing the graph).  The sign is a homomorphism on the
+    automorphism group, so checking the generators suffices.
     """
     if parity is Parity.EVEN and not graph.is_simple():
         return CanonicalResult.zero()
-    canon, labelings = canonical_data(graph)
+    canon, labelings, _ = canonical_data(graph)
     sign0 = orientation_sign(graph, labelings[0], parity)
     for lab in labelings[1:]:
         if orientation_sign(graph, lab, parity) != sign0:
@@ -357,7 +521,7 @@ def automorphism_group_size(graph: Multigraph) -> int:
     Counts compatible pairs of vertex and edge bijections: the number of
     vertex automorphisms times m! for every parallel class of size m.
     """
-    order = len(canonical_data(graph)[1])
+    order = canonical_data(graph)[2]
     run = 1
     for prev, cur in zip(graph.edges, graph.edges[1:]):
         if cur == prev:

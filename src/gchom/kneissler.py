@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from gchom.complexes import contract_edge, vertex_splits
+from gchom.complexes import contraction_entries, vertex_splits
 from gchom.graphs import Multigraph, Parity, canonical_data, canonicalize
 from gchom.linalg import (
     PrimeField,
@@ -47,6 +47,13 @@ def _check_perm(perm) -> tuple[int, ...]:
     return perm
 
 
+def _family_graph(num_vertices: int, edges) -> Multigraph:
+    """Graph from a builder's (u, v) pairs, which are in range and loop-free."""
+    return Multigraph._trusted(
+        num_vertices, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+    )
+
+
 def barrel(perm) -> Multigraph:
     """Barrel graph: two N-cycles joined by verticals i -> perm[i].
 
@@ -62,7 +69,7 @@ def barrel(perm) -> Multigraph:
         edges.append((i, (i + 1) % n))
         edges.append((n + i, n + (i + 1) % n))
         edges.append((i, n + perm[i]))
-    return Multigraph.from_edges(2 * n, edges)
+    return _family_graph(2 * n, edges)
 
 
 def x_graph(perm) -> Multigraph:
@@ -84,7 +91,7 @@ def x_graph(perm) -> Multigraph:
     edges.append((0, m))
     for i in range(m):
         edges.append((perm[i], m + 1 + i))
-    return Multigraph.from_edges(2 * m + 1, edges)
+    return _family_graph(2 * m + 1, edges)
 
 
 def y_graph(perm) -> Multigraph:
@@ -107,7 +114,7 @@ def y_graph(perm) -> Multigraph:
     sources = [hub] + [m + i for i in range(1, m)]
     for i in range(m):
         edges.append((perm[i], sources[i]))
-    return Multigraph.from_edges(2 * m + 1, edges)
+    return _family_graph(2 * m + 1, edges)
 
 
 def a_graph(perm) -> Multigraph:
@@ -130,7 +137,7 @@ def a_graph(perm) -> Multigraph:
     for i in range(m):
         target = perm[i] if perm[i] != 0 else q
         edges.append((target, m + 1 + i))
-    return Multigraph.from_edges(2 * m + 2, edges)
+    return _family_graph(2 * m + 2, edges)
 
 
 def a_prime_graph(perm) -> Multigraph:
@@ -152,7 +159,7 @@ def a_prime_graph(perm) -> Multigraph:
     for i in range(m):
         target = perm[i] if perm[i] != 0 else q
         edges.append((target, sources[i]))
-    return Multigraph.from_edges(2 * m + 2, edges)
+    return _family_graph(2 * m + 2, edges)
 
 
 _BUILDERS = {
@@ -313,19 +320,9 @@ def restricted_differential(loops: int, parity: Parity) -> IntSparseMatrix:
     _verify_images_in_span(fam)
     rows = list(fam.b_members) + list(fam.bperp_members)
     col_index = {g: j for j, g in enumerate(fam.v_members)}
-    acc: dict[tuple[int, int], int] = {}
-    for i, gamma in enumerate(rows):
-        for e in range(gamma.num_edges):
-            res = contract_edge(gamma, e, parity)
-            if res.is_zero:
-                continue
-            j = col_index.get(res.canonical)
-            if j is None:
-                continue  # restriction: image class outside the X/Y span
-            key = (i, j)
-            acc[key] = acc.get(key, 0) + res.sign
-    return IntSparseMatrix(len(rows), len(col_index),
-                           {k: v for k, v in acc.items() if v})
+    # restriction: image classes outside the X/Y span are dropped
+    entries = contraction_entries(rows, col_index, parity, strict=False)
+    return IntSparseMatrix(len(rows), len(col_index), entries)
 
 
 def dperp_rank(loops: int, parity: Parity, prime: int = 3323) -> tuple[int, int]:

@@ -9,6 +9,7 @@ check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from gchom.graphs import Multigraph, Parity
@@ -160,6 +161,76 @@ def reference_canonical_data(graph: Multigraph):
 
     search(cells)
     return best, tuple(labelings)
+
+
+def permutation_group(generators, n: int) -> set[tuple[int, ...]]:
+    """Every product of the generators (permutations of range(n)), by search."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for h in frontier:
+            for g in generators:
+                product = tuple(g[h[v]] for v in range(n))
+                if product not in group:
+                    group.add(product)
+                    grown.append(product)
+        frontier = grown
+    return group
+
+
+def all_vertex_splits(graph: Multigraph) -> list[Multigraph]:
+    """Every one-vertex split keeping minimum degree 3, with no orbit pruning.
+
+    Every vertex v of degree >= 4 is split in every way that moves k_x of
+    the m_x edges between v and each neighbor x to a new vertex joined to
+    v, keeping at least two old half-edges on each side.  Of the two
+    orders of the sides only the one with the smaller moved-count vector
+    is kept; the splits come in the order of v, then of the count vectors.
+    """
+    n = graph.num_vertices
+    out = []
+    for v in range(n):
+        nbrs = sorted(Counter(u if w == v else w for u, w in graph.edges if v in (u, w)).items())
+        degree = sum(m for _, m in nbrs)
+        if degree < 4:
+            continue
+        others = [e for e in graph.edges if v not in e]
+        for take in itertools.product(*(range(m + 1) for _, m in nbrs)):
+            kept = tuple(m - k for (_, m), k in zip(nbrs, take))
+            if not 2 <= sum(take) <= degree - 2 or take > kept:
+                continue
+            edges = others + [(v, n)]
+            for (x, _), k, c in zip(nbrs, take, kept):
+                edges += [(x, n)] * k + [(v, x)] * c
+            out.append(Multigraph.from_edges(n + 1, edges))
+    return out
+
+
+def per_edge_contractions(sources, targets, parity: Parity, *, strict: bool):
+    """``(source index, target index) -> coefficient``, one term per edge.
+
+    The contraction differential summed over every edge of every source,
+    without orbit weighting; images missing from ``targets`` raise when
+    ``strict`` and are dropped otherwise.  It checks the orbit weighting
+    only: `contract_edge` itself is checked by the d∘d = 0 tests.
+    """
+    from gchom.complexes import contract_edge
+
+    acc = {}
+    for j, graph in enumerate(sources):
+        for e in range(graph.num_edges):
+            res = contract_edge(graph, e, parity)
+            if res.is_zero:
+                continue
+            i = targets.get(res.canonical)
+            if i is None:
+                if strict:
+                    raise RuntimeError(f"image missing: {res.canonical}")
+                continue
+            acc[(j, i)] = acc.get((j, i), 0) + res.sign
+    return {k: v for k, v in acc.items() if v}
 
 
 def naive_enumerate(num_vertices: int, num_edges: int, *, min_degree: int = 3,

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from gchom.graphs import Multigraph, Parity, canonicalize
+from gchom.graphs import Multigraph, Parity, canonical_data, canonicalize
 from gchom.complexes import (
     BasisSlice,
     ComplexSpec,
     Variant,
+    _all_parallel_graphs,
     contract_edge,
     differential_matrix,
     dump_basis,
@@ -116,6 +117,29 @@ def test_vertex_splits_keep_invariants():
             assert child.num_vertices == parent.num_vertices + 1
             assert child.num_edges == parent.num_edges + 1
             assert child.min_degree() >= 3
+
+
+def test_orbit_pruned_raw_slice_matches_unpruned_splits():
+    for g in range(2, 7):
+        for v in range(3, 2 * g - 1):
+            expected = {canonical_data(child)[0]
+                        for parent in raw_slice(g, v - 1)
+                        for child in oracles.all_vertex_splits(parent)}
+            expected.update(_all_parallel_graphs(v, v + g - 1))
+            assert set(raw_slice(g, v)) == expected, (g, v)
+
+
+def test_orbit_weighted_differential_matches_per_edge_sum():
+    for parity in Parity:
+        for variant in Variant:
+            for g in range(2, 6):
+                spec = ComplexSpec(parity, variant, g)
+                for v in range(3, 2 * g - 1):
+                    src, dst = enumerate_basis(spec, v), enumerate_basis(spec, v - 1)
+                    expected = oracles.per_edge_contractions(
+                        src.generators, dst.index, parity, strict=variant is Variant.FULL)
+                    got = differential_matrix(src, dst).entries
+                    assert got == {(i, j): c for (j, i), c in expected.items()}, (spec, v)
 
 
 def test_contract_parallel_edge_is_zero():

@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
-from gchom.complexes import raw_slice, vertex_splits
+from gchom.complexes import raw_slice
 from gchom.graphs import (
     Multigraph,
     Parity,
     SelfEdgeError,
+    automorphism_generators,
     automorphism_group_size,
     canonical_data,
     canonicalize,
@@ -35,13 +36,13 @@ def random_multigraph(rng, num_vertices, num_edges):
 
 
 def core_test_graphs() -> list[Multigraph]:
-    """Raw slices and their splits for g <= 5, family graphs for g <= 6."""
+    """Raw slices and all their splits for g <= 5, family graphs for g <= 6."""
     graphs = []
     for g in range(2, 6):
         for v in range(2, 2 * g - 1):
             for parent in raw_slice(g, v):
                 graphs.append(parent)
-                graphs.extend(vertex_splits(parent))
+                graphs.extend(oracles.all_vertex_splits(parent))
     for g in range(4, 7):
         for build, degree in ((barrel, g - 1), (x_graph, g - 2), (y_graph, g - 2),
                               (a_graph, g - 2), (a_prime_graph, g - 2)):
@@ -86,8 +87,15 @@ def test_search_matches_reference_search():
         rng.shuffle(perm)
         graphs.append(g.relabel(perm))
     for g in graphs:
-        canon, labelings = canonical_data(g)
-        assert (canon.edges, labelings) == oracles.reference_canonical_data(g)
+        canon, labelings, order = canonical_data(g)
+        form, reference = oracles.reference_canonical_data(g)
+        assert canon.edges == form
+        assert labelings[0] == reference[0]
+        assert set(labelings) <= set(reference)
+        assert order == len(reference)
+        group = oracles.permutation_group(automorphism_generators(g), g.num_vertices)
+        first = labelings[0]
+        assert {tuple(first[h[v]] for v in range(g.num_vertices)) for h in group} == set(reference)
 
 
 def test_automorphism_group_size_matches_brute_force():

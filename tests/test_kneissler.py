@@ -22,6 +22,8 @@ from gchom.kneissler import (
     y_graph,
 )
 
+import oracles
+
 BOUND_SMALL = {
     (Parity.EVEN, 5): (0, 0, 1, 0, 0),
     (Parity.EVEN, 6): (2, 2, 4, 3, 1),
@@ -141,6 +143,16 @@ def test_restricted_differential_dimensions():
     m = restricted_differential(6, Parity.EVEN)
     assert m.nrows == fam.dim_b + fam.dim_bperp
     assert m.ncols == fam.dim_v
+
+
+def test_orbit_weighted_restricted_differential_matches_per_edge_sum():
+    for parity in Parity:
+        for loops in (5, 6):
+            fam = build_families(loops, parity)
+            rows = fam.b_members + fam.bperp_members
+            cols = {g: j for j, g in enumerate(fam.v_members)}
+            expected = oracles.per_edge_contractions(rows, cols, parity, strict=False)
+            assert restricted_differential(loops, parity).entries == expected
 
 
 def test_image_outside_span_detection():
