@@ -11,8 +11,11 @@ Slices are enumerated bottom-up in V: every admissible graph that has
 at least one non-parallel edge arises by splitting a vertex of an
 admissible graph with one vertex fewer, and the remaining graphs (all
 edges parallel) are enumerated directly from their simple supports.
-This is isomorphism-free up to a final canonical dedup and never touches
-the astronomically larger labeled search space.
+Splitting is isomorphism-free by canonical augmentation: each parent
+class is split once per orbit of its automorphisms, and a child is kept
+only when its fresh edge is its canonical contraction edge, so every
+class is reached exactly once, no global dedup is needed, and the
+astronomically larger labeled search space is never touched.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from gchom.graphs import (
     Multigraph,
     Parity,
     _canonical_data,
+    _find,
+    _generators,
+    _join,
+    _neighbors,
     _orbit_sizes,
     automorphism_generators,
     canonical_data,
@@ -215,6 +222,23 @@ def vertex_splits(graph: Multigraph) -> list[Multigraph]:
     of v, then of the counts) is built.  The new vertex gets the highest
     label; results are not canonicalized.
     """
+    incident, splits = _split_orbit_reps(graph)
+    out = []
+    for v, group in itertools.groupby(splits, key=lambda split: split[0]):
+        others = [e for e in graph.edges if v not in e]
+        for _, take in group:
+            out.append(_split_child(graph.num_vertices, others, v, incident[v], take))
+    return out
+
+
+def _split_orbit_reps(graph: Multigraph):
+    """Incidence lists and the split descriptors built by `vertex_splits`.
+
+    Returns ``(incident, splits)``: ``incident[v]`` lists v's (neighbor,
+    multiplicity) pairs in neighbor order, and ``splits`` the first
+    ``(v, take)`` of each Aut(graph) orbit, where ``take`` gives the
+    half-edges to each neighbor in ``incident[v]`` that move.
+    """
     n = graph.num_vertices
     degrees = graph.degrees()
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -240,16 +264,20 @@ def vertex_splits(graph: Multigraph) -> list[Multigraph]:
     if generators:
         splits = [splits[i] for i in _orbit_sizes(
             len(splits), _split_images(splits, incident, generators))]
-    out = []
-    for v, group in itertools.groupby(splits, key=lambda split: split[0]):
-        others = [e for e in graph.edges if v not in e]
-        for _, take in group:
-            edges = others + [(v, n)]
-            for (x, m), k in zip(incident[v], take):
-                edges.extend([(x, n)] * k)
-                edges.extend([(v, x) if v < x else (x, v)] * (m - k))
-            out.append(Multigraph._trusted(n + 1, tuple(sorted(edges))))
-    return out
+    return incident, splits
+
+
+def _split_child(n: int, others, v: int, row, take) -> Multigraph:
+    """The split of vertex v of an n-vertex graph; its fresh edge is (v, n).
+
+    ``others`` are the graph's edges not at v, ``row`` is v's incidence
+    list and ``take`` the half-edges to each neighbor that move to n.
+    """
+    edges = others + [(v, n)]
+    for (x, m), k in zip(row, take):
+        edges.extend([(x, n)] * k)
+        edges.extend([(v, x) if v < x else (x, v)] * (m - k))
+    return Multigraph._trusted(n + 1, tuple(sorted(edges)))
 
 
 def _split_images(splits, incident, generators):
@@ -270,6 +298,94 @@ def _split_images(splits, incident, generators):
         yield perm
 
 
+def _sorted_pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _canonical_parent_form(child: Multigraph, fresh: tuple[int, int]) -> Multigraph | None:
+    """Canonical form of ``child`` if ``fresh`` is its canonical contraction edge.
+
+    The canonical contraction edge m(child) is a simple edge chosen up to
+    Aut(child), in three isomorphism-invariant stages: the largest sorted
+    pair of endpoint degrees, then among those the largest sorted pair of
+    endpoint signatures (a vertex's sorted (neighbor degree, multiplicity)
+    pairs), then among those the edge with the smallest image under the
+    first canonical labeling.  Returns None when ``fresh`` loses stage 1
+    or 2, before anything is labeled, or when it is not in the Aut(child)
+    orbit of m(child) (union-find over the generators).
+    """
+    nbrs = _neighbors(child)
+    deg = [sum(m for _, m in row) for row in nbrs]
+
+    def degree_pair(e):
+        return _sorted_pair(deg[e[0]], deg[e[1]])
+
+    simple = [(u, v) for u, row in enumerate(nbrs) for v, m in row if m == 1 and u < v]
+    top = max(map(degree_pair, simple))
+    if degree_pair(fresh) != top:
+        return None
+    tied = [e for e in simple if degree_pair(e) == top]
+    if len(tied) > 1:
+        signature = {}
+
+        def signature_pair(e):
+            for x in e:
+                if x not in signature:
+                    signature[x] = sorted([(deg[y], m) for y, m in nbrs[x]])
+            return _sorted_pair(signature[e[0]], signature[e[1]])
+
+        top = max(map(signature_pair, tied))
+        if signature_pair(fresh) != top:
+            return None
+        tied = [e for e in tied if signature_pair(e) == top]
+    canon, labelings, _ = _canonical_data(child)
+    if len(tied) == 1:
+        return canon
+    lab = labelings[0]
+    best = min(tied, key=lambda e: _sorted_pair(lab[e[0]], lab[e[1]]))
+    if best == fresh:
+        return canon
+    index = {e: i for i, e in enumerate(tied)}
+    orbits = list(range(len(tied)))
+    for gamma in _generators(labelings):
+        _join(orbits, [index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied])
+    if _find(orbits, index[best]) == _find(orbits, index[fresh]):
+        return canon
+    return None
+
+
+def _accepted_children(parent: Multigraph):
+    """Canonical forms of the split children whose fresh edge is canonical.
+
+    One child per orbit of splits; see `_canonical_parent_form`.
+    """
+    n = parent.num_vertices
+    deg = parent.degrees()
+    incident, splits = _split_orbit_reps(parent)
+    simple = sorted(((_sorted_pair(deg[u], deg[x]), u, x)
+                     for u, row in enumerate(incident) for x, m in row if m == 1 and u < x),
+                    reverse=True)
+    for v, group in itertools.groupby(splits, key=lambda split: split[0]):
+        others = [e for e in parent.edges if v not in e]
+        row = incident[v]
+        # the largest degree pair of a simple edge away from v, which the
+        # split leaves as it is
+        away = next((pair for pair, a, b in simple if a != v != b), (0, 0))
+        for _, take in group:
+            moved = sum(take)
+            dv, dn = deg[v] + 1 - moved, moved + 1
+            fresh = _sorted_pair(dv, dn)
+            if away > fresh or any(
+                    (m - k == 1 and _sorted_pair(dv, deg[x]) > fresh)
+                    or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
+                    for (x, m), k in zip(row, take)):
+                continue  # stage 1 of `_canonical_parent_form` rejects it
+            child = _split_child(n, others, v, row, take)
+            canon = _canonical_parent_form(child, (v, n))
+            if canon is not None:
+                yield canon
+
+
 @lru_cache(maxsize=None)
 def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     """Canonical forms of every admissible graph class in the slice.
@@ -278,6 +394,15 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     Parity and variant filtering happen in enumerate_basis; keeping the
     raw classes lets all four (parity, variant) combinations share one
     enumeration.
+
+    A class with a simple edge is found by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", 1998).  Contracting a simple
+    edge of an admissible graph gives an admissible graph with one vertex
+    fewer, and the split that undoes it is unique up to the parent's
+    automorphisms.  So each such class is the split child, with the fresh
+    edge in the orbit of its canonical contraction edge, of exactly one
+    parent class and one split orbit, and no dedup is needed.  The classes
+    whose edges are all parallel come from `_all_parallel_graphs`.
     """
     g, v = loops, num_vertices
     if g < 2:
@@ -285,12 +410,10 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     num_edges = v + g - 1
     if v < 2 or v > 2 * (g - 1):
         return ()
-    found: set[Multigraph] = set()
+    found = _all_parallel_graphs(v, num_edges)
     if v > 2:
         for parent in raw_slice(g, v - 1):
-            for child in vertex_splits(parent):
-                found.add(_canonical_data(child)[0])  # one-shot: not cached
-    found.update(_all_parallel_graphs(v, num_edges))
+            found.extend(_accepted_children(parent))
     return tuple(sorted(found, key=lambda m: m.edges))
 
 
@@ -425,8 +548,7 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     return {k: val for k, val in acc.items() if val}
 
 
-def differential_matrix(src: BasisSlice, dst: BasisSlice,
-                        parity: Parity | None = None) -> IntSparseMatrix:
+def differential_matrix(src: BasisSlice, dst: BasisSlice) -> IntSparseMatrix:
     """Matrix of the contraction differential from src into dst coordinates.
 
     Column j expands the contractions of src generator j in dst's basis.
@@ -434,13 +556,11 @@ def differential_matrix(src: BasisSlice, dst: BasisSlice,
     quotient's zero and are dropped; in the full variant every nonzero
     image must be a dst generator.
     """
-    if parity is None:
-        parity = src.spec.parity
-    if src.spec != dst.spec or parity is not src.spec.parity:
+    if src.spec != dst.spec:
         raise ValueError("slice mismatch: src and dst must share one spec")
     if dst.num_vertices != src.num_vertices - 1:
         raise ValueError("dst must have one vertex fewer than src")
-    entries = contraction_entries(src.generators, dst.index, parity,
+    entries = contraction_entries(src.generators, dst.index, src.spec.parity,
                                   strict=src.spec.variant is Variant.FULL)
     return IntSparseMatrix(len(dst), len(src),
                            {(i, j): val for (j, i), val in entries.items()})

@@ -488,8 +488,12 @@ def canonical_data(graph: Multigraph) -> tuple[Multigraph, tuple[tuple[int, ...]
 
 def automorphism_generators(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
     """Generators of the vertex automorphism group, as vertex permutations."""
-    _, labelings, _ = canonical_data(graph)
-    inv = [0] * graph.num_vertices
+    return _generators(canonical_data(graph)[1])
+
+
+def _generators(labelings) -> tuple[tuple[int, ...], ...]:
+    """The generators behind `canonical_data` labelings, as vertex permutations."""
+    inv = [0] * len(labelings[0])
     for v, i in enumerate(labelings[0]):
         inv[i] = v
     return tuple(tuple([inv[i] for i in lab]) for lab in labelings[1:])

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +10,11 @@ from gchom.complexes import (
     BasisSlice,
     ComplexSpec,
     Variant,
+    _accepted_children,
     _all_parallel_graphs,
+    _canonical_parent_form,
+    _split_child,
+    _split_orbit_reps,
     contract_edge,
     differential_matrix,
     dump_basis,
@@ -26,6 +33,31 @@ K4 = Multigraph.from_edges(4, itertools.combinations(range(4), 2))
 
 EVEN_FULL_3 = ComplexSpec(Parity.EVEN, Variant.FULL, 3)
 ODD_FULL_2 = ComplexSpec(Parity.ODD, Variant.FULL, 2)
+
+# sha256 of the graph lines, joined with newlines, of raw_slice(g, V), and
+# their count; recorded from the dedup-based enumeration
+PINNED_RAW_SLICES = {
+    (6, 2): (1, "090b4ccee66d5a1d778d32fc55b5dbfd8b3901eccdaa1e441ea7ebe8f0756a18"),
+    (6, 3): (6, "06290c784c13280246e06509fb166eaaa49ae383f3c98df607aebc5153443b99"),
+    (6, 4): (40, "c74c9192edfe7a9abf31a0affd9a699b4ee5634e81b84b688b96be7531256118"),
+    (6, 5): (135, "781b186a66cfd6086231ff0ff0e2d3a7b6fe0819da432fb684d4973aa51d2e8a"),
+    (6, 6): (338, "86be2a0f1a47f86e6605f65f5490beaf209cc1d691e47a2c2c9e4dd58e3ec0f8"),
+    (6, 7): (494, "eb43b4d56435a521130a002659adc387ed156150804763e29a7dc945380d1121"),
+    (6, 8): (492, "ecd269b4c072f7e54cda124d83abadceaacc37e5143728b925462f818d6657e0"),
+    (6, 9): (251, "2eb0a56c544f31d0ee90b2b3e3b7e84c0df41343f1fef6339a902a12454fde41"),
+    (6, 10): (91, "5b95a696fd3cfd7dcaf1a2b51b56e0109f5f102f5d3ccd5d1120eeb4be68c563"),
+    (7, 2): (1, "18c6c7653ae737f7020bc8fa0deb277596f5ebf4fb9da857c6d97226ca435f89"),
+    (7, 3): (8, "67ae730094e253c4cc98ab47876dd1b0c51503913931e0693752a9e389fec33f"),
+    (7, 4): (71, "88360378da6a1d878eb1f5338f5761cb80526831408e7c6693418aa889979f2a"),
+    (7, 5): (366, "d5b10471e153a20570d4c9ae5d5696d0c0c52fbc24a4f3d3a93418d97f046950"),
+    (7, 6): (1417, "4ce1295d516abba471a8f3851974f130de49dd423c522204e502874d07593c30"),
+    (7, 7): (3494, "b864f2d4fc17111d6c69c75b1062312d1349365b3035463bfc9e4f3e1fd0d2aa"),
+    (7, 8): (6047, "cbb1bf9b354ea991a251a32578c0c3805bd5944e1353de5900281e46b6be772e"),
+    (7, 9): (6719, "2de86d6ed18433da7a7a7b9ca20e5f4dd6f3b65d83f4afdf7a326fe223c8c4dd"),
+    (7, 10): (4987, "3d6c6fb51932f9aadac7202808ec8ef3c7e7e1a997b00aba33f7d39255644c16"),
+    (7, 11): (2065, "3943e764d731604e7dd5db6b1e3b973fe721330019966f800f46b91853f447e0"),
+    (7, 12): (509, "c3c086478e41e7ad88b915556bed15381a52095e2aa33f21109d88a32909c30f"),
+}
 
 
 def test_vertex_count_examples():
@@ -122,11 +154,49 @@ def test_vertex_splits_keep_invariants():
 def test_orbit_pruned_raw_slice_matches_unpruned_splits():
     for g in range(2, 7):
         for v in range(3, 2 * g - 1):
-            expected = {canonical_data(child)[0]
-                        for parent in raw_slice(g, v - 1)
-                        for child in oracles.all_vertex_splits(parent)}
-            expected.update(_all_parallel_graphs(v, v + g - 1))
+            parents = raw_slice(g, v - 1)
+            split_classes = {canonical_data(child)[0] for parent in parents
+                             for child in oracles.all_vertex_splits(parent)}
+            # canonical augmentation: every class reached by splitting is
+            # accepted from exactly one (parent, split orbit) pair
+            accepted = Counter(m for parent in parents for m in _accepted_children(parent))
+            assert accepted == Counter(split_classes), (g, v)
+            expected = split_classes | set(_all_parallel_graphs(v, v + g - 1))
             assert set(raw_slice(g, v)) == expected, (g, v)
+
+
+def test_raw_slices_are_pinned():
+    for (g, v), (count, digest) in PINNED_RAW_SLICES.items():
+        graphs = raw_slice(g, v)
+        assert len(graphs) == count, (g, v)
+        text = "\n".join(m.to_line() for m in graphs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (g, v)
+        # strictly sorted: no class twice
+        assert all(a.edges < b.edges for a, b in zip(graphs, graphs[1:])), (g, v)
+
+
+def _split_children(parent):
+    """Every orbit-representative split child of parent, with its fresh edge."""
+    n = parent.num_vertices
+    incident, splits = _split_orbit_reps(parent)
+    for v, take in splits:
+        others = [e for e in parent.edges if v not in e]
+        yield _split_child(n, others, v, incident[v], take), (v, n)
+
+
+def test_canonical_parent_test_is_invariant_under_relabeling():
+    children = [pair for g in (5, 6) for v in range(2, 2 * g - 2)
+                for parent in raw_slice(g, v) for pair in _split_children(parent)]
+    rng = random.Random(71)
+    kept = 0
+    for child, (a, b) in rng.sample(children, 200):
+        perm = list(range(child.num_vertices))
+        rng.shuffle(perm)
+        form = _canonical_parent_form(child, (a, b))
+        fresh = (perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a])
+        assert _canonical_parent_form(child.relabel(perm), fresh) == form, child
+        kept += form is not None
+    assert 0 < kept < 200
 
 
 def test_orbit_weighted_differential_matches_per_edge_sum():
