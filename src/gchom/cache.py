@@ -29,11 +29,14 @@ class FileCache:
 
     Entries are keyed by the complex spec plus vertex count and a format
     version tag; a cached file is byte-identical to a fresh recomputation.
+    Each basis is read (or computed) once per instance and kept, since
+    every differential needs the bases on both of its sides.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root) / f"v{FORMAT_VERSION}"
         self.root.mkdir(parents=True, exist_ok=True)
+        self._bases: dict[tuple[ComplexSpec, int], BasisSlice] = {}
 
     def _key(self, spec: ComplexSpec, vertices: int) -> str:
         return f"{spec.parity}-{spec.variant}-g{spec.loops}-V{vertices}"
@@ -45,6 +48,12 @@ class FileCache:
         return self.root / f"diff-{self._key(spec, vertices)}.sms"
 
     def basis(self, spec: ComplexSpec, vertices: int) -> BasisSlice:
+        key = (spec, vertices)
+        if key not in self._bases:
+            self._bases[key] = self._load_basis(spec, vertices)
+        return self._bases[key]
+
+    def _load_basis(self, spec: ComplexSpec, vertices: int) -> BasisSlice:
         path = self.basis_path(spec, vertices)
         loaded = _read(path, load_basis)
         if loaded is not None and loaded.spec == spec and loaded.num_vertices == vertices:

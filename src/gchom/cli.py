@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gchom",
         description="Graph-complex bases, differentials, ranks, and bounds.",
     )
-    top.add_argument("--threads", type=int, default=1,
-                     help="worker cap (results never depend on it; the "
-                          "current implementation is single-process)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="enumerate a slice basis")
@@ -209,8 +206,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:

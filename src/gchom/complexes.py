@@ -231,13 +231,15 @@ def vertex_splits(graph: Multigraph) -> list[Multigraph]:
     return out
 
 
-def _split_orbit_reps(graph: Multigraph):
+def _split_orbit_reps(graph: Multigraph, keep=None):
     """Incidence lists and the split descriptors built by `vertex_splits`.
 
     Returns ``(incident, splits)``: ``incident[v]`` lists v's (neighbor,
     multiplicity) pairs in neighbor order, and ``splits`` the first
     ``(v, take)`` of each Aut(graph) orbit, where ``take`` gives the
-    half-edges to each neighbor in ``incident[v]`` that move.
+    half-edges to each neighbor in ``incident[v]`` that move.  ``keep``,
+    if given, is a predicate ``keep(v, incident[v], take)`` that must be
+    invariant under Aut(graph); it drops whole orbits before any pruning.
     """
     n = graph.num_vertices
     degrees = graph.degrees()
@@ -259,11 +261,13 @@ def _split_orbit_reps(graph: Multigraph):
             comp = tuple(m - k for m, k in zip(counts, take))
             if take > comp:  # unordered pair of sides, keep one representative
                 continue
-            splits.append((v, take))
-    generators = automorphism_generators(graph)
-    if generators:
-        splits = [splits[i] for i in _orbit_sizes(
-            len(splits), _split_images(splits, incident, generators))]
+            if keep is None or keep(v, incident[v], take):
+                splits.append((v, take))
+    if len(splits) > 1:
+        generators = automorphism_generators(graph)
+        if generators:
+            splits = [splits[i] for i in _orbit_sizes(
+                len(splits), _split_images(splits, incident, generators))]
     return incident, splits
 
 
@@ -361,26 +365,32 @@ def _accepted_children(parent: Multigraph):
     """
     n = parent.num_vertices
     deg = parent.degrees()
-    incident, splits = _split_orbit_reps(parent)
-    simple = sorted(((_sorted_pair(deg[u], deg[x]), u, x)
-                     for u, row in enumerate(incident) for x, m in row if m == 1 and u < x),
-                    reverse=True)
+    simple = sorted(((_sorted_pair(deg[u], deg[x]), u, x) for (u, x), m in
+                     Counter(parent.edges).items() if m == 1), reverse=True)
+    # per splittable vertex v, the largest degree pair of a simple edge
+    # away from v, which the split leaves as it is
+    away = {v: next((pair for pair, a, b in simple if a != v != b), (0, 0))
+            for v in range(n) if deg[v] >= 4}
+
+    def fresh_may_win(v, row, take):
+        """Stage 1 of `_canonical_parent_form`, on the split descriptor.
+
+        It reads only degrees and multiplicities, so it is invariant under
+        Aut(parent) and can run before the orbit pruning.
+        """
+        moved = sum(take)
+        dv, dn = deg[v] + 1 - moved, moved + 1
+        fresh = _sorted_pair(dv, dn)
+        return not (away[v] > fresh or any(
+            (m - k == 1 and _sorted_pair(dv, deg[x]) > fresh)
+            or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
+            for (x, m), k in zip(row, take)))
+
+    incident, splits = _split_orbit_reps(parent, fresh_may_win)
     for v, group in itertools.groupby(splits, key=lambda split: split[0]):
         others = [e for e in parent.edges if v not in e]
-        row = incident[v]
-        # the largest degree pair of a simple edge away from v, which the
-        # split leaves as it is
-        away = next((pair for pair, a, b in simple if a != v != b), (0, 0))
         for _, take in group:
-            moved = sum(take)
-            dv, dn = deg[v] + 1 - moved, moved + 1
-            fresh = _sorted_pair(dv, dn)
-            if away > fresh or any(
-                    (m - k == 1 and _sorted_pair(dv, deg[x]) > fresh)
-                    or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
-                    for (x, m), k in zip(row, take)):
-                continue  # stage 1 of `_canonical_parent_form` rejects it
-            child = _split_child(n, others, v, row, take)
+            child = _split_child(n, others, v, incident[v], take)
             canon = _canonical_parent_form(child, (v, n))
             if canon is not None:
                 yield canon

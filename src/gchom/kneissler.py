@@ -13,6 +13,15 @@ with the rank taken over a prime field, which can only lower it.  The
 restricted differential is assembled by contracting the trivalent
 generators and reading coefficients in the X/Y basis; that matrix is
 the transpose of the coboundary in dual bases, so all ranks agree.
+
+Each family is built from one defining permutation per orbit of its
+frame symmetries: relabelings of the fixed frame (reflecting or rotating
+a rim, swapping the two barrel rims) that map the graph of p onto the
+graph of another permutation p'.  The orbits come from union-find over
+the permutations in `itertools.permutations` order, so each orbit's root
+is its first permutation.  Only the root's graph is built and labeled;
+the other permutations take its verdict (simple or not, canonical form,
+barrel or not, zero or not), since all four are isomorphism invariants.
 """
 
 from __future__ import annotations
@@ -23,7 +32,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from gchom.complexes import contraction_entries, vertex_splits
-from gchom.graphs import Multigraph, Parity, canonical_data, canonicalize
+from gchom.graphs import (
+    Multigraph,
+    Parity,
+    _find,
+    _join,
+    canonical_data,
+    canonicalize,
+)
 from gchom.linalg import (
     PrimeField,
     TwoPhase,
@@ -194,12 +210,64 @@ def _supported(loops: int, parity: Parity) -> None:
         )
 
 
+def _compose(a, b) -> tuple[int, ...]:
+    """The permutation a∘b, i -> a[b[i]]."""
+    return tuple([a[i] for i in b])
+
+
+def _inverse(p) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _frame_symmetries(kind: str, n: int):
+    """Maps p -> p' such that a relabeling of the frame takes build(p) to build(p').
+
+    For barrels (n = g-1), p∘r and p∘s rotate and reflect the upper rim,
+    r∘p and s∘p the lower rim, and p⁻¹ swaps the rims, where r(i) = i+1
+    and s(i) = -i mod n.  For X and A (n = g-2), s∘p reflects the short
+    rim about vertex 0, and p∘rev reflects the long rim about vertex n,
+    which swaps slot i with slot n-1-i.  For Y and A', s∘p reflects the
+    upper rim about vertex 0, and p∘s reflects the lower rim about vertex
+    n, fixing the hub and swapping source i with source -i mod n.
+    """
+    s = tuple(-i % n for i in range(n))
+    if kind == "B":
+        r = tuple((i + 1) % n for i in range(n))
+        return (lambda p: _compose(p, r), lambda p: _compose(p, s),
+                lambda p: _compose(r, p), lambda p: _compose(s, p), _inverse)
+    if kind in ("X", "A"):
+        rev = tuple(reversed(range(n)))
+        return (lambda p: _compose(s, p), lambda p: _compose(p, rev))
+    return (lambda p: _compose(s, p), lambda p: _compose(p, s))
+
+
+@lru_cache(maxsize=None)
+def _orbit_roots(kind: str, n: int) -> tuple[int, ...]:
+    """Orbit roots of the permutations of range(n) under `_frame_symmetries`.
+
+    Entry i belongs to the i-th permutation in `itertools.permutations`
+    order and is the index of the first permutation in its orbit, so a
+    root comes before every other member of its orbit.
+    """
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    orbits = list(range(len(perms)))
+    for move in _frame_symmetries(kind, n):
+        _join(orbits, [index[move(p)] for p in perms])
+    return tuple(_find(orbits, i) for i in range(len(perms)))
+
+
 @lru_cache(maxsize=None)
 def _barrel_forms(loops: int) -> frozenset[Multigraph]:
     """Canonical forms of every barrel, zero or not (isomorphism only)."""
+    perms = itertools.permutations(range(loops - 1))
     return frozenset(
         canonical_data(barrel(perm))[0]
-        for perm in itertools.permutations(range(loops - 1))
+        for i, (perm, root) in enumerate(zip(perms, _orbit_roots("B", loops - 1)))
+        if i == root
     )
 
 
@@ -209,6 +277,8 @@ def build_family(kind: str, loops: int, parity: Parity) -> BarrelFamily:
     Enumerates the defining permutations (S_{g-1} for barrels, S_{g-2}
     otherwise), drops classes that vanish under the parity, and for the
     complement kinds A and A' also drops graphs isomorphic to a barrel.
+    Only the first permutation of each frame-symmetry orbit is built and
+    labeled; the rest of the orbit shares its class.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -220,17 +290,25 @@ def build_family(kind: str, loops: int, parity: Parity) -> BarrelFamily:
     # that routes the hub strand back onto its own anchor doubles an edge,
     # and those degenerate graphs are not part of the relation span
     simple_only = kind in ("Y", "Aprime")
-    reps: dict[Multigraph, list[tuple[int, ...]]] = {}
-    for perm in itertools.permutations(range(degree)):
+
+    def verdict(perm) -> Multigraph | None:
         g = build(perm)
         if simple_only and not g.is_simple():
-            continue
+            return None
         form = canonical_data(g)[0]
-        if form in excluded:
-            continue
-        if canonicalize(g, parity).is_zero:
-            continue
-        reps.setdefault(form, []).append(perm)
+        if form in excluded or canonicalize(g, parity).is_zero:
+            return None
+        return form
+
+    forms: dict[int, Multigraph | None] = {}
+    reps: dict[Multigraph, list[tuple[int, ...]]] = {}
+    perms = itertools.permutations(range(degree))
+    for perm, root in zip(perms, _orbit_roots(kind, degree)):
+        if root not in forms:  # perm is the first of its orbit
+            forms[root] = verdict(perm)
+        form = forms[root]
+        if form is not None:
+            reps.setdefault(form, []).append(perm)
     return BarrelFamily(kind, loops, parity,
                         {k: tuple(v) for k, v in reps.items()})
 

@@ -425,3 +425,30 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
         if row == nr:
             break
     return rank
+
+
+def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
+    """`BarrelFamily.representatives`, building and labeling every permutation.
+
+    No frame-symmetry orbits: each defining permutation's graph is built,
+    filtered and labeled on its own, in `itertools.permutations` order,
+    and the complement kinds exclude the forms of every barrel.
+    """
+    from gchom.graphs import canonical_data, canonicalize
+    from gchom.kneissler import _BUILDERS, barrel
+
+    degree = loops - 1 if kind == "B" else loops - 2
+    excluded = set()
+    if kind in ("A", "Aprime"):
+        excluded = {canonical_data(barrel(p))[0]
+                    for p in itertools.permutations(range(loops - 1))}
+    reps: dict = {}
+    for perm in itertools.permutations(range(degree)):
+        g = _BUILDERS[kind](perm)
+        if kind in ("Y", "Aprime") and not g.is_simple():
+            continue
+        form = canonical_data(g)[0]
+        if form in excluded or canonicalize(g, parity).is_zero:
+            continue
+        reps.setdefault(form, []).append(perm)
+    return {k: tuple(v) for k, v in reps.items()}

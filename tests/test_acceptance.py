@@ -4,18 +4,16 @@ Criteria covered:
   1  d∘d = 0 across parities, variants, loop orders
   2  even-parity dimension table, g <= 7, exact at two primes
   3  odd-parity dimension table, g <= 6, exact
-  4  top-degree bound table rows, g in 5..8, both parities
+  4  top-degree bound table rows, g in 5..8, both parities, and the
+     g=9 rows in a test of their own
   5  surjectivity onto the complement families
   6  full vs triconnected tables agree
   7  linear-algebra property battery
   8  Euler-characteristic identity
   9  canonicalization vs exhaustive brute force
-
-Set GCHOM_STRETCH=1 to include the non-gating g=9 bound rows.
 """
 
 import itertools
-import os
 import random
 import time
 
@@ -33,8 +31,6 @@ from gchom.complexes import graphs_by_edge_addition
 from gchom.kneissler import upper_bound
 
 import oracles
-
-STRETCH = os.environ.get("GCHOM_STRETCH") == "1"
 
 
 def _report(num, label, results):
@@ -84,7 +80,6 @@ def test_criterion_4_bound_rows(kneissler_results):
     _report(4, "top-degree bound table rows g=5..8", picked)
 
 
-@pytest.mark.skipif(not STRETCH, reason="stretch rows enabled via GCHOM_STRETCH=1")
 def test_criterion_4_stretch_g9():
     results = []
     from gchom.checks import CheckResult

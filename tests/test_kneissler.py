@@ -8,7 +8,10 @@ from gchom.graphs import Parity, canonical_data, canonicalize
 from gchom.complexes import ComplexSpec, Variant, enumerate_basis
 from gchom.cohomology import KNOWN_VALUES
 from gchom.kneissler import (
+    FAMILY_KINDS,
     ImageOutsideSpanError,
+    _BUILDERS,
+    _frame_symmetries,
     _verify_images_in_span,
     a_graph,
     a_prime_graph,
@@ -86,6 +89,26 @@ def test_build_family_rejects_unsupported():
         build_family("X", 3, Parity.ODD)
     with pytest.raises(ValueError):
         build_family("Q", 6, Parity.EVEN)
+
+
+def test_build_family_matches_exhaustive_family():
+    for parity in Parity:
+        for loops in range(5 if parity is Parity.EVEN else 4, 8):
+            for kind in FAMILY_KINDS:
+                got = build_family(kind, loops, parity).representatives
+                want = oracles.exhaustive_family(kind, loops, parity)
+                # same classes, first found in the same order, same permutations
+                assert list(got.items()) == list(want.items()), (kind, loops, parity)
+
+
+def test_frame_symmetries_preserve_the_graph_class():
+    for kind in FAMILY_KINDS:
+        for n in range(2, 7 if kind == "B" else 6):  # g <= 7
+            build = _BUILDERS[kind]
+            for perm in itertools.permutations(range(n)):
+                form = canonical_data(build(perm))[0]
+                for move in _frame_symmetries(kind, n):
+                    assert canonical_data(build(move(perm)))[0] == form, (kind, perm)
 
 
 def test_complement_excludes_barrel_isomorphic_graphs():
