@@ -16,6 +16,12 @@ class is split once per orbit of its automorphisms, and a child is kept
 only when its fresh edge is its canonical contraction edge, so every
 class is reached exactly once, no global dedup is needed, and the
 astronomically larger labeled search space is never touched.
+
+Each class is labeled once, as the child that finds it.  The generators
+of its automorphism group, conjugated from that labeling onto its
+canonical vertex labels, are recorded with it, and splitting it, the
+zero test and the edge orbits of the differential read them instead of
+labeling the canonical form again.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from gchom.graphs import (
     Multigraph,
     Parity,
     _canonical_data,
+    _canonicalize,
     _find,
     _generators,
     _join,
@@ -191,8 +198,10 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> list[Multigraph]:
                 edges = []
                 for (u, v), m in zip(sup_edges, mults):
                     edges.extend([(u, v)] * m)
-                g = Multigraph._trusted(num_vertices, tuple(sorted(edges)))
-                out.add(canonical_data(g)[0])
+                canon, labelings, _ = canonical_data(
+                    Multigraph._trusted(num_vertices, tuple(sorted(edges))))
+                _record_class(canon, labelings)
+                out.add(canon)
     return sorted(out, key=lambda m: m.edges)
 
 
@@ -264,7 +273,7 @@ def _split_orbit_reps(graph: Multigraph, keep=None):
             if keep is None or keep(v, incident[v], take):
                 splits.append((v, take))
     if len(splits) > 1:
-        generators = automorphism_generators(graph)
+        generators = _generators_of(graph)
         if generators:
             splits = [splits[i] for i in _orbit_sizes(
                 len(splits), _split_images(splits, incident, generators))]
@@ -316,7 +325,8 @@ def _canonical_parent_form(child: Multigraph, fresh: tuple[int, int]) -> Multigr
     pairs), then among those the edge with the smallest image under the
     first canonical labeling.  Returns None when ``fresh`` loses stage 1
     or 2, before anything is labeled, or when it is not in the Aut(child)
-    orbit of m(child) (union-find over the generators).
+    orbit of m(child) (union-find over the generators).  An accepted
+    class's generators are recorded from the child's labelings.
     """
     nbrs = _neighbors(child)
     deg = [sum(m for _, m in row) for row in nbrs]
@@ -342,20 +352,19 @@ def _canonical_parent_form(child: Multigraph, fresh: tuple[int, int]) -> Multigr
         if signature_pair(fresh) != top:
             return None
         tied = [e for e in tied if signature_pair(e) == top]
-    canon, labelings, _ = _canonical_data(child)
-    if len(tied) == 1:
-        return canon
-    lab = labelings[0]
-    best = min(tied, key=lambda e: _sorted_pair(lab[e[0]], lab[e[1]]))
-    if best == fresh:
-        return canon
-    index = {e: i for i, e in enumerate(tied)}
-    orbits = list(range(len(tied)))
-    for gamma in _generators(labelings):
-        _join(orbits, [index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied])
-    if _find(orbits, index[best]) == _find(orbits, index[fresh]):
-        return canon
-    return None
+    canon, labelings, _ = _canonical_data(child, nbrs)
+    if len(tied) > 1:
+        lab = labelings[0]
+        best = min(tied, key=lambda e: _sorted_pair(lab[e[0]], lab[e[1]]))
+        if best != fresh:
+            index = {e: i for i, e in enumerate(tied)}
+            orbits = list(range(len(tied)))
+            for gamma in _generators(labelings):
+                _join(orbits, [index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied])
+            if _find(orbits, index[best]) != _find(orbits, index[fresh]):
+                return None
+    _record_class(canon, labelings)
+    return canon
 
 
 def _accepted_children(parent: Multigraph):
@@ -396,6 +405,47 @@ def _accepted_children(parent: Multigraph):
                 yield canon
 
 
+# Generators of Aut(m) for every raw class m, as permutations of m's own
+# vertex labels, recorded when the class is found.  Filled by `raw_slice`
+# and, like its cache, never emptied.
+_class_generators: dict[Multigraph, tuple[tuple[int, ...], ...]] = {}
+
+
+def _record_class(canon: Multigraph, labelings) -> None:
+    """Record the generators of ``canon`` given by another graph's labelings.
+
+    ``labelings`` are `canonical_data`'s labelings of a graph in the class
+    of ``canon``: ``lab_0`` and ``lab_i = lab_0 ∘ γ_i`` for generators γ_i
+    of its group.  Conjugated onto the canonical labels, ``lab_i ∘
+    lab_0⁻¹`` generate Aut(canon).
+    """
+    if canon in _class_generators:
+        return
+    inv = [0] * len(labelings[0])
+    for v, i in enumerate(labelings[0]):
+        inv[i] = v
+    _class_generators[canon] = tuple(tuple([lab[v] for v in inv]) for lab in labelings[1:])
+
+
+def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """Generators of Aut(graph): recorded for a raw class, else from its labeling."""
+    generators = _class_generators.get(graph)
+    return automorphism_generators(graph) if generators is None else generators
+
+
+def _is_zero(graph: Multigraph, parity: Parity) -> bool:
+    """Whether ``graph`` is the zero generator.
+
+    A raw class is tested on its recorded generators, unlabeled; any other
+    graph (read from a file, or a family graph) through `canonicalize`.
+    """
+    generators = _class_generators.get(graph)
+    if generators is None:
+        return canonicalize(graph, parity).is_zero
+    labelings = (tuple(range(graph.num_vertices)),) + generators
+    return _canonicalize(graph, parity, lambda g: (g, labelings)).is_zero
+
+
 @lru_cache(maxsize=None)
 def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     """Canonical forms of every admissible graph class in the slice.
@@ -413,6 +463,10 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     edge in the orbit of its canonical contraction edge, of exactly one
     parent class and one split orbit, and no dedup is needed.  The classes
     whose edges are all parallel come from `_all_parallel_graphs`.
+
+    Every class is labeled once, and its Aut generators are recorded in
+    `_class_generators` from that labeling, so the class is not labeled
+    again when it becomes a parent, is filtered or is contracted.
     """
     g, v = loops, num_vertices
     if g < 2:
@@ -435,7 +489,7 @@ def enumerate_basis(spec: ComplexSpec, num_vertices: int) -> BasisSlice:
     for m in raw_slice(spec.loops, num_vertices):
         if spec.variant is Variant.TRICONNECTED and not is_triconnected(m):
             continue
-        if canonicalize(m, spec.parity).is_zero:
+        if _is_zero(m, spec.parity):
             continue
         gens.append(m)
     return BasisSlice(spec, num_vertices, tuple(gens))
@@ -512,7 +566,7 @@ def _edge_orbits(graph: Multigraph) -> dict[int, int]:
     """
     edges = graph.edges
     simple = [i for i in range(len(edges)) if not _is_parallel(edges, i)]
-    generators = automorphism_generators(graph)
+    generators = _generators_of(graph)
     if not generators:
         return dict.fromkeys(simple, 1)
     index = {edges[i]: k for k, i in enumerate(simple)}
@@ -540,7 +594,7 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     """
     acc: dict[tuple[int, int], int] = {}
     for j, graph in enumerate(sources):
-        if canonicalize(graph, parity).is_zero:
+        if _is_zero(graph, parity):
             continue
         for e, weight in _edge_orbits(graph).items():
             res = contract_edge(graph, e, parity)

@@ -276,9 +276,10 @@ def _refine(cells: list[list[int]], nbrs, parts, base: int) -> list[list[int]]:
     count into a cell outside ``parts`` is fixed by the counts before it:
     keying by the counts into ``parts`` alone gives the same groups in the
     same order.  A key packs those counts as the digits, most significant
-    first, of a number in radix ``base``, which exceeds every degree.
+    first, of a number in radix ``base``, which exceeds every degree.  A
+    discrete partition is equitable and comes back unchanged, unkeyed.
     """
-    while True:
+    while len(cells) < len(nbrs):
         key = [0] * len(nbrs)
         place = 1
         for part in reversed(parts):
@@ -303,8 +304,9 @@ def _refine(cells: list[list[int]], nbrs, parts, base: int) -> list[list[int]]:
             new_cells += ordered
             parts += ordered[:-1]
         if not parts:
-            return cells
+            break
         cells = new_cells
+    return cells
 
 
 class _Search:
@@ -453,12 +455,16 @@ def _search(cells, parts, depth: int, anchor: int, st: _Search) -> int:
     return depth
 
 
-def _canonical_data(graph: Multigraph):
-    """Uncached `canonical_data`, for graphs labeled only once."""
+def _canonical_data(graph: Multigraph, nbrs=None):
+    """Uncached `canonical_data`, for graphs labeled only once.
+
+    ``nbrs``, if given, is ``_neighbors(graph)``, built by the caller.
+    """
     n = graph.num_vertices
     if n == 1:
         return graph, ((0,),), 1
-    nbrs = _neighbors(graph)
+    if nbrs is None:
+        nbrs = _neighbors(graph)
     cells = _initial_cells(nbrs)
     st = _Search(nbrs, len(graph.edges) + 1, graph.edges)
     # the initial cells are the parts of one split of the vertex set, and
@@ -509,9 +515,20 @@ def canonicalize(graph: Multigraph, parity: Parity) -> CanonicalResult:
     permutation fixing the graph).  The sign is a homomorphism on the
     automorphism group, so checking the generators suffices.
     """
+    return _canonicalize(graph, parity, canonical_data)
+
+
+def _canonicalize(graph: Multigraph, parity: Parity, label) -> CanonicalResult:
+    """`canonicalize` on the labelings ``label(graph)`` gives.
+
+    ``label(graph)`` starts with the canonical form and the labelings, as
+    `canonical_data` does; it is not called for a graph with a parallel
+    edge under even parity.  Callers pass `canonical_data` or, for a raw
+    class, the labelings recorded when it was enumerated.
+    """
     if parity is Parity.EVEN and not graph.is_simple():
         return CanonicalResult.zero()
-    canon, labelings, _ = canonical_data(graph)
+    canon, labelings = label(graph)[:2]
     sign0 = orientation_sign(graph, labelings[0], parity)
     for lab in labelings[1:]:
         if orientation_sign(graph, lab, parity) != sign0:

@@ -35,6 +35,7 @@ from gchom.complexes import contraction_entries, vertex_splits
 from gchom.graphs import (
     Multigraph,
     Parity,
+    _canonicalize,
     _find,
     _join,
     canonical_data,
@@ -371,17 +372,16 @@ def _verify_images_in_span(fam: KneisslerFamilies) -> None:
 
     The images are the one-vertex splits of the unique 4-valent vertex;
     a nonzero image class outside both families signals a mis-built
-    complement.
+    complement.  One `canonical_data` lookup gives both an image's zero
+    test and its class.  The lookup is cached, because the two parities
+    share most V members, so one's split images are mostly the other's.
     """
     allowed = set(fam.b_members) | set(fam.bperp_members)
     for x in fam.v_members:
         for image in vertex_splits(x):
-            if canonicalize(image, fam.parity).is_zero:
-                continue
-            if canonical_data(image)[0] not in allowed:
-                raise ImageOutsideSpanError(
-                    f"split of {x} produced {canonical_data(image)[0]}"
-                )
+            res = _canonicalize(image, fam.parity, canonical_data)
+            if not res.is_zero and res.canonical not in allowed:
+                raise ImageOutsideSpanError(f"split of {x} produced {res.canonical}")
 
 
 def restricted_differential(loops: int, parity: Parity) -> IntSparseMatrix:

@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
-from gchom.graphs import Multigraph, Parity, canonical_data, canonicalize
+from gchom.graphs import (
+    Multigraph,
+    Parity,
+    automorphism_generators,
+    canonical_data,
+    canonicalize,
+)
 from gchom.complexes import (
     BasisSlice,
     ComplexSpec,
@@ -13,6 +19,8 @@ from gchom.complexes import (
     _accepted_children,
     _all_parallel_graphs,
     _canonical_parent_form,
+    _class_generators,
+    _is_zero,
     _split_child,
     _split_orbit_reps,
     contract_edge,
@@ -173,6 +181,40 @@ def test_raw_slices_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (g, v)
         # strictly sorted: no class twice
         assert all(a.edges < b.edges for a, b in zip(graphs, graphs[1:])), (g, v)
+
+
+def test_recorded_generators_generate_the_automorphism_group():
+    for g in range(2, 7):
+        for v in range(2, 2 * g - 1):
+            for m in raw_slice(g, v):
+                n = m.num_vertices
+                assert (oracles.permutation_group(_class_generators[m], n)
+                        == oracles.permutation_group(automorphism_generators(m), n)), m
+                for parity in Parity:
+                    assert _is_zero(m, parity) == canonicalize(m, parity).is_zero, (m, parity)
+
+
+def test_slices_and_differentials_do_not_need_recorded_generators():
+    def build():
+        out = {}
+        for parity in Parity:
+            for variant in Variant:
+                spec = ComplexSpec(parity, variant, 5)
+                slices = {v: enumerate_basis(spec, v) for v in range(2, 9)}
+                out[spec] = slices, {v: differential_matrix(slices[v], slices[v - 1]).entries
+                                     for v in range(3, 9)}
+        return out
+
+    recorded = build()
+    assert all(m in _class_generators for v in range(2, 9) for m in raw_slice(5, v))
+    saved = dict(_class_generators)
+    _class_generators.clear()
+    try:
+        unrecorded = build()
+        assert not _class_generators  # every class took the fallback path
+    finally:
+        _class_generators.update(saved)
+    assert unrecorded == recorded
 
 
 def _split_children(parent):

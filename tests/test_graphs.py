@@ -10,6 +10,8 @@ from gchom.graphs import (
     Multigraph,
     Parity,
     SelfEdgeError,
+    _neighbors,
+    _refine,
     automorphism_generators,
     automorphism_group_size,
     canonical_data,
@@ -96,6 +98,20 @@ def test_search_matches_reference_search():
         group = oracles.permutation_group(automorphism_generators(g), g.num_vertices)
         first = labelings[0]
         assert {tuple(first[h[v]] for v in range(g.num_vertices)) for h in group} == set(reference)
+
+
+class _Unread(list):
+    """Neighbor lists that fail when a refinement pass reads them."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a refinement pass keyed a discrete partition")
+
+
+def test_refine_returns_a_discrete_partition_unchanged():
+    cells = [[2], [0], [3], [1]]
+    nbrs = _Unread(_neighbors(K4))
+    assert _refine(cells, nbrs, [[2]], K4.num_edges + 1) is cells
+    assert cells == [[2], [0], [3], [1]]
 
 
 def test_automorphism_group_size_matches_brute_force():
