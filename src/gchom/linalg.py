@@ -3,13 +3,19 @@
 Two rank engines: sparse Gaussian elimination with pluggable pivoting
 (exact), and a randomized Wiedemann rank estimator (a probabilistic
 lower bound, from the minimal polynomial of a preconditioned Gram
-operator recovered by Berlekamp-Massey).  Arithmetic is exact for any
-odd prime; the vectorized fast path kicks in for p < 2**25 where int64
-products cannot overflow, and long sums of them are reduced in chunks.
+operator recovered by Berlekamp-Massey).  The Gram operator
+B = D1 A^T D2 A D1 is symmetric, so the Krylov sequence u^T B^k u is
+read off w_j = B^j u as w_j.w_j and w_j.w_{j+1}: one application of B
+per two terms.  The random diagonals are folded into the stored values
+of A once, so an application is two sparse passes.  Arithmetic is exact
+for any odd prime; the vectorized fast path kicks in for p < 2**25
+where int64 products cannot overflow, and long sums of them are reduced
+in chunks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,12 +114,6 @@ class FpSparseMatrix:
         ci = np.fromiter((k[1] for k, _ in items), dtype=np.int64, count=len(items))
         vals = np.fromiter((v for _, v in items), dtype=np.int64, count=len(items))
         return ri, ci, vals
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            out[i, j] = v
-        return out
 
 
 def rational_rank(matrix) -> int:
@@ -243,6 +243,9 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
         cols.setdefault(j, set()).add(i)
     nnz = len(matrix.entries)
     rank = 0
+    # nonempty rows and columns; a row or column that empties stays empty
+    live_row_count = sum(1 for r in rows if r)
+    live_col_count = len(cols)
 
     pref_rows: set[int] = set()
     pref_cols: set[int] = set()
@@ -290,17 +293,15 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
     steps = 0
     while True:
         if dense_ok and steps % check_interval == 0:
-            live_rows = [i for i in range(matrix.nrows) if rows[i]]
-            if not live_rows:
+            if not live_row_count:
                 break
-            live_cols = set()
-            for i in live_rows:
-                live_cols.update(rows[i])
-            area = len(live_rows) * len(live_cols)
+            area = live_row_count * live_col_count
             if area <= 65536 or (area <= _DENSE_SWITCH_AREA
                                  and nnz > _DENSE_SWITCH_DENSITY * area):
-                cmap = {c: k for k, c in enumerate(sorted(live_cols))}
-                dense = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
+                live_rows = [i for i in range(matrix.nrows) if rows[i]]
+                live_cols = sorted(c for c, members in cols.items() if members)
+                cmap = {c: k for k, c in enumerate(live_cols)}
+                dense = np.zeros((live_row_count, live_col_count), dtype=np.int64)
                 for k, i in enumerate(live_rows):
                     for c, v in rows[i].items():
                         dense[k, cmap[c]] = v
@@ -330,10 +331,18 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
                         del rr[c]
                         cols[c].discard(r)
                         nnz -= 1
+            if not rr:
+                live_row_count -= 1
+        # every column of the pivot row holds row i until here, so no
+        # column emptied or refilled above
         for c in piv_row:
-            cols[c].discard(i)
+            colset = cols[c]
+            colset.discard(i)
+            if not colset:
+                live_col_count -= 1
         nnz -= len(piv_row)
         rows[i] = {}
+        live_row_count -= 1
         cols.pop(j, None)
         pref_rows.discard(i)
         pref_cols.discard(j)
@@ -371,18 +380,22 @@ class _BMState:
         self.L = 0
         self.m = 1
         self.bden = 1
-        self.seq: list[int] = []
+        self.seq = np.zeros(64, dtype=np.int64)  # terms pushed, in seq[:n]
+        self.n = 0
         self.last_discrepancy = 0  # terms processed at the last nonzero discrepancy
 
     def push(self, a: int):
         p = self.p
+        n = self.n
+        if n == len(self.seq):
+            self.seq = np.concatenate([self.seq, np.zeros_like(self.seq)])
         seq = self.seq
-        n = len(seq)
-        seq.append(a)
+        seq[n] = a
+        self.n = n + 1
         # discrepancy d = a + sum_{i=1..L} c_i * seq[n-i]
         L = self.L
         if L:
-            window = np.array(seq[n - L:n][::-1], dtype=np.int64)
+            window = seq[n - 1::-1][:L]
             d = (a + int(_matmul_mod(self.c[1:L + 1], window, p))) % p
         else:
             d = a % p
@@ -405,7 +418,7 @@ class _BMState:
             self.m = 1
         else:
             self.m += 1
-        self.c = c % p
+        self.c = c
 
     def generator(self) -> list[int]:
         # reverse the connection polynomial: g(x) = x^L * C(1/x)
@@ -419,37 +432,51 @@ class _BMState:
 
 
 class PreconditionedOperator:
-    """B = D1 A^T D2 A D1 applied as matrix-vector products mod p."""
+    """B = D1 A^T D2 A D1 applied as matrix-vector products mod p.
+
+    The diagonals are folded into two copies of A's values once: the
+    forward half A D1 scales entry (i, j) by d1[j], the back half
+    D1 A^T D2 by d1[j] d2[i].  An application is then two gather,
+    multiply and bincount passes.  The bincount sums in float64, which
+    is exact while an output adds fewer than 2**53 / (p - 1)**2
+    products; only a half with a longer row or column reduces its
+    products first.  `apply` takes a vector or an (n, k) block.
+    """
 
     def __init__(self, matrix: FpSparseMatrix, d1: np.ndarray, d2: np.ndarray):
-        self.p = matrix.p
+        self.p = p = matrix.p
         self.nrows = matrix.nrows
         self.n = matrix.ncols
-        self.d1 = np.asarray(d1, dtype=np.int64) % self.p
-        self.d2 = np.asarray(d2, dtype=np.int64) % self.p
+        self.d1 = np.asarray(d1, dtype=np.int64) % p
+        self.d2 = np.asarray(d2, dtype=np.int64) % p
         if len(self.d1) != self.n or len(self.d2) != matrix.nrows:
             raise ValueError("diagonal size mismatch")
-        self.ri, self.ci, self.vals = matrix.to_arrays()
-        if self.p >= _FAST_PRIME_LIMIT:
+        if p >= _FAST_PRIME_LIMIT:
             raise ValueError("preconditioned operator requires p < 2**25")
+        self.ri, self.ci, vals = matrix.to_arrays()
+        self._forward = vals * self.d1[self.ci] % p
+        self._back = self._forward * self.d2[self.ri] % p
+        exact_terms = (1 << 53) // (p - 1) ** 2
+        self._reduce_rows = np.bincount(self.ri, minlength=1).max() > exact_terms
+        self._reduce_cols = np.bincount(self.ci, minlength=1).max() > exact_terms
 
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        t = (self.vals * x[self.ci]) % self.p
-        y = np.bincount(self.ri, weights=t.astype(np.float64), minlength=self.nrows)
-        return y.astype(np.int64) % self.p
-
-    def _rmatvec(self, y: np.ndarray) -> np.ndarray:
-        t = (self.vals * y[self.ri]) % self.p
-        x = np.bincount(self.ci, weights=t.astype(np.float64), minlength=self.n)
-        return x.astype(np.int64) % self.p
+    def _half(self, vals, src, dst, size, reduce, x):
+        # out[dst] += vals * x[src], mod p, for a vector or a block x
+        t = vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[src]
+        if reduce:
+            t %= self.p
+        if x.ndim == 1:
+            out = np.bincount(dst, weights=t, minlength=size)
+        else:
+            k = x.shape[1]
+            flat = (dst[:, None] * k + np.arange(k)).ravel()
+            out = np.bincount(flat, weights=t.ravel(), minlength=size * k).reshape(size, k)
+        return out.astype(np.int64) % self.p
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.p
-        w = (self.d1 * x) % self.p
-        w = self._matvec(w)
-        w = (self.d2 * w) % self.p
-        w = self._rmatvec(w)
-        return (self.d1 * w) % self.p
+        y = self._half(self._forward, self.ci, self.ri, self.nrows, self._reduce_rows, x)
+        return self._half(self._back, self.ri, self.ci, self.n, self._reduce_cols, y)
 
 
 def precondition(matrix: FpSparseMatrix, seed: int) -> PreconditionedOperator:
@@ -470,23 +497,44 @@ _EXTRA_TERMS = 16
 _STALL_TERMS = 8
 
 
+def _krylov_terms(op: PreconditionedOperator, u: np.ndarray):
+    """u^T B^k u for k = 0, 1, ..., from w_j = B^j u and B's symmetry.
+
+    a_{2j} = w_j . w_j and a_{2j+1} = w_j . w_{j+1}, both exact mod p,
+    so B is applied once per two terms, and only when a consumer asks
+    for an odd term.
+    """
+    p = op.p
+    w = u
+    while True:
+        yield int(_matmul_mod(w, w, p))
+        w_next = op.apply(w)
+        yield int(_matmul_mod(w, w_next, p))
+        w = w_next
+
+
 def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int) -> int:
+    """Rank bound from the minimal generator of a_k = u^T B^k u.
+
+    B is symmetric, so `_krylov_terms` reads two terms off each
+    application of B (one whose diagonals are folded into its values):
+    a run of t terms applies B floor(t/2) times.  The stop rule is
+    tested after every term, so the terms pushed, and the generator,
+    are those of applying B once per term.
+    """
     p = matrix.p
     op = precondition(matrix, seed)
     rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
     u = rng.integers(0, p, size=matrix.ncols, dtype=np.int64)
     limit = 2 * min(matrix.nrows, matrix.ncols) + _EXTRA_TERMS
     state = _BMState(p)
-    w = u.copy()
-    for k in range(limit):
-        state.push(int(_matmul_mod(u, w, p)))
-        processed = k + 1
+    for processed, a in enumerate(itertools.islice(_krylov_terms(op, u), limit), 1):
+        state.push(a)
         # the recurrence is trusted once it has held for a safety margin
         # past the 2L terms that determine it
         if (processed >= 2 * state.L + _STALL_TERMS
                 and processed - state.last_discrepancy >= _STALL_TERMS):
             break
-        w = op.apply(w)
     g = state.generator()
     deg = len(g) - 1
     if deg == 0:
@@ -500,7 +548,9 @@ def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int) -> 
     The Hankel matrix of the shifted sequence factors through B, so its
     rank is a valid lower bound for rank(A) for any truncation; with
     random projections and enough blocks it is tight with high
-    probability.
+    probability.  As in the scalar case, S_{2j} = W_j^T W_j and
+    S_{2j+1} = W_j^T W_{j+1} with W_j = B^j U, one block application
+    per step.
     """
     p = matrix.p
     n = matrix.ncols
@@ -508,14 +558,15 @@ def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int) -> 
     rng = np.random.Generator(np.random.PCG64(seed ^ 0xB10C))
     u = rng.integers(0, p, size=(n, blocking), dtype=np.int64)
     nblocks = min(n, min(matrix.nrows, matrix.ncols)) // blocking + 2
-    w = u.copy()
-    seq = []
-    for _ in range(2 * nblocks + 1):
-        seq.append(_matmul_mod(u.T, w, p))
-        wn = np.empty_like(w)
-        for c in range(blocking):
-            wn[:, c] = op.apply(w[:, c])
-        w = wn
+    # the Hankel matrix reads S_1 .. S_{2 nblocks - 1}
+    seq = [None] * (2 * nblocks)
+    w = u
+    for j in range(nblocks):
+        if j:
+            seq[2 * j] = _matmul_mod(w.T, w, p)
+        w_next = op.apply(w)
+        seq[2 * j + 1] = _matmul_mod(w.T, w_next, p)
+        w = w_next
     # block Hankel of the shifted sequence S_1, S_2, ...
     hank = np.zeros((nblocks * blocking, nblocks * blocking), dtype=np.int64)
     for bi in range(nblocks):

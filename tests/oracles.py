@@ -12,7 +12,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from gchom.graphs import Multigraph, Parity
+from gchom.linalg import _dense_rank_mod_p, _matmul_mod
 
 
 def relabel_sorted(graph: Multigraph, perm) -> tuple:
@@ -452,3 +455,158 @@ def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
             continue
         reps.setdefault(form, []).append(perm)
     return {k: tuple(v) for k, v in reps.items()}
+
+
+def dense(matrix):
+    """The dense int64 array of a sparse matrix's `entries`."""
+    out = np.zeros((matrix.nrows, matrix.ncols), dtype=np.int64)
+    for (i, j), v in matrix.entries.items():
+        out[i, j] = v
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference Wiedemann: one operator application per sequence term, the
+# diagonals applied as separate passes, the Berlekamp-Massey window rebuilt
+# from a list.  Shares `_matmul_mod` and `_dense_rank_mod_p` with gchom.
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceOperator:
+    """B = D1 A^T D2 A D1, each diagonal its own pass."""
+
+    def __init__(self, matrix, seed: int):
+        self.p = matrix.p
+        self.nrows = matrix.nrows
+        self.n = matrix.ncols
+        rng = np.random.Generator(np.random.PCG64(seed))
+        self.d1 = rng.integers(1, matrix.p, size=matrix.ncols, dtype=np.int64)
+        self.d2 = rng.integers(1, matrix.p, size=matrix.nrows, dtype=np.int64)
+        items = sorted(matrix.entries.items())
+        self.ri = np.array([k[0] for k, _ in items], dtype=np.int64)
+        self.ci = np.array([k[1] for k, _ in items], dtype=np.int64)
+        self.vals = np.array([v for _, v in items], dtype=np.int64)
+
+    def _matvec(self, x):
+        t = (self.vals * x[self.ci]) % self.p
+        y = np.bincount(self.ri, weights=t.astype(np.float64), minlength=self.nrows)
+        return y.astype(np.int64) % self.p
+
+    def _rmatvec(self, y):
+        t = (self.vals * y[self.ri]) % self.p
+        x = np.bincount(self.ci, weights=t.astype(np.float64), minlength=self.n)
+        return x.astype(np.int64) % self.p
+
+    def apply(self, x):
+        x = np.asarray(x, dtype=np.int64) % self.p
+        w = (self.d1 * x) % self.p
+        w = self._matvec(w)
+        w = (self.d2 * w) % self.p
+        w = self._rmatvec(w)
+        return (self.d1 * w) % self.p
+
+
+class _ReferenceBMState:
+    """Online Berlekamp-Massey, the pushed terms kept in a Python list."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.c = np.zeros(1, dtype=np.int64)
+        self.c[0] = 1
+        self.b = self.c.copy()
+        self.L = 0
+        self.m = 1
+        self.bden = 1
+        self.seq: list[int] = []
+        self.last_discrepancy = 0
+
+    def push(self, a: int):
+        p = self.p
+        seq = self.seq
+        n = len(seq)
+        seq.append(a)
+        L = self.L
+        if L:
+            window = np.array(seq[n - L:n][::-1], dtype=np.int64)
+            d = (a + int(_matmul_mod(self.c[1:L + 1], window, p))) % p
+        else:
+            d = a % p
+        if d == 0:
+            self.m += 1
+            return
+        self.last_discrepancy = n + 1
+        coef = d * pow(self.bden, p - 2, p) % p
+        shift = self.m
+        new_len = max(len(self.c), len(self.b) + shift)
+        c = np.zeros(new_len, dtype=np.int64)
+        c[: len(self.c)] = self.c
+        c[shift: shift + len(self.b)] = (
+            c[shift: shift + len(self.b)] - coef * self.b
+        ) % p
+        if 2 * L <= n:
+            self.b = self.c
+            self.bden = d
+            self.L = n + 1 - L
+            self.m = 1
+        else:
+            self.m += 1
+        self.c = c % p
+
+    def generator(self) -> list[int]:
+        p = self.p
+        L = self.L
+        g = [0] * (L + 1)
+        for i in range(min(len(self.c), L + 1)):
+            g[L - i] = int(self.c[i]) % p
+        g[L] = 1
+        return g
+
+
+def reference_wiedemann_bound(matrix, seed: int):
+    """(bound, pushed sequence) of one scalar Wiedemann run: the sequence
+    u^T B^k u built as u . (B^k u), one application of B per term."""
+    extra_terms, stall_terms = 16, 8
+    p = matrix.p
+    op = _ReferenceOperator(matrix, seed)
+    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
+    u = rng.integers(0, p, size=matrix.ncols, dtype=np.int64)
+    limit = 2 * min(matrix.nrows, matrix.ncols) + extra_terms
+    state = _ReferenceBMState(p)
+    w = u.copy()
+    for k in range(limit):
+        state.push(int(_matmul_mod(u, w, p)))
+        processed = k + 1
+        if (processed >= 2 * state.L + stall_terms
+                and processed - state.last_discrepancy >= stall_terms):
+            break
+        w = op.apply(w)
+    g = state.generator()
+    deg = len(g) - 1
+    if deg == 0:
+        return 0, state.seq
+    return deg - (1 if g[0] == 0 else 0), state.seq
+
+
+def reference_block_wiedemann_bound(matrix, blocking: int, seed: int) -> int:
+    """Block Wiedemann bound with S_k = U^T (B^k U), B applied column by
+    column, once per term."""
+    p = matrix.p
+    n = matrix.ncols
+    op = _ReferenceOperator(matrix, seed)
+    rng = np.random.Generator(np.random.PCG64(seed ^ 0xB10C))
+    u = rng.integers(0, p, size=(n, blocking), dtype=np.int64)
+    nblocks = min(n, min(matrix.nrows, matrix.ncols)) // blocking + 2
+    w = u.copy()
+    seq = []
+    for _ in range(2 * nblocks + 1):
+        seq.append(_matmul_mod(u.T, w, p))
+        wn = np.empty_like(w)
+        for c in range(blocking):
+            wn[:, c] = op.apply(w[:, c])
+        w = wn
+    hank = np.zeros((nblocks * blocking, nblocks * blocking), dtype=np.int64)
+    for bi in range(nblocks):
+        for bj in range(nblocks):
+            hank[bi * blocking:(bi + 1) * blocking,
+                 bj * blocking:(bj + 1) * blocking] = seq[bi + bj + 1]
+    return _dense_rank_mod_p(hank, p)

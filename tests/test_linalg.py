@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ from gchom.linalg import (
     PrimeField,
     RankResult,
     TwoPhase,
+    _block_wiedemann_bound,
+    _BMState,
     _matmul_mod,
+    _scalar_wiedemann_bound,
     berlekamp_massey,
     gauss_rank,
     precondition,
@@ -129,7 +133,50 @@ def test_gauss_matches_dense_oracle():
     for _ in range(30):
         nr, nc = rng.randint(1, 20), rng.randint(1, 20)
         m = random_fp(rng, nr, nc, rng.uniform(0.05, 0.6))
-        assert gauss_rank(m).rank == _dense_rank_mod_p(m.to_dense(), P)
+        assert gauss_rank(m).rank == _dense_rank_mod_p(oracles.dense(m), P)
+
+
+def dependent_sparse_matrix(rng, p, nrows=360, ncols=300, independent=200):
+    """Sparse rows, the later ones sums of two earlier ones, so that
+    elimination empties rows as it goes."""
+    entries = {}
+    for i in range(independent):
+        for j in rng.sample(range(ncols), 3):
+            entries[(i, j)] = rng.randrange(1, p)
+    for i in range(independent, nrows):
+        a, b = rng.sample(range(independent), 2)
+        for (r, j), v in list(entries.items()):
+            if r in (a, b):
+                entries[(i, j)] = (entries.get((i, j), 0) + v) % p
+    return FpSparseMatrix(nrows, ncols, p, {k: v for k, v in entries.items() if v})
+
+
+def test_gauss_sparse_phase_matches_dense_oracle(monkeypatch):
+    from gchom import linalg
+
+    handed_off = []
+    dense_rank = linalg._dense_rank_mod_p
+
+    def recording_dense_rank(block, p):
+        handed_off.append(block.copy())
+        return dense_rank(block, p)
+
+    monkeypatch.setattr(linalg, "_dense_rank_mod_p", recording_dense_rank)
+    rng = random.Random(59)
+    # 33554467 > 2**25 has no dense phase: every pivot is sparse
+    for p in (P, 10007, 33554467):
+        for strategy in (MARKOWITZ, TwoPhase(frozenset(range(0, 360, 7)),
+                                             frozenset(range(0, 300, 11)))):
+            m = dependent_sparse_matrix(rng, p)
+            handed_off.clear()
+            got = gauss_rank(m, strategy).rank
+            assert got == dense_rank(oracles.dense(m), p)
+            assert len(handed_off) == (p < 1 << 25)
+            for block in handed_off:
+                # the live counts kept while pivoting size the block exactly
+                assert block.any(axis=1).all() and block.any(axis=0).all()
+                area = block.size
+                assert area <= 65536 or np.count_nonzero(block) > 0.2 * area
 
 
 def test_berlekamp_massey_examples():
@@ -209,7 +256,7 @@ def test_precondition_matches_dense_computation():
         nr, nc = rng.randint(2, 20), rng.randint(2, 20)
         m = random_fp(rng, nr, nc, 0.4)
         op = precondition(m, seed=rng.randrange(2 ** 30))
-        dense = m.to_dense()
+        dense = oracles.dense(m)
         b_dense = (np.diag(op.d1) @ dense.T % P @ np.diag(op.d2) % P
                    @ dense % P @ np.diag(op.d1)) % P
         for j in range(nc):
@@ -237,7 +284,7 @@ def test_precondition_preserves_rank():
         nr, nc = rng.randint(2, 15), rng.randint(2, 15)
         m = random_fp(rng, nr, nc, 0.35)
         op = precondition(m, seed=i)
-        dense = m.to_dense()
+        dense = oracles.dense(m)
         b = (np.diag(op.d1) @ dense.T % P @ np.diag(op.d2) % P
              @ dense % P @ np.diag(op.d1)) % P
         ra = _dense_rank_mod_p(dense, P)
@@ -294,6 +341,99 @@ def test_block_wiedemann_usually_tight():
         total += 1
         equal += wr == gr
     assert equal >= 0.9 * total
+
+
+def traced_scalar_bound(m, seed):
+    """(bound, pushed terms, apply calls) of one `_scalar_wiedemann_bound` run."""
+    pushed = []
+    applies = [0]
+    push, apply = _BMState.push, PreconditionedOperator.apply
+
+    def recording_push(self, a):
+        pushed.append(a)
+        push(self, a)
+
+    def counting_apply(self, x):
+        applies[0] += 1
+        return apply(self, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BMState, "push", recording_push)
+        mp.setattr(PreconditionedOperator, "apply", counting_apply)
+        bound = _scalar_wiedemann_bound(m, seed)
+    return bound, pushed, applies[0]
+
+
+def assert_wiedemann_matches_reference(m, seeds):
+    """Scalar and blocking-3 runs agree with the reference loops."""
+    for seed in seeds:
+        bound, pushed, applies = traced_scalar_bound(m, seed)
+        ref_bound, ref_pushed = oracles.reference_wiedemann_bound(m, seed)
+        assert pushed == ref_pushed
+        assert bound == ref_bound
+        # B is symmetric: two terms per application
+        assert applies == len(pushed) // 2
+        assert (_block_wiedemann_bound(m, 3, seed)
+                == oracles.reference_block_wiedemann_bound(m, 3, seed))
+
+
+def test_wiedemann_matches_reference_on_differentials():
+    count = 0
+    for parity, variant in itertools.product(Parity, Variant):
+        for g in range(2, 6):
+            spec = ComplexSpec(parity, variant, g)
+            top = 2 * (g - 1)
+            slices = {v: enumerate_basis(spec, v) for v in range(1, top + 1)}
+            for v in range(2, top + 1):
+                m = reduce_mod_p(differential_matrix(slices[v], slices[v - 1]), FP)
+                if m.entries:
+                    assert_wiedemann_matches_reference(m, (0, 1, 2))
+                    count += 1
+    assert count >= 9
+
+
+def wiedemann_test_matrices():
+    """Seeded random matrices at four primes, with 1 x n, n x 1, zero,
+    identity and dense shapes."""
+    rng = random.Random(47)
+    for p in (3323, 10007, 1000003, 33554393):
+        yield FpSparseMatrix(5, 7, p, {})
+        yield FpSparseMatrix(9, 9, p, {(i, i): 1 for i in range(9)})
+        for nr, nc in ((1, 12), (12, 1), (1, 1)):
+            yield random_fp(rng, nr, nc, 0.7, p)
+        # dense rows and columns: near 2**25 their sums outgrow float64
+        yield random_fp(rng, 40, 40, 1.0, p)
+        for _ in range(6):
+            yield random_fp(rng, rng.randint(2, 30), rng.randint(2, 30),
+                            rng.uniform(0.05, 0.5), p)
+        # low rank: a product through a thin middle
+        k = rng.randint(1, 4)
+        a = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(15)])
+        b = np.array([[rng.randrange(p) for _ in range(11)] for _ in range(k)])
+        yield sparse_from_dense(_matmul_mod(a, b, p), p)
+
+
+def test_wiedemann_matches_reference_on_random_matrices():
+    for i, m in enumerate(wiedemann_test_matrices()):
+        assert_wiedemann_matches_reference(m, (i, i + 1))
+
+
+def test_berlekamp_massey_state_matches_reference_state():
+    # long enough for the term buffer to grow several times
+    rng = random.Random(53)
+    for p in (3323, 1000003, 33554393):
+        for length in (1, 63, 64, 65, 200, 300):
+            degree = rng.randint(1, 120)
+            seq = [rng.randrange(p) for _ in range(length)]
+            for k in range(degree, length):
+                if rng.random() < 0.9:
+                    seq[k] = sum(seq[k - i] * (i + 1) for i in range(1, degree + 1)) % p
+            state, ref = _BMState(p), oracles._ReferenceBMState(p)
+            for a in seq:
+                state.push(a)
+                ref.push(a)
+                assert (state.L, state.last_discrepancy) == (ref.L, ref.last_discrepancy)
+            assert state.generator() == ref.generator()
 
 
 def test_wiedemann_deterministic_per_seed():
