@@ -10,18 +10,22 @@ edges and lowers V by one.
 Slices are enumerated bottom-up in V: every admissible graph that has
 at least one non-parallel edge arises by splitting a vertex of an
 admissible graph with one vertex fewer, and the remaining graphs (all
-edges parallel) are enumerated directly from their simple supports.
-Splitting is isomorphism-free by canonical augmentation: each parent
-class is split once per orbit of its automorphisms, and a child is kept
-only when its fresh edge is its canonical contraction edge, so every
-class is reached exactly once, no global dedup is needed, and the
-astronomically larger labeled search space is never touched.
+edges parallel) are enumerated directly from their simple supports,
+grown one vertex at a time.  Splitting is isomorphism-free by canonical
+augmentation: each parent class is split once per orbit of its
+automorphisms, and a child is kept only when its fresh edge is its
+canonical contraction edge, so every class is reached exactly once, no
+global dedup is needed, and the astronomically larger labeled search
+space is never touched.
 
 Each class is labeled once, as the child that finds it.  The generators
 of its automorphism group, conjugated from that labeling onto its
 canonical vertex labels, are recorded with it, and splitting it, the
 zero test and the edge orbits of the differential read them instead of
-labeling the canonical form again.
+labeling the canonical form again.  The contracted images of the
+differential are labeled once per matrix, outside the `canonical_data`
+and `canonicalize` caches, which they would otherwise fill with graphs
+looked up about once each.
 """
 
 from __future__ import annotations
@@ -44,9 +48,7 @@ from gchom.graphs import (
     _neighbors,
     _orbit_sizes,
     automorphism_generators,
-    canonical_data,
     canonicalize,
-    is_connected,
     is_triconnected,
     perm_sign,
 )
@@ -125,50 +127,27 @@ class BasisSlice:
 # ---------------------------------------------------------------------------
 
 
-def graphs_by_edge_addition(num_vertices: int, num_edges: int, *,
-                            max_multiplicity: int | None = None,
-                            min_degree: int = 0,
-                            max_degree: int | None = None,
-                            connected: bool = True) -> list[Multigraph]:
-    """All isomorphism classes with the given counts, by levelwise growth.
+def _connected_simple_graphs(num_vertices: int, max_edges: int) -> set[Multigraph]:
+    """Canonical forms of the connected simple graphs with at most ``max_edges`` edges.
 
-    Adds one edge at a time, collapsing each level to canonical forms.
-    Intended for small instances (test oracles, parallel-class supports);
-    the production slice enumeration goes through vertex splitting.
+    Grown one vertex at a time: the new vertex is joined to a nonempty
+    subset of the old ones, and each level is collapsed to canonical
+    forms.  Deleting a vertex that is not a cut vertex (a leaf of a
+    spanning tree) removes at least one edge and leaves a connected
+    graph, so every such graph is reached through smaller ones that
+    leave an edge for each vertex still to come.
     """
-    if num_vertices < 1 or num_edges < 0:
-        raise ValueError("bad vertex or edge count")
-    pairs = list(itertools.combinations(range(num_vertices), 2))
-    level = {Multigraph(num_vertices, ())}
-    for done in range(num_edges):
-        remaining = num_edges - done - 1
-        nxt: set[Multigraph] = set()
-        for g in level:
-            deg = list(g.degrees())
-            mult = Counter(g.edges)
-            for u, v in pairs:
-                if max_multiplicity is not None and mult[(u, v)] >= max_multiplicity:
-                    continue
-                if max_degree is not None and (deg[u] >= max_degree or deg[v] >= max_degree):
-                    continue
-                deficit = 0
-                if min_degree:
-                    for w, d in enumerate(deg):
-                        need = min_degree - d
-                        if w == u or w == v:
-                            need -= 1
-                        if need > 0:
-                            deficit += need
-                    if deficit > 2 * remaining:
-                        continue
-                child = Multigraph._trusted(num_vertices, tuple(sorted(g.edges + ((u, v),))))
-                nxt.add(canonical_data(child)[0])
-        level = nxt
-    out = [
-        g for g in level
-        if g.min_degree() >= min_degree and (not connected or is_connected(g))
-    ]
-    return sorted(out, key=lambda m: m.edges)
+    level = {Multigraph._trusted(1, ())}
+    for k in range(1, num_vertices):
+        budget = max_edges - (num_vertices - 1 - k)
+        grown: set[Multigraph] = set()
+        for graph in level:
+            for size in range(1, min(k, budget - len(graph.edges)) + 1):
+                for subset in itertools.combinations(range(k), size):
+                    edges = tuple(sorted(graph.edges + tuple((u, k) for u in subset)))
+                    grown.add(_canonical_data(Multigraph._trusted(k + 1, edges))[0])
+        level = grown
+    return level
 
 
 def _all_parallel_graphs(num_vertices: int, num_edges: int) -> list[Multigraph]:
@@ -181,27 +160,23 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> list[Multigraph]:
     out: set[Multigraph] = set()
     if num_vertices == 1 or 2 * (num_vertices - 1) > num_edges:
         return []
-    for s in range(num_vertices - 1, num_edges // 2 + 1):
-        extra = num_edges - 2 * s
-        for support in graphs_by_edge_addition(num_vertices, s,
-                                               max_multiplicity=1,
-                                               min_degree=1, connected=True):
-            sup_edges = support.edges
-            for comp in _compositions(extra, s):
-                mults = [2 + c for c in comp]
-                deg = [0] * num_vertices
-                for (u, v), m in zip(sup_edges, mults):
-                    deg[u] += m
-                    deg[v] += m
-                if min(deg) < 3:
-                    continue
-                edges = []
-                for (u, v), m in zip(sup_edges, mults):
-                    edges.extend([(u, v)] * m)
-                canon, labelings, _ = canonical_data(
-                    Multigraph._trusted(num_vertices, tuple(sorted(edges))))
-                _record_class(canon, labelings)
-                out.add(canon)
+    for support in _connected_simple_graphs(num_vertices, num_edges // 2):
+        sup_edges = support.edges
+        for comp in _compositions(num_edges - 2 * len(sup_edges), len(sup_edges)):
+            mults = [2 + c for c in comp]
+            deg = [0] * num_vertices
+            for (u, v), m in zip(sup_edges, mults):
+                deg[u] += m
+                deg[v] += m
+            if min(deg) < 3:
+                continue
+            edges = []
+            for (u, v), m in zip(sup_edges, mults):
+                edges.extend([(u, v)] * m)
+            canon, labelings, _ = _canonical_data(
+                Multigraph._trusted(num_vertices, tuple(sorted(edges))))
+            _record_class(canon, labelings)
+            out.add(canon)
     return sorted(out, key=lambda m: m.edges)
 
 
@@ -405,9 +380,9 @@ def _accepted_children(parent: Multigraph):
                 yield canon
 
 
-# Generators of Aut(m) for every raw class m, as permutations of m's own
+# Generators of Aut(m) for every raw or family class m, as permutations of m's own
 # vertex labels, recorded when the class is found.  Filled by `raw_slice`
-# and, like its cache, never emptied.
+# and `kneissler.build_family` and, like their caches, never emptied.
 _class_generators: dict[Multigraph, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -428,7 +403,7 @@ def _record_class(canon: Multigraph, labelings) -> None:
 
 
 def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
-    """Generators of Aut(graph): recorded for a raw class, else from its labeling."""
+    """Generators of Aut(graph): recorded for a raw or family class, else from its labeling."""
     generators = _class_generators.get(graph)
     return automorphism_generators(graph) if generators is None else generators
 
@@ -436,8 +411,8 @@ def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
 def _is_zero(graph: Multigraph, parity: Parity) -> bool:
     """Whether ``graph`` is the zero generator.
 
-    A raw class is tested on its recorded generators, unlabeled; any other
-    graph (read from a file, or a family graph) through `canonicalize`.
+    A raw or family class is tested on its recorded generators, unlabeled;
+    any other graph (read from a file, say) through `canonicalize`.
     """
     generators = _class_generators.get(graph)
     if generators is None:
@@ -510,17 +485,31 @@ def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> Canonic
     """Contract one edge and canonicalize, with the orientation sign.
 
     Contracting an edge with a parallel partner would create tadpoles,
-    so it gives zero.  Even parity: move the edge to the front of the
-    edge order (sign (-1)^index), drop it, then account for re-sorting
-    the surviving edges.  Odd parity: with the edge directed low-to-high,
-    cycle its head to the last vertex position, merge, and pick up -1
-    for every surviving edge whose direction flips.
+    so it gives zero; any other edge is contracted by `_contract`.
     """
     edges = graph.edges
     if not 0 <= edge_index < len(edges):
         raise IndexError(f"edge index {edge_index} out of range")
     if _is_parallel(edges, edge_index):
         return CanonicalResult.zero()
+    image, sign = _contract(graph, edge_index, parity)
+    res = canonicalize(image, parity)
+    if res.is_zero:
+        return res
+    return CanonicalResult(res.canonical, sign * res.sign)
+
+
+def _contract(graph: Multigraph, edge_index: int, parity: Parity) -> tuple[Multigraph, int]:
+    """The graph with edge ``edge_index`` contracted, and the orientation sign.
+
+    The edge must have no parallel partner.  The image is in storage
+    normal form but not canonical.  Even parity: move the edge to the
+    front of the edge order (sign (-1)^index), drop it, then account for
+    re-sorting the surviving edges.  Odd parity: with the edge directed
+    low-to-high, cycle its head to the last vertex position, merge, and
+    pick up -1 for every surviving edge whose direction flips.
+    """
+    edges = graph.edges
     u, v = edges[edge_index]
     n = graph.num_vertices
 
@@ -538,25 +527,19 @@ def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> Canonic
             a2, b2 = shift(a), shift(b)
             mapped.append((a2, b2) if a2 < b2 else (b2, a2))
         order = sorted(range(len(mapped)), key=mapped.__getitem__)
-        sign *= perm_sign(order)
-        result = Multigraph._trusted(n - 1, tuple(sorted(mapped)))
-    else:
-        sign = -1 if (n - 1 - v) % 2 else 1
-        mapped = []
-        for i, (a, b) in enumerate(edges):
-            if i == edge_index:
-                continue
-            a2, b2 = shift(a), shift(b)
-            if a2 > b2:
-                sign = -sign
-                a2, b2 = b2, a2
-            mapped.append((a2, b2))
-        result = Multigraph._trusted(n - 1, tuple(sorted(mapped)))
-
-    res = canonicalize(result, parity)
-    if res.is_zero:
-        return res
-    return CanonicalResult(res.canonical, sign * res.sign)
+        image = tuple([mapped[i] for i in order])
+        return Multigraph._trusted(n - 1, image), sign * perm_sign(order)
+    sign = -1 if (n - 1 - v) % 2 else 1
+    mapped = []
+    for i, (a, b) in enumerate(edges):
+        if i == edge_index:
+            continue
+        a2, b2 = shift(a), shift(b)
+        if a2 > b2:
+            sign = -sign
+            a2, b2 = b2, a2
+        mapped.append((a2, b2))
+    return Multigraph._trusted(n - 1, tuple(sorted(mapped))), sign
 
 
 def _edge_orbits(graph: Multigraph) -> dict[int, int]:
@@ -590,25 +573,41 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     one edge per orbit is contracted and weighted by the orbit size.  A
     zero source contributes nothing, as its terms cancel.  An image class
     missing from ``targets`` raises RuntimeError when ``strict``, and is
-    dropped otherwise.
+    dropped otherwise; a zero image is dropped in both modes.
+
+    Each distinct image is labeled once per call, with the uncached
+    `_canonical_data`, so images never enter the `canonical_data` or
+    `canonicalize` caches: an image is rarely met again outside the
+    matrix that contracts to it.
     """
+
+    def term(image: Multigraph) -> tuple[int, int] | None:
+        # (target index, sign) of a contracted image; None if it is dropped
+        res = _canonicalize(image, parity, _canonical_data)
+        if res.is_zero:
+            return None
+        i = targets.get(res.canonical)
+        if i is None and strict:
+            raise RuntimeError(f"contraction image missing from target slice: {res.canonical}")
+        return None if i is None else (i, res.sign)
+
+    # keyed by the image's vertex count and edge codes, not by the image:
+    # a tuple per edge of every image would live until the call returns
+    terms: dict[tuple[int, ...], tuple[int, int] | None] = {}
     acc: dict[tuple[int, int], int] = {}
     for j, graph in enumerate(sources):
         if _is_zero(graph, parity):
             continue
         for e, weight in _edge_orbits(graph).items():
-            res = contract_edge(graph, e, parity)
-            if res.is_zero:
-                continue
-            i = targets.get(res.canonical)
-            if i is None:
-                if strict:
-                    raise RuntimeError(
-                        f"contraction image missing from target slice: {res.canonical}"
-                    )
-                continue
-            key = (j, i)
-            acc[key] = acc.get(key, 0) + weight * res.sign
+            image, sign = _contract(graph, e, parity)
+            n = image.num_vertices
+            code = tuple([n] + [u * n + v for u, v in image.edges])
+            if code not in terms:
+                terms[code] = term(image)
+            found = terms[code]
+            if found is not None:
+                key = (j, found[0])
+                acc[key] = acc.get(key, 0) + weight * sign * found[1]
     return {k: val for k, val in acc.items() if val}
 
 

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from gchom.complexes import contraction_entries, vertex_splits
+from gchom.complexes import _record_class, contraction_entries, vertex_splits
 from gchom.graphs import (
     Multigraph,
     Parity,
@@ -279,7 +279,10 @@ def build_family(kind: str, loops: int, parity: Parity) -> BarrelFamily:
     otherwise), drops classes that vanish under the parity, and for the
     complement kinds A and A' also drops graphs isomorphic to a barrel.
     Only the first permutation of each frame-symmetry orbit is built and
-    labeled; the rest of the orbit shares its class.
+    labeled; the rest of the orbit shares its class.  The generators of
+    each class found are recorded from that labeling, as `raw_slice`
+    records its classes, so the zero test and edge orbits of a member
+    used as a row of `restricted_differential` label nothing again.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -296,7 +299,8 @@ def build_family(kind: str, loops: int, parity: Parity) -> BarrelFamily:
         g = build(perm)
         if simple_only and not g.is_simple():
             return None
-        form = canonical_data(g)[0]
+        form, labelings, _ = canonical_data(g)
+        _record_class(form, labelings)
         if form in excluded or canonicalize(g, parity).is_zero:
             return None
         return form

@@ -441,9 +441,11 @@ class PreconditionedOperator:
     is exact while an output adds fewer than 2**53 / (p - 1)**2
     products; only a half with a longer row or column reduces its
     products first.  `apply` takes a vector or an (n, k) block.
+    ``arrays``, if given, is ``matrix.to_arrays()``, built by the caller.
     """
 
-    def __init__(self, matrix: FpSparseMatrix, d1: np.ndarray, d2: np.ndarray):
+    def __init__(self, matrix: FpSparseMatrix, d1: np.ndarray, d2: np.ndarray,
+                 arrays=None):
         self.p = p = matrix.p
         self.nrows = matrix.nrows
         self.n = matrix.ncols
@@ -453,7 +455,7 @@ class PreconditionedOperator:
             raise ValueError("diagonal size mismatch")
         if p >= _FAST_PRIME_LIMIT:
             raise ValueError("preconditioned operator requires p < 2**25")
-        self.ri, self.ci, vals = matrix.to_arrays()
+        self.ri, self.ci, vals = matrix.to_arrays() if arrays is None else arrays
         self._forward = vals * self.d1[self.ci] % p
         self._back = self._forward * self.d2[self.ri] % p
         exact_terms = (1 << 53) // (p - 1) ** 2
@@ -479,22 +481,23 @@ class PreconditionedOperator:
         return self._half(self._back, self.ri, self.ci, self.n, self._reduce_cols, y)
 
 
-def precondition(matrix: FpSparseMatrix, seed: int) -> PreconditionedOperator:
+def precondition(matrix: FpSparseMatrix, seed: int, arrays=None) -> PreconditionedOperator:
     """Random diagonal preconditioning of the Gram operator A^T A.
 
     D1 and D2 are uniform invertible diagonals drawn from the seed; with
     probability 1 - O(n/p) the operator keeps the rank of A and has
     squarefree-away-from-zero minimal polynomial, which is what the
-    Wiedemann rank extraction needs.
+    Wiedemann rank extraction needs.  ``arrays`` is passed on to
+    `PreconditionedOperator`.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     d1 = rng.integers(1, matrix.p, size=matrix.ncols, dtype=np.int64)
     d2 = rng.integers(1, matrix.p, size=matrix.nrows, dtype=np.int64)
-    return PreconditionedOperator(matrix, d1, d2)
+    return PreconditionedOperator(matrix, d1, d2, arrays)
 
 
 _EXTRA_TERMS = 16
-_STALL_TERMS = 8
+_MARGIN_TERMS = 8
 
 
 def _krylov_terms(op: PreconditionedOperator, u: np.ndarray):
@@ -513,27 +516,27 @@ def _krylov_terms(op: PreconditionedOperator, u: np.ndarray):
         w = w_next
 
 
-def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int) -> int:
+def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int, arrays=None) -> int:
     """Rank bound from the minimal generator of a_k = u^T B^k u.
 
     B is symmetric, so `_krylov_terms` reads two terms off each
     application of B (one whose diagonals are folded into its values):
     a run of t terms applies B floor(t/2) times.  The stop rule is
     tested after every term, so the terms pushed, and the generator,
-    are those of applying B once per term.
+    are those of applying B once per term.  The run stops after 2L +
+    `_MARGIN_TERMS` terms: Berlekamp-Massey keeps the last nonzero
+    discrepancy within the first 2L, so the generator has then held for
+    at least the margin.  ``arrays`` is passed on to `precondition`.
     """
     p = matrix.p
-    op = precondition(matrix, seed)
+    op = precondition(matrix, seed, arrays)
     rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
     u = rng.integers(0, p, size=matrix.ncols, dtype=np.int64)
     limit = 2 * min(matrix.nrows, matrix.ncols) + _EXTRA_TERMS
     state = _BMState(p)
     for processed, a in enumerate(itertools.islice(_krylov_terms(op, u), limit), 1):
         state.push(a)
-        # the recurrence is trusted once it has held for a safety margin
-        # past the 2L terms that determine it
-        if (processed >= 2 * state.L + _STALL_TERMS
-                and processed - state.last_discrepancy >= _STALL_TERMS):
+        if processed >= 2 * state.L + _MARGIN_TERMS:
             break
     g = state.generator()
     deg = len(g) - 1
@@ -542,7 +545,8 @@ def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int) -> int:
     return deg - (1 if g[0] == 0 else 0)
 
 
-def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int) -> int:
+def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int,
+                           arrays=None) -> int:
     """Rank bound from the shifted block-Hankel matrix of U^T B^k U.
 
     The Hankel matrix of the shifted sequence factors through B, so its
@@ -550,11 +554,11 @@ def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int) -> 
     random projections and enough blocks it is tight with high
     probability.  As in the scalar case, S_{2j} = W_j^T W_j and
     S_{2j+1} = W_j^T W_{j+1} with W_j = B^j U, one block application
-    per step.
+    per step.  ``arrays`` is passed on to `precondition`.
     """
     p = matrix.p
     n = matrix.ncols
-    op = precondition(matrix, seed)
+    op = precondition(matrix, seed, arrays)
     rng = np.random.Generator(np.random.PCG64(seed ^ 0xB10C))
     u = rng.integers(0, p, size=(n, blocking), dtype=np.int64)
     nblocks = min(n, min(matrix.nrows, matrix.ncols)) // blocking + 2
@@ -588,12 +592,14 @@ def wiedemann_rank(matrix: FpSparseMatrix, blocking: int = 1, seed: int = 0) -> 
         raise ValueError("blocking must be >= 1")
     if not matrix.entries:
         return RankResult(0, "wiedemann", False, matrix.p, seed)
+    # only the diagonals depend on the seed
+    arrays = matrix.to_arrays()
     best = 0
     for s in (seed, seed + 1, seed + 2):
         if blocking == 1:
-            est = _scalar_wiedemann_bound(matrix, s)
+            est = _scalar_wiedemann_bound(matrix, s, arrays)
         else:
-            est = _block_wiedemann_bound(matrix, blocking, s)
+            est = _block_wiedemann_bound(matrix, blocking, s, arrays)
         best = max(best, est)
     best = min(best, matrix.nrows, matrix.ncols)
     return RankResult(best, "wiedemann", False, matrix.p, seed)

@@ -63,6 +63,53 @@ def vertex_orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
     return sign
 
 
+def graphs_by_edge_addition(num_vertices: int, num_edges: int, *,
+                            max_multiplicity: int | None = None,
+                            min_degree: int = 0,
+                            max_degree: int | None = None,
+                            connected: bool = True) -> list[Multigraph]:
+    """All isomorphism classes with the given counts, by levelwise growth.
+
+    Adds one edge at a time, collapsing each level to canonical forms.
+    Only for small instances; slice enumeration splits vertices.
+    """
+    from gchom.graphs import canonical_data, is_connected
+
+    if num_vertices < 1 or num_edges < 0:
+        raise ValueError("bad vertex or edge count")
+    pairs = list(itertools.combinations(range(num_vertices), 2))
+    level = {Multigraph(num_vertices, ())}
+    for done in range(num_edges):
+        remaining = num_edges - done - 1
+        nxt: set[Multigraph] = set()
+        for g in level:
+            deg = list(g.degrees())
+            mult = Counter(g.edges)
+            for u, v in pairs:
+                if max_multiplicity is not None and mult[(u, v)] >= max_multiplicity:
+                    continue
+                if max_degree is not None and (deg[u] >= max_degree or deg[v] >= max_degree):
+                    continue
+                deficit = 0
+                if min_degree:
+                    for w, d in enumerate(deg):
+                        need = min_degree - d
+                        if w == u or w == v:
+                            need -= 1
+                        if need > 0:
+                            deficit += need
+                    if deficit > 2 * remaining:
+                        continue
+                child = Multigraph._trusted(num_vertices, tuple(sorted(g.edges + ((u, v),))))
+                nxt.add(canonical_data(child)[0])
+        level = nxt
+    out = [
+        g for g in level
+        if g.min_degree() >= min_degree and (not connected or is_connected(g))
+    ]
+    return sorted(out, key=lambda m: m.edges)
+
+
 def brute_vertex_automorphisms(graph: Multigraph) -> list[tuple[int, ...]]:
     base = tuple(graph.edges)
     auts = []

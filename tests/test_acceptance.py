@@ -27,7 +27,6 @@ from gchom.checks import (
     suite_tables,
 )
 from gchom.graphs import Multigraph, Parity, canonicalize
-from gchom.complexes import graphs_by_edge_addition
 from gchom.kneissler import upper_bound
 
 import oracles
@@ -118,8 +117,8 @@ def test_criterion_8_euler(table_results):
 def _criterion_9_cases():
     for v in range(1, 7):
         for e in range(0, 10):
-            for g in graphs_by_edge_addition(v, e, min_degree=0,
-                                             connected=False):
+            for g in oracles.graphs_by_edge_addition(v, e, min_degree=0,
+                                                     connected=False):
                 yield g
 
 

@@ -20,14 +20,16 @@ from gchom.complexes import (
     _all_parallel_graphs,
     _canonical_parent_form,
     _class_generators,
+    _connected_simple_graphs,
+    _edge_orbits,
     _is_zero,
     _split_child,
     _split_orbit_reps,
     contract_edge,
+    contraction_entries,
     differential_matrix,
     dump_basis,
     enumerate_basis,
-    graphs_by_edge_addition,
     load_basis,
     raw_slice,
     vertex_count,
@@ -173,6 +175,17 @@ def test_orbit_pruned_raw_slice_matches_unpruned_splits():
             assert set(raw_slice(g, v)) == expected, (g, v)
 
 
+def test_connected_simple_supports_match_edge_addition_oracle():
+    for v in range(1, 7):
+        for max_edges in range(v - 1, 9):
+            expected = set()
+            for s in range(v - 1, max_edges + 1):
+                expected.update(oracles.graphs_by_edge_addition(
+                    v, s, max_multiplicity=1, min_degree=1 if v > 1 else 0,
+                    connected=True))
+            assert _connected_simple_graphs(v, max_edges) == expected, (v, max_edges)
+
+
 def test_raw_slices_are_pinned():
     for (g, v), (count, digest) in PINNED_RAW_SLICES.items():
         graphs = raw_slice(g, v)
@@ -252,6 +265,36 @@ def test_orbit_weighted_differential_matches_per_edge_sum():
                         src.generators, dst.index, parity, strict=variant is Variant.FULL)
                     got = differential_matrix(src, dst).entries
                     assert got == {(i, j): c for (j, i), c in expected.items()}, (spec, v)
+
+
+def test_contraction_entries_drop_zero_images_and_check_missing_ones():
+    # a trivalent odd g=4 generator with two edge orbits: contracting edge 2
+    # gives a zero graph, contracting edge 0 a nonzero one
+    graph = Multigraph.from_line("6 9 0 3 0 4 0 5 1 2 1 4 1 5 2 3 2 5 3 4")
+    assert sorted(_edge_orbits(graph)) == [0, 2]
+    assert contract_edge(graph, 2, Parity.ODD).is_zero
+    image = contract_edge(graph, 0, Parity.ODD)
+    assert not image.is_zero
+    targets = {image.canonical: 0}
+    # the zero image is never looked up, so strict mode does not raise
+    entries = contraction_entries([graph], targets, Parity.ODD, strict=True)
+    assert entries == {(0, 0): image.sign * _edge_orbits(graph)[0]}
+    assert entries == oracles.per_edge_contractions([graph], targets, Parity.ODD, strict=True)
+    with pytest.raises(RuntimeError, match="missing from target slice"):
+        contraction_entries([graph], {}, Parity.ODD, strict=True)
+    assert contraction_entries([graph], {}, Parity.ODD, strict=False) == {}
+
+
+def test_differential_matrix_leaves_the_label_caches_alone():
+    for parity in Parity:
+        for variant in Variant:
+            spec = ComplexSpec(parity, variant, 5)
+            slices = {v: enumerate_basis(spec, v) for v in range(2, 9)}
+            before = canonical_data.cache_info(), canonicalize.cache_info()
+            nnz = sum(differential_matrix(slices[v], slices[v - 1]).num_entries
+                      for v in range(3, 9))
+            assert nnz
+            assert (canonical_data.cache_info(), canonicalize.cache_info()) == before, spec
 
 
 def test_contract_parallel_edge_is_zero():
@@ -336,6 +379,6 @@ def test_basis_file_rejects_count_mismatch():
 def test_graphs_by_edge_addition_small():
     # all simple connected graphs on 4 vertices with 4 edges: the 4-cycle
     # and the triangle with a pendant edge
-    out = graphs_by_edge_addition(4, 4, max_multiplicity=1, min_degree=1,
-                                  connected=True)
+    out = oracles.graphs_by_edge_addition(4, 4, max_multiplicity=1, min_degree=1,
+                                          connected=True)
     assert len(out) == 2

@@ -4,8 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from gchom.graphs import Parity, canonical_data, canonicalize
-from gchom.complexes import ComplexSpec, Variant, enumerate_basis
+from gchom.graphs import Parity, automorphism_generators, canonical_data, canonicalize
+from gchom.complexes import (
+    ComplexSpec,
+    Variant,
+    _class_generators,
+    _is_zero,
+    enumerate_basis,
+)
 from gchom.cohomology import KNOWN_VALUES
 from gchom.kneissler import (
     FAMILY_KINDS,
@@ -176,6 +182,18 @@ def test_orbit_weighted_restricted_differential_matches_per_edge_sum():
             cols = {g: j for j, g in enumerate(fam.v_members)}
             expected = oracles.per_edge_contractions(rows, cols, parity, strict=False)
             assert restricted_differential(loops, parity).entries == expected
+
+
+def test_family_classes_record_their_automorphism_groups():
+    for parity in Parity:
+        for loops in (5, 6):
+            fam = build_families(loops, parity)
+            for m in set(fam.b_members) | set(fam.bperp_members) | set(fam.v_members):
+                n = m.num_vertices
+                assert (oracles.permutation_group(_class_generators[m], n)
+                        == oracles.permutation_group(automorphism_generators(m), n)), m
+                for p in Parity:
+                    assert _is_zero(m, p) == canonicalize(m, p).is_zero, (m, p)
 
 
 def test_image_outside_span_detection():

@@ -418,6 +418,31 @@ def test_wiedemann_matches_reference_on_random_matrices():
         assert_wiedemann_matches_reference(m, (i, i + 1))
 
 
+def test_wiedemann_rank_builds_the_matrix_arrays_once():
+    # only the diagonals depend on the seed, so the three seeds share one
+    # set of arrays and still give the reference bounds
+    rng = random.Random(61)
+    m = random_fp(rng, 20, 24, 0.3)
+    calls = [0]
+    to_arrays = FpSparseMatrix.to_arrays
+
+    def counting_to_arrays(self):
+        calls[0] += 1
+        return to_arrays(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FpSparseMatrix, "to_arrays", counting_to_arrays)
+        for blocking in (1, 3):
+            calls[0] = 0
+            got = wiedemann_rank(m, blocking, seed=5).rank
+            assert calls[0] == 1, blocking
+            if blocking == 1:
+                ref = max(oracles.reference_wiedemann_bound(m, s)[0] for s in (5, 6, 7))
+            else:
+                ref = max(oracles.reference_block_wiedemann_bound(m, 3, s) for s in (5, 6, 7))
+            assert got == min(ref, 20), blocking
+
+
 def test_berlekamp_massey_state_matches_reference_state():
     # long enough for the term buffer to grow several times
     rng = random.Random(53)
@@ -434,6 +459,25 @@ def test_berlekamp_massey_state_matches_reference_state():
                 ref.push(a)
                 assert (state.L, state.last_discrepancy) == (ref.L, ref.last_discrepancy)
             assert state.generator() == ref.generator()
+
+
+def test_berlekamp_massey_last_discrepancy_stays_within_twice_the_length():
+    # why the scalar stop rule needs only processed >= 2L + margin: after
+    # every push the last nonzero discrepancy lies at most 2L terms in
+    rng = random.Random(59)
+    for p in (3323, 1000003):
+        for _ in range(60):
+            length = rng.randint(1, 160)
+            degree = rng.randint(1, 50)
+            seq = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(length)]
+            for k in range(degree, length):
+                # a recurrence that holds for stretches and then breaks
+                if rng.random() < 0.9:
+                    seq[k] = sum(seq[k - i] * (i + 3) for i in range(1, degree + 1)) % p
+            state = _BMState(p)
+            for a in seq:
+                state.push(a)
+                assert state.last_discrepancy <= 2 * state.L
 
 
 def test_wiedemann_deterministic_per_seed():
