@@ -206,13 +206,21 @@ def vertex_splits(graph: Multigraph) -> list[Multigraph]:
     of v, then of the counts) is built.  The new vertex gets the highest
     label; results are not canonicalized.
     """
-    incident, splits = _split_orbit_reps(graph)
-    out = []
+    return [child for _, child in _split_children(graph)]
+
+
+def _split_children(graph: Multigraph, keep=None):
+    """``(v, child)`` for each split `_split_orbit_reps` keeps, in its order.
+
+    v is the split vertex, so the child's fresh edge is ``(v, n)`` for
+    ``n = graph.num_vertices``; ``keep`` is passed on.
+    """
+    n = graph.num_vertices
+    incident, splits = _split_orbit_reps(graph, keep)
     for v, group in itertools.groupby(splits, key=lambda split: split[0]):
         others = [e for e in graph.edges if v not in e]
         for _, take in group:
-            out.append(_split_child(graph.num_vertices, others, v, incident[v], take))
-    return out
+            yield v, _split_child(n, others, v, incident[v], take)
 
 
 def _split_orbit_reps(graph: Multigraph, keep=None):
@@ -370,14 +378,10 @@ def _accepted_children(parent: Multigraph):
             or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
             for (x, m), k in zip(row, take)))
 
-    incident, splits = _split_orbit_reps(parent, fresh_may_win)
-    for v, group in itertools.groupby(splits, key=lambda split: split[0]):
-        others = [e for e in parent.edges if v not in e]
-        for _, take in group:
-            child = _split_child(n, others, v, incident[v], take)
-            canon = _canonical_parent_form(child, (v, n))
-            if canon is not None:
-                yield canon
+    for v, child in _split_children(parent, fresh_may_win):
+        canon = _canonical_parent_form(child, (v, n))
+        if canon is not None:
+            yield canon
 
 
 # Generators of Aut(m) for every raw or family class m, as permutations of m's own
@@ -542,8 +546,8 @@ def _contract(graph: Multigraph, edge_index: int, parity: Parity) -> tuple[Multi
     return Multigraph._trusted(n - 1, tuple(sorted(mapped))), sign
 
 
-def _edge_orbits(graph: Multigraph) -> dict[int, int]:
-    """First edge index of each Aut(graph) orbit of simple edges -> its size.
+def _edge_orbit_roots(graph: Multigraph) -> dict[int, int]:
+    """Each simple edge index -> the first edge index of its Aut(graph) orbit.
 
     Parallel edges are left out: contracting one gives zero.
     """
@@ -551,16 +555,24 @@ def _edge_orbits(graph: Multigraph) -> dict[int, int]:
     simple = [i for i in range(len(edges)) if not _is_parallel(edges, i)]
     generators = _generators_of(graph)
     if not generators:
-        return dict.fromkeys(simple, 1)
+        return {i: i for i in simple}
     index = {edges[i]: k for k, i in enumerate(simple)}
-    perms = []
+    orbits = list(range(len(simple)))
     for gamma in generators:
         perm = []
         for i in simple:
             a, b = gamma[edges[i][0]], gamma[edges[i][1]]
             perm.append(index[(a, b) if a < b else (b, a)])
-        perms.append(perm)
-    return {simple[k]: size for k, size in _orbit_sizes(len(simple), perms).items()}
+        _join(orbits, perm)
+    return {i: simple[_find(orbits, k)] for k, i in enumerate(simple)}
+
+
+def _edge_orbits(graph: Multigraph) -> dict[int, int]:
+    """First edge index of each Aut(graph) orbit of simple edges -> its size.
+
+    The keys come in increasing order, since a root is its orbit's first edge.
+    """
+    return dict(Counter(_edge_orbit_roots(graph).values()))
 
 
 def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity, *,

@@ -10,9 +10,13 @@ accidental barrels excluded).  The upper bound is then
     dim B  -  rank(d restricted to span(X, Y))  +  dim B-complement,
 
 with the rank taken over a prime field, which can only lower it.  The
-restricted differential is assembled by contracting the trivalent
-generators and reading coefficients in the X/Y basis; that matrix is
-the transpose of the coboundary in dual bases, so all ranks agree.
+restricted differential is the contraction differential from the
+trivalent barrel and complement generators to the X/Y classes, the
+transpose of the coboundary in dual bases, so all ranks agree.  It is
+assembled on the coboundary side, from the vertex splits of the X/Y
+members, which the check that their images stay in the row span labels
+anyway: each split orbit of a column graph is one edge orbit of the row
+graph its child is isomorphic to, so no contracted image is labeled.
 
 Each family is built from one defining permutation per orbit of its
 frame symmetries: relabelings of the fixed frame (reflecting or rotating
@@ -28,10 +32,17 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from gchom.complexes import _record_class, contraction_entries, vertex_splits
+from gchom.complexes import (
+    _contract,
+    _edge_orbit_roots,
+    _record_class,
+    _sorted_pair,
+    _split_children,
+)
 from gchom.graphs import (
     Multigraph,
     Parity,
@@ -371,21 +382,44 @@ def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     )
 
 
-def _verify_images_in_span(fam: KneisslerFamilies) -> None:
-    """Every coboundary image of a V generator must hit the B or B' span.
+def _edge_weights(row: Multigraph) -> dict[tuple[int, int], int]:
+    """Each simple edge of ``row`` -> the size of its Aut(row) orbit."""
+    roots = _edge_orbit_roots(row)
+    sizes = Counter(roots.values())
+    return {row.edges[i]: sizes[root] for i, root in roots.items()}
 
-    The images are the one-vertex splits of the unique 4-valent vertex;
-    a nonzero image class outside both families signals a mis-built
-    complement.  One `canonical_data` lookup gives both an image's zero
-    test and its class.  The lookup is cached, because the two parities
-    share most V members, so one's split images are mostly the other's.
+
+def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
+    """Entries of `restricted_differential`, from one pass over the X/Y splits.
+
+    The same pass checks the span: a nonzero split child whose class is
+    no row signals a mis-built complement and raises
+    ImageOutsideSpanError.  The children are labeled through the cached
+    `canonical_data`, because the two parities share most X/Y members,
+    and `dperp_rank` rebuilds the matrix after `upper_bound`.  Each row's
+    edge orbits are computed once per call, from its recorded generators.
     """
-    allowed = set(fam.b_members) | set(fam.bperp_members)
-    for x in fam.v_members:
-        for image in vertex_splits(x):
-            res = _canonicalize(image, fam.parity, canonical_data)
-            if not res.is_zero and res.canonical not in allowed:
-                raise ImageOutsideSpanError(f"split of {x} produced {res.canonical}")
+    parity = fam.parity
+    rows = {r: i for i, r in enumerate(fam.b_members + fam.bperp_members)}
+    weights: dict[Multigraph, dict[tuple[int, int], int]] = {}
+    acc: dict[tuple[int, int], int] = {}
+    for j, x in enumerate(fam.v_members):
+        n = x.num_vertices
+        for v, child in _split_children(x):
+            res = _canonicalize(child, parity, canonical_data)
+            if res.is_zero:
+                continue
+            row = res.canonical
+            i = rows.get(row)
+            if i is None:
+                raise ImageOutsideSpanError(f"split of {x} produced {row}")
+            if row not in weights:
+                weights[row] = _edge_weights(row)
+            lab = canonical_data(child)[1][0]
+            weight = weights[row][_sorted_pair(lab[v], lab[n])]
+            _, sign = _contract(child, child.edges.index((v, n)), parity)
+            acc[(i, j)] = acc.get((i, j), 0) + weight * res.sign * sign
+    return {k: val for k, val in acc.items() if val}
 
 
 def restricted_differential(loops: int, parity: Parity) -> IntSparseMatrix:
@@ -395,16 +429,25 @@ def restricted_differential(loops: int, parity: Parity) -> IntSparseMatrix:
     in canonical order), columns the X/Y classes.  Entry (i, j) is the
     coefficient of column graph j in the contraction differential of row
     graph i; by duality of contraction and vertex splitting this is the
-    matrix of the coboundary in the dual bases.  Raises
+    matrix of the coboundary in the dual bases.  Contraction images
+    outside the X/Y span are dropped (the restriction).  Raises
     ImageOutsideSpanError if a coboundary image escapes the row span.
+
+    The entries are read off the splits of the columns, and no row is
+    contracted.  A split child c of column graph x, its vertex v split
+    off to the fresh vertex n, contracts back to x exactly along (v, n).
+    Up to isomorphism, the pairs (x, orbit of splits of x) match the
+    pairs (r, orbit of edges e of r) with r/e isomorphic to x one to one.
+    So each split orbit of x whose child is labeled as row r adds
+    weight·sign to entry (r, x), where
+      - weight is the size of the Aut(r) orbit of the edge lab0(v, n),
+        lab0 being c's first canonical labeling, and
+      - sign is c's canonical sign times the sign of contracting (v, n)
+        in c.
     """
     fam = build_families(loops, parity)
-    _verify_images_in_span(fam)
-    rows = list(fam.b_members) + list(fam.bperp_members)
-    col_index = {g: j for j, g in enumerate(fam.v_members)}
-    # restriction: image classes outside the X/Y span are dropped
-    entries = contraction_entries(rows, col_index, parity, strict=False)
-    return IntSparseMatrix(len(rows), len(col_index), entries)
+    entries = _coboundary_entries(fam)
+    return IntSparseMatrix(fam.dim_b + fam.dim_bperp, fam.dim_v, entries)
 
 
 def dperp_rank(loops: int, parity: Parity, prime: int = 3323) -> tuple[int, int]:

@@ -379,7 +379,7 @@ class _BMState:
         self.b = self.c.copy()
         self.L = 0
         self.m = 1
-        self.bden = 1
+        self.binv = 1  # inverse of the discrepancy at which b was last replaced
         self.seq = np.zeros(64, dtype=np.int64)  # terms pushed, in seq[:n]
         self.n = 0
         self.last_discrepancy = 0  # terms processed at the last nonzero discrepancy
@@ -403,7 +403,7 @@ class _BMState:
             self.m += 1
             return
         self.last_discrepancy = n + 1
-        coef = d * pow(self.bden, p - 2, p) % p
+        coef = d * self.binv % p
         shift = self.m
         new_len = max(len(self.c), len(self.b) + shift)
         c = np.zeros(new_len, dtype=np.int64)
@@ -413,7 +413,7 @@ class _BMState:
         ) % p
         if 2 * L <= n:
             self.b = self.c
-            self.bden = d
+            self.binv = pow(d, p - 2, p)
             self.L = n + 1 - L
             self.m = 1
         else:

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from gchom import complexes, graphs
 from gchom.graphs import Parity, automorphism_generators, canonical_data, canonicalize
 from gchom.complexes import (
     ComplexSpec,
@@ -17,8 +18,8 @@ from gchom.kneissler import (
     FAMILY_KINDS,
     ImageOutsideSpanError,
     _BUILDERS,
+    _coboundary_entries,
     _frame_symmetries,
-    _verify_images_in_span,
     a_graph,
     a_prime_graph,
     barrel,
@@ -176,7 +177,7 @@ def test_restricted_differential_dimensions():
 
 def test_orbit_weighted_restricted_differential_matches_per_edge_sum():
     for parity in Parity:
-        for loops in (5, 6):
+        for loops in (5, 6, 7, 8):
             fam = build_families(loops, parity)
             rows = fam.b_members + fam.bperp_members
             cols = {g: j for j, g in enumerate(fam.v_members)}
@@ -205,7 +206,34 @@ def test_image_outside_span_detection():
         parity=fam.parity,
     )
     with pytest.raises(ImageOutsideSpanError):
-        _verify_images_in_span(broken)
+        _coboundary_entries(broken)
+
+
+def test_restricted_differential_labels_only_split_children(monkeypatch):
+    loops = 7
+    for parity in Parity:
+        build_families(loops, parity)
+    labeled = []
+
+    def spy(label):
+        def wrapper(graph, *args):
+            labeled.append(graph.num_vertices)
+            return label(graph, *args)
+        return wrapper
+
+    # cached and uncached labelings alike
+    monkeypatch.setattr(graphs, "_canonical_data", spy(graphs._canonical_data))
+    monkeypatch.setattr(complexes, "_canonical_data", spy(complexes._canonical_data))
+    for parity in Parity:
+        restricted_differential(loops, parity)
+    # the X/Y members' split children have 2g-2 vertices, the contraction
+    # images of the rows (the X/Y classes) 2g-3
+    assert set(labeled) <= {2 * loops - 2}
+    # a rebuild, as `dperp_rank` makes after `upper_bound`, labels nothing
+    for parity in Parity:
+        misses = canonical_data.cache_info().misses
+        restricted_differential(loops, parity)
+        assert canonical_data.cache_info().misses == misses, parity
 
 
 def test_wiedemann_method_agrees():
