@@ -12,18 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from gchom.cache import FileCache
 from gchom.cohomology import (
     cohomology_dims,
     compare_with_registry,
     euler_characteristic,
     registry_matches,
 )
-from gchom.complexes import (
-    ComplexSpec,
-    Variant,
-    differential_matrix,
-    enumerate_basis,
-)
+from gchom.complexes import ComplexSpec, Variant
 from gchom.graphs import Parity
 from gchom.kneissler import dperp_rank, upper_bound
 from gchom.linalg import (
@@ -52,21 +48,7 @@ class CheckResult:
         return text
 
 
-def _complex_matrices(spec: ComplexSpec, cache=None):
-    top = 2 * (spec.loops - 1)
-    slices = {}
-    for v in range(2, top + 1):
-        slices[v] = cache.basis(spec, v) if cache else enumerate_basis(spec, v)
-    mats = {}
-    for v in range(3, top + 1):
-        if cache:
-            mats[v] = cache.matrix(spec, v)
-        else:
-            mats[v] = differential_matrix(slices[v], slices[v - 1])
-    return slices, mats
-
-
-def suite_d2(max_loops: int = 6, cache=None) -> list[CheckResult]:
+def suite_d2(max_loops: int = 6, cache: FileCache | None = None) -> list[CheckResult]:
     """d composed with d vanishes on every complex up to max_loops."""
     out = []
     for parity in Parity:
@@ -74,7 +56,8 @@ def suite_d2(max_loops: int = 6, cache=None) -> list[CheckResult]:
         for variant in Variant:
             for g in range(min_g, max_loops + 1):
                 spec = ComplexSpec(parity, variant, g)
-                _, mats = _complex_matrices(spec, cache)
+                provider = cache if cache is not None else FileCache()
+                mats = {v: provider.matrix(spec, v) for v in range(3, 2 * g - 1)}
                 bad = [
                     v for v in mats
                     if v - 1 in mats and not mats[v - 1].matmul(mats[v]).is_zero()
@@ -89,7 +72,7 @@ def suite_d2(max_loops: int = 6, cache=None) -> list[CheckResult]:
 
 def suite_tables(max_even: int = 7, max_odd: int = 6,
                  primes: tuple[int, int] = (3323, 10007),
-                 cache=None) -> list[CheckResult]:
+                 cache: FileCache | None = None) -> list[CheckResult]:
     """Published tables, quasi-isomorphism, and Euler identity."""
     out = []
     p, q = primes
@@ -184,8 +167,9 @@ def _table_differentials(max_even: int = 7, max_odd: int = 6):
         min_g = 3 if parity is Parity.EVEN else 2
         for g in range(min_g, top + 1):
             spec = ComplexSpec(parity, Variant.FULL, g)
-            _, dd = _complex_matrices(spec)
-            mats.extend(m for m in dd.values() if m.entries)
+            provider = FileCache()
+            dd = (provider.matrix(spec, v) for v in range(3, 2 * g - 1))
+            mats.extend(m for m in dd if m.entries)
     return mats
 
 

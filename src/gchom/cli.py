@@ -15,13 +15,7 @@ from pathlib import Path
 from gchom.cache import resolve_cache
 from gchom.checks import SUITES
 from gchom.cohomology import cohomology_dims, render_text
-from gchom.complexes import (
-    ComplexSpec,
-    Variant,
-    differential_matrix,
-    dump_basis,
-    enumerate_basis,
-)
+from gchom.complexes import ComplexSpec, Variant, dump_basis
 from gchom.graphs import Parity
 from gchom.kneissler import upper_bound
 from gchom.linalg import PrimeField, gauss_rank, reduce_mod_p, wiedemann_rank
@@ -99,12 +93,7 @@ def _pick_seed(given: int | None) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = _spec_from(args)
-    cache = resolve_cache(args.cache)
-    if cache:
-        basis = cache.basis(spec, args.vertices)
-    else:
-        basis = enumerate_basis(spec, args.vertices)
+    basis = resolve_cache(args.cache).basis(_spec_from(args), args.vertices)
     if args.out:
         Path(args.out).write_text(dump_basis(basis))
     print(f"count={len(basis)}")
@@ -112,14 +101,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    spec = _spec_from(args)
-    cache = resolve_cache(args.cache)
-    if cache:
-        matrix = cache.matrix(spec, args.vertices)
-    else:
-        src = enumerate_basis(spec, args.vertices)
-        dst = enumerate_basis(spec, args.vertices - 1)
-        matrix = differential_matrix(src, dst)
+    matrix = resolve_cache(args.cache).matrix(_spec_from(args), args.vertices)
     Path(args.out).write_text(dump_sms(matrix))
     print(f"rows={matrix.nrows} cols={matrix.ncols} entries={matrix.num_entries}")
     return 0
@@ -139,12 +121,10 @@ def cmd_rank(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    spec = _spec_from(args)
-    cache = resolve_cache(args.cache)
     seed = _pick_seed(args.seed)
-    table = cohomology_dims(spec, prime=args.prime, method=args.method,
+    table = cohomology_dims(_spec_from(args), prime=args.prime, method=args.method,
                             seed=seed, confirm_prime=args.confirm_prime,
-                            cache=cache)
+                            cache=resolve_cache(args.cache))
     if args.method == "wiedemann":
         print(f"seed={seed}")
     if args.json == "-":

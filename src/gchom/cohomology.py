@@ -13,12 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from gchom.complexes import (
-    BasisSlice,
-    ComplexSpec,
-    differential_matrix,
-    enumerate_basis,
-)
+from gchom.cache import FileCache
+from gchom.complexes import BasisSlice, ComplexSpec
 from gchom.linalg import PrimeField, gauss_rank, reduce_mod_p, wiedemann_rank
 
 DEFAULT_GENERATOR_CAP = 5_000_000
@@ -86,80 +82,67 @@ def _slice_range(spec: ComplexSpec) -> range:
 
 def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
                     seed: int = 0, confirm_prime: int | None = None,
-                    cache=None,
+                    cache: FileCache | None = None,
                     generator_cap: int = DEFAULT_GENERATOR_CAP) -> CohomologyTable:
     """Dimension table of the complex, one row per slice degree.
 
     Ranks of the two differentials adjacent to each slice are computed
     at `prime`; nonexistent differentials beyond the degree range count
     as rank 0.  With method="wiedemann" every h is an upper bound and
-    only zero rows are certified.  With gauss and a `confirm_prime`,
-    rows whose ranks agree at both primes are certified.
+    only zero rows are certified.  With gauss and a `confirm_prime`
+    (which must differ from `prime`), rows whose ranks agree at both
+    primes are certified.  Bases and differentials come from `cache`,
+    an in-memory `FileCache` when none is given; each differential is
+    fetched once and ranked at every prime.
     """
     if method not in ("gauss", "wiedemann"):
         raise ValueError(f"unknown method {method!r}")
-    fp = PrimeField(prime)
+    fields = [PrimeField(prime)]
+    if confirm_prime is not None:
+        if confirm_prime == prime:
+            raise ValueError(f"confirm prime must differ from the prime {prime}")
+        confirm_field = PrimeField(confirm_prime)
+        if method == "gauss":
+            fields.append(confirm_field)
+    if cache is None:
+        cache = FileCache()
     slices: dict[int, BasisSlice] = {}
     for v in _slice_range(spec):
-        s = _get_basis(spec, v, cache)
+        s = cache.basis(spec, v)
         if len(s) > generator_cap:
             raise GeneratorCapExceeded(
                 f"slice V={v} has {len(s)} generators (cap {generator_cap})"
             )
         slices[v] = s
 
-    def ranks_at(p: int) -> dict[int, int]:
-        fpp = PrimeField(p)
-        out: dict[int, int] = {}
-        for v in _slice_range(spec):
-            if v - 1 not in slices:
-                out[v] = 0
-                continue
-            src, dst = slices[v], slices[v - 1]
-            if not len(src) or not len(dst):
-                out[v] = 0
-                continue
-            mat = _get_matrix(spec, v, src, dst, cache)
-            mp = reduce_mod_p(mat, fpp)
+    # per field: V -> rank of the differential leaving the slice at V
+    per_field: list[dict[int, int]] = [{} for _ in fields]
+    for v in _slice_range(spec):
+        if v - 1 not in slices or not len(slices[v]) or not len(slices[v - 1]):
+            continue
+        mat = cache.matrix(spec, v)
+        for fp, ranks in zip(fields, per_field):
+            mp = reduce_mod_p(mat, fp)
             if method == "gauss":
-                out[v] = gauss_rank(mp, seed=seed).rank
+                ranks[v] = gauss_rank(mp, seed=seed).rank
             else:
-                out[v] = wiedemann_rank(mp, 1, seed=seed).rank
-        return out
+                ranks[v] = wiedemann_rank(mp, 1, seed=seed).rank
 
-    ranks = ranks_at(prime)
-    confirm = None
-    if confirm_prime is not None and method == "gauss":
-        confirm = ranks_at(confirm_prime)
-
+    ranks, *confirm = per_field
     rows = []
-    vs = sorted(slices)
-    for v in vs:
+    for v in sorted(slices):
         dim = len(slices[v])
         rank_out = ranks.get(v, 0)
         rank_in = ranks.get(v + 1, 0)
         h = dim - rank_out - rank_in
         if h < 0:
             raise RuntimeError(f"negative cohomology dimension at V={v}")
-        certified = h == 0
-        if confirm is not None:
-            if confirm.get(v, 0) == rank_out and confirm.get(v + 1, 0) == rank_in:
-                certified = True
+        certified = h == 0 or any(
+            c.get(v, 0) == rank_out and c.get(v + 1, 0) == rank_in for c in confirm
+        )
         rows.append(CohomologyRow(spec.degree_of(v), dim, rank_out, rank_in,
                                   h, certified))
     return CohomologyTable(spec, prime, method, tuple(rows))
-
-
-def _get_basis(spec: ComplexSpec, v: int, cache) -> BasisSlice:
-    if cache is not None:
-        return cache.basis(spec, v)
-    return enumerate_basis(spec, v)
-
-
-def _get_matrix(spec: ComplexSpec, v: int, src: BasisSlice, dst: BasisSlice, cache):
-    if cache is not None:
-        return cache.matrix(spec, v)
-    return differential_matrix(src, dst)
 
 
 def euler_characteristic(table: CohomologyTable) -> tuple[int, int]:

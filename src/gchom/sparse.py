@@ -20,15 +20,6 @@ class IntSparseMatrix:
             if v == 0:
                 raise ValueError(f"stored zero at ({i},{j})")
 
-    @classmethod
-    def from_triples(cls, nrows: int, ncols: int, triples) -> "IntSparseMatrix":
-        """Accumulate (row, col, value) triples, summing duplicates."""
-        acc: dict[tuple[int, int], int] = {}
-        for i, j, v in triples:
-            key = (i, j)
-            acc[key] = acc.get(key, 0) + v
-        return cls(nrows, ncols, {k: v for k, v in acc.items() if v})
-
     @property
     def num_entries(self) -> int:
         return len(self.entries)
@@ -49,12 +40,6 @@ class IntSparseMatrix:
                 acc[key] = acc.get(key, 0) + v * w
         return IntSparseMatrix(self.nrows, other.ncols,
                                {k: v for k, v in acc.items() if v})
-
-    def transpose(self) -> "IntSparseMatrix":
-        return IntSparseMatrix(
-            self.ncols, self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
 
 
 def dump_sms(matrix: IntSparseMatrix) -> str:

@@ -26,17 +26,44 @@ def test_truncated_files_are_recomputed(tmp_path):
 def test_each_basis_file_is_parsed_once_per_instance(tmp_path, monkeypatch):
     spec = ComplexSpec(Parity.ODD, Variant.FULL, 5)
     want = cohomology_dims(spec, confirm_prime=10007, cache=FileCache(tmp_path))
-    parsed = Counter()
+    parsed, parsed_sms = Counter(), Counter()
 
     def counting_load_basis(text):
         basis = load_basis(text)
         parsed[basis.num_vertices] += 1
         return basis
 
+    def counting_load_sms(text):
+        parsed_sms[text] += 1
+        return load_sms(text)
+
     load_basis = gchom.cache.load_basis
+    load_sms = gchom.cache.load_sms
     monkeypatch.setattr(gchom.cache, "load_basis", counting_load_basis)
+    monkeypatch.setattr(gchom.cache, "load_sms", counting_load_sms)
     got = cohomology_dims(spec, confirm_prime=10007, cache=FileCache(tmp_path))
     assert got == want
-    files = list((tmp_path / f"v{gchom.cache.FORMAT_VERSION}").glob("basis-*.gls"))
+    root = tmp_path / f"v{gchom.cache.FORMAT_VERSION}"
+    files = list(root.glob("basis-*.gls"))
     assert len(parsed) == len(files) > 1
     assert set(parsed.values()) == {1}
+    # each .sms file once too, though the table ranks it at two primes
+    sms_files = Counter(p.read_text() for p in root.glob("diff-*.sms"))
+    assert parsed_sms == sms_files and sum(sms_files.values()) > 1
+
+
+def test_two_prime_table_assembles_each_differential_once(monkeypatch):
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 5)
+    built = Counter()
+
+    def counting_differential_matrix(src, dst):
+        built[src.num_vertices] += 1
+        return differential_matrix(src, dst)
+
+    monkeypatch.setattr(gchom.cache, "differential_matrix", counting_differential_matrix)
+    table = cohomology_dims(spec, confirm_prime=10007)
+    dims = [r.dim for r in table.rows]  # rows run up the vertex count
+    nonempty = sum(1 for lo, hi in zip(dims, dims[1:]) if lo and hi)
+    assert nonempty > 1
+    assert len(built) == nonempty
+    assert set(built.values()) == {1}

@@ -80,6 +80,13 @@ def test_cohomology_table_output(capsys):
     assert out.splitlines()[0].split() == ["k", "dim", "rank", "h"]
 
 
+def test_confirm_prime_equal_to_prime_is_an_error(capsys):
+    code, out, err = run(capsys, "cohomology", "--parity", "even", "--variant",
+                         "full", "--loops", "3", "--confirm-prime", "3323")
+    assert code == 1 and not out
+    assert err.startswith("gchom: error:")
+
+
 def test_kneissler_report(capsys):
     code, out, _ = run(capsys, "kneissler", "--parity", "even", "--loops", "6",
                        "--prime", "3323")

@@ -39,6 +39,24 @@ def test_even_g3_certification_requires_second_prime():
     assert t2.row(0).certified
 
 
+class _NoFetch:
+    """Provider that fails any fetch: the arguments must be rejected first."""
+
+    def basis(self, spec, vertices):
+        raise AssertionError(f"basis V={vertices} fetched")
+
+    matrix = basis
+
+
+def test_confirm_prime_is_validated_before_any_fetch():
+    spec = ComplexSpec(Parity.EVEN, Variant.FULL, 3)
+    # a prime agreeing with itself would certify the h = 1 row at k = 0
+    with pytest.raises(ValueError, match="differ"):
+        cohomology_dims(spec, prime=3323, confirm_prime=3323, cache=_NoFetch())
+    with pytest.raises(ValueError, match="prime"):
+        cohomology_dims(spec, confirm_prime=10, cache=_NoFetch())
+
+
 def test_odd_small_tables():
     assert table(Parity.ODD, Variant.FULL, 2).dims() == {-3: 1}
     t3 = table(Parity.ODD, Variant.FULL, 3)

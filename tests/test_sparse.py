@@ -3,11 +3,6 @@ import pytest
 from gchom.sparse import IntSparseMatrix, dump_sms, load_sms
 
 
-def test_from_triples_accumulates_and_cancels():
-    m = IntSparseMatrix.from_triples(2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 3), (1, 1, -3)])
-    assert m.entries == {(0, 0): 3}
-
-
 def test_entry_validation():
     with pytest.raises(ValueError):
         IntSparseMatrix(2, 2, {(2, 0): 1})
@@ -22,12 +17,6 @@ def test_matmul():
     assert c.entries == {(0, 0): 3, (0, 1): 10, (1, 0): -1}
     with pytest.raises(ValueError):
         a.matmul(a)
-
-
-def test_transpose():
-    a = IntSparseMatrix(2, 3, {(0, 2): 7})
-    assert a.transpose().entries == {(2, 0): 7}
-    assert a.transpose().nrows == 3
 
 
 def test_sms_round_trip():
