@@ -23,14 +23,26 @@ of its automorphism group, conjugated from that labeling onto its
 canonical vertex labels, are recorded with it, and splitting it, the
 zero test and the edge orbits of the differential read them instead of
 labeling the canonical form again.  The contracted images of the
-differential are labeled once per matrix, outside the `canonical_data`
-and `canonicalize` caches, which they would otherwise fill with graphs
-looked up about once each.
+differential are labeled once per matrix and worker, outside the
+`canonical_data` and `canonicalize` caches, which they would otherwise
+fill with graphs looked up about once each.
+
+Both loops that dominate a cold table, splitting the parents of a raw
+slice and contracting the sources of a differential, run on every CPU
+this process may use (`os.sched_getaffinity`): `_split_work` forks one
+worker per extra CPU, gives each a share of the items, and merges the
+shares in a fixed order, so the slices, the recorded generators and the
+matrices are the same as in one process.  Small calls, hosts with one
+usable CPU, platforms without `os.fork` and processes with other live
+threads run in one process.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -384,6 +396,88 @@ def _accepted_children(parent: Multigraph):
             yield canon
 
 
+# A call with fewer items than this runs in one process: a fork, its pipe
+# and its exit cost a few milliseconds, more than that many items' work.
+_FORK_FLOOR = 100
+
+
+def _split_work(share, size: int) -> list:
+    """``share(k, jobs)`` for each k < jobs, concatenated in k order.
+
+    jobs is the number of CPUs this process may run on, but at most
+    ``size``, the number of items the shares divide.  Share 0 runs here;
+    every other share runs in a forked child, which pickles its result,
+    or the exception it raised, into a pipe and leaves with `os._exit`.
+    A child's exception is raised again here, with its type and message.
+    Every child is reaped before this returns or raises; when anything
+    fails, the children still running are killed first.  A child sees this
+    process as it was at the fork, so a share must return, not store,
+    what it finds.
+
+    It runs ``share(0, 1)`` here instead when only one CPU is usable, when
+    ``size`` is below `_FORK_FLOOR`, when ``os.fork`` is missing, or when
+    another thread is alive, since a forked child gets only the calling
+    thread and may inherit a lock some other thread held.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = min(cpus, size)
+    if (jobs < 2 or size < _FORK_FLOOR or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return share(0, 1)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, jobs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child never leaves this block
+                status = 1
+                try:
+                    os.close(read)
+                    for _, pipe in children:
+                        pipe.close()
+                    _send_share(share, k, jobs, write)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        out = share(0, jobs)
+        for k, (_, pipe) in enumerate(children, 1):
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:
+                raise RuntimeError(f"worker {k} of {jobs} exited without a result") from None
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # a child that has exited stays a zombie until reaped
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _send_share(share, k: int, jobs: int, fd: int) -> None:
+    """Pickle ``(True, share(k, jobs))``, or ``(False, exception)``, into fd."""
+    try:
+        reply = (True, share(k, jobs))
+    except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
+        reply = (False, exc)
+    with os.fdopen(fd, "wb") as pipe:
+        pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+
+
 # Generators of Aut(m) for every raw or family class m, as permutations of m's own
 # vertex labels, recorded when the class is found.  Filled by `raw_slice`
 # and `kneissler.build_family` and, like their caches, never emptied.
@@ -446,6 +540,11 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     Every class is labeled once, and its Aut generators are recorded in
     `_class_generators` from that labeling, so the class is not labeled
     again when it becomes a parent, is filtered or is contracted.
+
+    The parents are split in `_split_work` shares (every jobs-th parent,
+    from parent k), one per usable CPU; each share returns its classes
+    with their generators, which are recorded here, and the final sort
+    merges the shares into the order of a run in one process.
     """
     g, v = loops, num_vertices
     if g < 2:
@@ -455,8 +554,15 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
         return ()
     found = _all_parallel_graphs(v, num_edges)
     if v > 2:
-        for parent in raw_slice(g, v - 1):
-            found.extend(_accepted_children(parent))
+        parents = raw_slice(g, v - 1)
+
+        def share(k, jobs):
+            return [(canon, _class_generators[canon])
+                    for parent in parents[k::jobs] for canon in _accepted_children(parent)]
+
+        for canon, generators in _split_work(share, len(parents)):
+            _class_generators.setdefault(canon, generators)
+            found.append(canon)
     return tuple(sorted(found, key=lambda m: m.edges))
 
 
@@ -587,10 +693,18 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     missing from ``targets`` raises RuntimeError when ``strict``, and is
     dropped otherwise; a zero image is dropped in both modes.
 
-    Each distinct image is labeled once per call, with the uncached
+    Each distinct image is labeled once per share, with the uncached
     `_canonical_data`, so images never enter the `canonical_data` or
     `canonicalize` caches: an image is rarely met again outside the
     matrix that contracts to it.
+
+    The sources are contracted in `_split_work` shares (every jobs-th
+    source, from source k), one per usable CPU, each with its own image
+    memo.  A share returns one ``(source index, {target index: coefficient})``
+    row per nonzero source; the shares hold disjoint sources, so their rows
+    are merged by sorting on the source index, which gives the entries the
+    order of a run in one process.  A missing image's RuntimeError raised
+    in a worker reaches the caller unchanged.
     """
 
     def term(image: Multigraph) -> tuple[int, int] | None:
@@ -603,24 +717,32 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
             raise RuntimeError(f"contraction image missing from target slice: {res.canonical}")
         return None if i is None else (i, res.sign)
 
-    # keyed by the image's vertex count and edge codes, not by the image:
-    # a tuple per edge of every image would live until the call returns
-    terms: dict[tuple[int, ...], tuple[int, int] | None] = {}
-    acc: dict[tuple[int, int], int] = {}
-    for j, graph in enumerate(sources):
-        if _is_zero(graph, parity):
-            continue
-        for e, weight in _edge_orbits(graph).items():
-            image, sign = _contract(graph, e, parity)
-            n = image.num_vertices
-            code = tuple([n] + [u * n + v for u, v in image.edges])
-            if code not in terms:
-                terms[code] = term(image)
-            found = terms[code]
-            if found is not None:
-                key = (j, found[0])
-                acc[key] = acc.get(key, 0) + weight * sign * found[1]
-    return {k: val for k, val in acc.items() if val}
+    def share(k, jobs):
+        # keyed by the image's vertex count and edge codes, not by the image:
+        # a tuple per edge of every image would live until the share returns
+        terms: dict[tuple[int, ...], tuple[int, int] | None] = {}
+        rows = []
+        for j in range(k, len(sources), jobs):
+            graph = sources[j]
+            if _is_zero(graph, parity):
+                continue
+            row: dict[int, int] = {}
+            for e, weight in _edge_orbits(graph).items():
+                image, sign = _contract(graph, e, parity)
+                n = image.num_vertices
+                code = tuple([n] + [u * n + v for u, v in image.edges])
+                if code not in terms:
+                    terms[code] = term(image)
+                found = terms[code]
+                if found is not None:
+                    i = found[0]
+                    row[i] = row.get(i, 0) + weight * sign * found[1]
+            rows.append((j, row))
+        return rows
+
+    rows = _split_work(share, len(sources))
+    rows.sort(key=lambda row: row[0])
+    return {(j, i): val for j, row in rows for i, val in row.items() if val}
 
 
 def differential_matrix(src: BasisSlice, dst: BasisSlice) -> IntSparseMatrix:

@@ -3,7 +3,7 @@
 Criteria covered:
   1  d∘d = 0 across parities, variants, loop orders
   2  even-parity dimension table, g <= 7, exact at two primes
-  3  odd-parity dimension table, g <= 6, exact
+  3  odd-parity dimension table, g <= 7, exact at two primes
   4  top-degree bound table rows, g in 5..8, both parities, and the
      g=9 rows in a test of their own
   5  surjectivity onto the complement families
@@ -44,7 +44,7 @@ def _report(num, label, results):
 @pytest.fixture(scope="module")
 def table_results():
     t0 = time.perf_counter()
-    results = suite_tables(max_even=7, max_odd=6, primes=(3323, 10007))
+    results = suite_tables(max_even=7, max_odd=7, primes=(3323, 10007))
     print(f"[tables suite ran in {time.perf_counter() - t0:.1f}s]")
     return results
 
@@ -69,8 +69,8 @@ def test_criterion_2_even_table(table_results):
 
 def test_criterion_3_odd_table(table_results):
     picked = [r for r in table_results if r.name.startswith("table odd")]
-    assert len(picked) == 5  # g = 2..6
-    _report(3, "odd-parity cohomology table g<=6", picked)
+    assert len(picked) == 6  # g = 2..7
+    _report(3, "odd-parity cohomology table g<=7 (two primes)", picked)
 
 
 def test_criterion_4_bound_rows(kneissler_results):
@@ -100,7 +100,7 @@ def test_criterion_6_quasi_isomorphism(table_results):
     picked = [r for r in table_results if r.name.startswith("quasi-iso")]
     # triconnected complexes are empty at odd g=2; the whole even g=4
     # complex is empty; everywhere else both variants are compared
-    assert len(picked) == 8
+    assert len(picked) == 9
     _report(6, "full and triconnected tables agree", picked)
 
 
@@ -110,7 +110,7 @@ def test_criterion_7_linear_algebra():
 
 def test_criterion_8_euler(table_results):
     picked = [r for r in table_results if r.name.startswith("euler")]
-    assert len(picked) == 10
+    assert len(picked) == 11  # even g = 3..7, odd g = 2..7
     _report(8, "Euler characteristic identity", picked)
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import os
 import random
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -12,6 +15,7 @@ from gchom.graphs import (
     canonical_data,
     canonicalize,
 )
+from gchom import complexes
 from gchom.complexes import (
     BasisSlice,
     ComplexSpec,
@@ -25,6 +29,7 @@ from gchom.complexes import (
     _is_zero,
     _split_child,
     _split_orbit_reps,
+    _split_work,
     contract_edge,
     contraction_entries,
     differential_matrix,
@@ -382,3 +387,148 @@ def test_graphs_by_edge_addition_small():
     out = oracles.graphs_by_edge_addition(4, 4, max_multiplicity=1, min_degree=1,
                                           connected=True)
     assert len(out) == 2
+
+
+# ---------------------------------------------------------------------------
+# Work split across forked workers.
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every call with two items or more forks, as on a 3-CPU host; returns the forked pids."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(complexes, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fresh_enumeration(max_loops):
+    """Raw slices, recorded generators, bases and matrix entries from empty caches."""
+    raw_slice.cache_clear()
+    _class_generators.clear()
+    slices = {(g, v): raw_slice(g, v) for g in range(2, max_loops + 1)
+              for v in range(2, 2 * g - 1)}
+    generators = dict(_class_generators)
+    matrices = {}
+    for parity in Parity:
+        for variant in Variant:
+            for g in range(2, max_loops + 1):
+                spec = ComplexSpec(parity, variant, g)
+                bases = {v: enumerate_basis(spec, v) for v in range(2, 2 * g - 1)}
+                # the entries' order too: it is the order a rank elimination meets them
+                matrices[spec] = bases, {
+                    v: list(differential_matrix(bases[v], bases[v - 1]).entries.items())
+                    for v in range(3, 2 * g - 1)}
+    return slices, generators, matrices
+
+
+@needs_fork
+def test_parallel_and_serial_runs_agree(monkeypatch, forks):
+    saved = dict(_class_generators)
+    try:
+        parallel = _fresh_enumeration(6)
+        assert forks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = _fresh_enumeration(6)
+    finally:
+        raw_slice.cache_clear()
+        _class_generators.update(saved)
+    for got, want in zip(parallel, serial):
+        assert got == want
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_missing_image_error_in_a_worker_reaches_the_caller(monkeypatch, forks):
+    # the graph of the test above: its image under edge 0 is missing from
+    # {}; the theta graph before it has no simple edge and looks nothing up
+    graph = Multigraph.from_line("6 9 0 3 0 4 0 5 1 2 1 4 1 5 2 3 2 5 3 4")
+    with pytest.raises(RuntimeError) as serial:
+        contraction_entries([graph], {}, Parity.ODD, strict=True)
+    assert not forks
+    with pytest.raises(RuntimeError) as parallel:
+        contraction_entries([THETA, graph], {}, Parity.ODD, strict=True)
+    assert len(forks) == 1  # the graph went to the forked worker
+    assert str(parallel.value) == str(serial.value)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_split_work_concatenates_uneven_shares_in_order(forks):
+    out = _split_work(lambda k, jobs: [(k, jobs, i) for i in range(k, 7, jobs)], 7)
+    assert out == [(0, 3, 0), (0, 3, 3), (0, 3, 6), (1, 3, 1), (1, 3, 4), (2, 3, 2),
+                   (2, 3, 5)]
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_split_work_reraises_a_worker_exception_and_reaps_every_worker(forks):
+    def share(k, jobs):
+        if k == 1:
+            raise ValueError(f"share {k} of {jobs} failed")
+        return [k]
+
+    with pytest.raises(ValueError, match="^share 1 of 3 failed$"):
+        _split_work(share, 3)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_split_work_kills_the_workers_when_the_parent_share_raises(forks):
+    def share(k, jobs):
+        if k == 0:
+            raise KeyError("share 0")
+        time.sleep(60)  # killed long before this returns
+        return [k]
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyError, match="share 0"):
+        _split_work(share, 3)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def test_split_work_does_not_fork_on_one_usable_cpu(monkeypatch):
+    monkeypatch.setattr(complexes, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    assert _split_work(lambda k, jobs: [(k, jobs)], 1000) == [(0, 1)]
+
+
+def test_split_work_does_not_fork_below_the_floor_or_beside_a_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    share = lambda k, jobs: [(k, jobs)]  # noqa: E731
+    assert _split_work(share, complexes._FORK_FLOOR - 1) == [(0, 1)]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _split_work(share, 1000) == [(0, 1)]
+    finally:
+        release.set()
+        thread.join()
