@@ -49,7 +49,6 @@ from enum import Enum
 from functools import lru_cache, cached_property
 
 from gchom.graphs import (
-    CanonicalResult,
     Multigraph,
     Parity,
     _canonical_data,
@@ -60,7 +59,6 @@ from gchom.graphs import (
     _neighbors,
     _orbit_sizes,
     automorphism_generators,
-    canonicalize,
     is_triconnected,
     perm_sign,
 )
@@ -206,21 +204,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def vertex_splits(graph: Multigraph) -> list[Multigraph]:
-    """One-vertex splits keeping minimum degree 3, one per Aut(graph) orbit.
-
-    Splitting vertex v distributes its half-edges over two vertices
-    joined by a fresh edge; both sides must keep at least two old
-    half-edges.  Only vertices of degree >= 4 split.  A split is v with
-    the number of half-edges to each neighbor that move, up to swapping
-    the sides.  Automorphisms act on splits, and splits in one orbit give
-    isomorphic graphs, so only the first split of each orbit (in the order
-    of v, then of the counts) is built.  The new vertex gets the highest
-    label; results are not canonicalized.
-    """
-    return [child for _, child in _split_children(graph)]
-
-
 def _split_children(graph: Multigraph, keep=None):
     """``(v, child)`` for each split `_split_orbit_reps` keeps, in its order.
 
@@ -236,7 +219,15 @@ def _split_children(graph: Multigraph, keep=None):
 
 
 def _split_orbit_reps(graph: Multigraph, keep=None):
-    """Incidence lists and the split descriptors built by `vertex_splits`.
+    """One-vertex splits keeping minimum degree 3, one per Aut(graph) orbit.
+
+    Splitting vertex v distributes its half-edges over two vertices
+    joined by a fresh edge; both sides must keep at least two old
+    half-edges, so only vertices of degree >= 4 split.  A split is v with
+    the number of half-edges to each neighbor that move, up to swapping
+    the sides.  Splits in one orbit give isomorphic graphs, so only the
+    first split of each orbit (in the order of v, then of the counts) is
+    kept.
 
     Returns ``(incident, splits)``: ``incident[v]`` lists v's (neighbor,
     multiplicity) pairs in neighbor order, and ``splits`` the first
@@ -480,7 +471,7 @@ def _send_share(share, k: int, jobs: int, fd: int) -> None:
 
 # Generators of Aut(m) for every raw or family class m, as permutations of m's own
 # vertex labels, recorded when the class is found.  Filled by `raw_slice`
-# and `kneissler.build_family` and, like their caches, never emptied.
+# and `kneissler._family_classes` and, like their caches, never emptied.
 _class_generators: dict[Multigraph, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -509,14 +500,16 @@ def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
 def _is_zero(graph: Multigraph, parity: Parity) -> bool:
     """Whether ``graph`` is the zero generator.
 
-    A raw or family class is tested on its recorded generators, unlabeled;
-    any other graph (read from a file, say) through `canonicalize`.
+    The signs are read off `_generators_of(graph)`: the recorded
+    generators of a raw or family class, unlabeled, or a labeling of any
+    other graph (read from a file, say).  They are taken only when the
+    parity does not already kill the graph, so an even graph with a
+    parallel edge is never labeled.
     """
-    generators = _class_generators.get(graph)
-    if generators is None:
-        return canonicalize(graph, parity).is_zero
-    labelings = (tuple(range(graph.num_vertices)),) + generators
-    return _canonicalize(graph, parity, lambda g: (g, labelings)).is_zero
+    def label(g):
+        return g, (tuple(range(g.num_vertices)),) + _generators_of(g)
+
+    return _canonicalize(graph, parity, label).is_zero
 
 
 @lru_cache(maxsize=None)
@@ -589,24 +582,6 @@ def _is_parallel(edges, i: int) -> bool:
     """Whether edge i has a parallel partner; sorted edges put it next to i."""
     return (i > 0 and edges[i - 1] == edges[i]) or (
         i + 1 < len(edges) and edges[i + 1] == edges[i])
-
-
-def contract_edge(graph: Multigraph, edge_index: int, parity: Parity) -> CanonicalResult:
-    """Contract one edge and canonicalize, with the orientation sign.
-
-    Contracting an edge with a parallel partner would create tadpoles,
-    so it gives zero; any other edge is contracted by `_contract`.
-    """
-    edges = graph.edges
-    if not 0 <= edge_index < len(edges):
-        raise IndexError(f"edge index {edge_index} out of range")
-    if _is_parallel(edges, edge_index):
-        return CanonicalResult.zero()
-    image, sign = _contract(graph, edge_index, parity)
-    res = canonicalize(image, parity)
-    if res.is_zero:
-        return res
-    return CanonicalResult(res.canonical, sign * res.sign)
 
 
 def _contract(graph: Multigraph, edge_index: int, parity: Parity) -> tuple[Multigraph, int]:

@@ -523,8 +523,8 @@ def _canonicalize(graph: Multigraph, parity: Parity, label) -> CanonicalResult:
 
     ``label(graph)`` starts with the canonical form and the labelings, as
     `canonical_data` does; it is not called for a graph with a parallel
-    edge under even parity.  Callers pass `canonical_data` or, for a raw
-    class, the labelings recorded when it was enumerated.
+    edge under even parity.  Callers pass `canonical_data`, `_canonical_data`
+    or, in the zero test, the identity followed by `_generators_of(graph)`.
     """
     if parity is Parity.EVEN and not graph.is_simple():
         return CanonicalResult.zero()

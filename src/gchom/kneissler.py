@@ -18,14 +18,16 @@ members, which the check that their images stay in the row span labels
 anyway: each split orbit of a column graph is one edge orbit of the row
 graph its child is isomorphic to, so no contracted image is labeled.
 
-Each family is built from one defining permutation per orbit of its
-frame symmetries: relabelings of the fixed frame (reflecting or rotating
-a rim, swapping the two barrel rims) that map the graph of p onto the
-graph of another permutation p'.  The orbits come from union-find over
-the permutations in `itertools.permutations` order, so each orbit's root
-is its first permutation.  Only the root's graph is built and labeled;
-the other permutations take its verdict (simple or not, canonical form,
-barrel or not, zero or not), since all four are isomorphism invariants.
+Each family is built once per loop order, with no parity, as `raw_slice`
+builds a slice: one defining permutation per orbit of its frame
+symmetries, which are relabelings of the fixed frame (reflecting or
+rotating a rim, swapping the two barrel rims) that map the graph of p
+onto the graph of another permutation p'.  The orbits come from
+union-find over the permutations in `itertools.permutations` order, so
+each orbit's root is its first permutation.  Only the root's graph is
+built and labeled, and its class's Aut generators are recorded from that
+labeling; each parity then keeps the nonzero classes, tested on those
+generators, so the second parity builds and labels nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from functools import lru_cache
 from gchom.complexes import (
     _contract,
     _edge_orbit_roots,
+    _is_zero,
     _record_class,
     _sorted_pair,
     _split_children,
@@ -46,11 +49,11 @@ from gchom.complexes import (
 from gchom.graphs import (
     Multigraph,
     Parity,
+    _canonical_data,
     _canonicalize,
     _find,
     _join,
     canonical_data,
-    canonicalize,
 )
 from gchom.linalg import (
     PrimeField,
@@ -199,21 +202,6 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class BarrelFamily:
-    kind: str
-    loops: int
-    parity: Parity
-    representatives: dict[Multigraph, tuple[tuple[int, ...], ...]]
-
-    @property
-    def members(self) -> tuple[Multigraph, ...]:
-        return tuple(sorted(self.representatives, key=lambda m: m.edges))
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-
 def _supported(loops: int, parity: Parity) -> None:
     minimum = 5 if parity is Parity.EVEN else 4
     if loops < minimum:
@@ -272,88 +260,71 @@ def _orbit_roots(kind: str, n: int) -> tuple[int, ...]:
     return tuple(_find(orbits, i) for i in range(len(perms)))
 
 
+def _by_edges(classes) -> tuple[Multigraph, ...]:
+    return tuple(sorted(classes, key=lambda m: m.edges))
+
+
 @lru_cache(maxsize=None)
-def _barrel_forms(loops: int) -> frozenset[Multigraph]:
-    """Canonical forms of every barrel, zero or not (isomorphism only)."""
-    perms = itertools.permutations(range(loops - 1))
-    return frozenset(
-        canonical_data(barrel(perm))[0]
-        for i, (perm, root) in enumerate(zip(perms, _orbit_roots("B", loops - 1)))
-        if i == root
-    )
+def _family_classes(kind: str, loops: int) -> tuple[Multigraph, ...]:
+    """Canonical forms of one family's classes, zero or not, sorted by edges.
+
+    The defining permutations are S_{g-1} for barrels and S_{g-2}
+    otherwise.  Only the first permutation of each frame-symmetry orbit
+    is built and labeled, once per loop order and for both parities, and
+    the generators of each class are recorded from that labeling, as
+    `raw_slice` records its classes.  Hub families (Y, A') keep only
+    their simple graphs: routing the hub strand back onto its own anchor
+    doubles an edge, and those degenerate graphs are not part of the
+    relation span.  The complement kinds (A, A') drop graphs isomorphic
+    to a barrel.
+    """
+    degree = loops - 1 if kind == "B" else loops - 2
+    build = _BUILDERS[kind]
+    excluded = set(_family_classes("B", loops)) if kind in ("A", "Aprime") else set()
+    simple_only = kind in ("Y", "Aprime")
+    forms = set()
+    perms = itertools.permutations(range(degree))
+    for i, (perm, root) in enumerate(zip(perms, _orbit_roots(kind, degree))):
+        if i != root:  # isomorphic to its orbit's root, built earlier
+            continue
+        g = build(perm)
+        if simple_only and not g.is_simple():
+            continue
+        form, labelings, _ = _canonical_data(g)
+        _record_class(form, labelings)
+        if form not in excluded:
+            forms.add(form)
+    return _by_edges(forms)
 
 
-def build_family(kind: str, loops: int, parity: Parity) -> BarrelFamily:
-    """Nonzero isomorphism classes of one graph family.
+def build_family(kind: str, loops: int, parity: Parity) -> tuple[Multigraph, ...]:
+    """Nonzero isomorphism classes of one graph family, sorted by edges.
 
-    Enumerates the defining permutations (S_{g-1} for barrels, S_{g-2}
-    otherwise), drops classes that vanish under the parity, and for the
-    complement kinds A and A' also drops graphs isomorphic to a barrel.
-    Only the first permutation of each frame-symmetry orbit is built and
-    labeled; the rest of the orbit shares its class.  The generators of
-    each class found are recorded from that labeling, as `raw_slice`
-    records its classes, so the zero test and edge orbits of a member
-    used as a row of `restricted_differential` label nothing again.
+    The classes of `_family_classes` that do not vanish under the
+    parity, tested on their recorded generators, so nothing is built or
+    labeled for a parity once the other has found the classes.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown family kind {kind!r}")
     _supported(loops, parity)
-    degree = loops - 1 if kind == "B" else loops - 2
-    build = _BUILDERS[kind]
-    excluded = _barrel_forms(loops) if kind in ("A", "Aprime") else frozenset()
-    # hub families keep only their simple members: the permutation cell
-    # that routes the hub strand back onto its own anchor doubles an edge,
-    # and those degenerate graphs are not part of the relation span
-    simple_only = kind in ("Y", "Aprime")
-
-    def verdict(perm) -> Multigraph | None:
-        g = build(perm)
-        if simple_only and not g.is_simple():
-            return None
-        form, labelings, _ = canonical_data(g)
-        _record_class(form, labelings)
-        if form in excluded or canonicalize(g, parity).is_zero:
-            return None
-        return form
-
-    forms: dict[int, Multigraph | None] = {}
-    reps: dict[Multigraph, list[tuple[int, ...]]] = {}
-    perms = itertools.permutations(range(degree))
-    for perm, root in zip(perms, _orbit_roots(kind, degree)):
-        if root not in forms:  # perm is the first of its orbit
-            forms[root] = verdict(perm)
-        form = forms[root]
-        if form is not None:
-            reps.setdefault(form, []).append(perm)
-    return BarrelFamily(kind, loops, parity,
-                        {k: tuple(v) for k, v in reps.items()})
+    return tuple(m for m in _family_classes(kind, loops) if not _is_zero(m, parity))
 
 
 @dataclass(frozen=True)
 class KneisslerFamilies:
-    """All five families for one (loops, parity), with fixed orderings."""
+    """The families for one (loops, parity), each sorted by edges.
+
+    The rows of `restricted_differential` are the barrels followed by the
+    complement (A and A' merged), its columns the X and Y classes merged;
+    ``x_members`` are the X classes among them.
+    """
 
     loops: int
     parity: Parity
-    barrels: BarrelFamily
-    x: BarrelFamily
-    y: BarrelFamily
-    a: BarrelFamily
-    aprime: BarrelFamily
-
-    @property
-    def b_members(self) -> tuple[Multigraph, ...]:
-        return self.barrels.members
-
-    @property
-    def bperp_members(self) -> tuple[Multigraph, ...]:
-        merged = set(self.a.representatives) | set(self.aprime.representatives)
-        return tuple(sorted(merged, key=lambda m: m.edges))
-
-    @property
-    def v_members(self) -> tuple[Multigraph, ...]:
-        merged = set(self.x.representatives) | set(self.y.representatives)
-        return tuple(sorted(merged, key=lambda m: m.edges))
+    b_members: tuple[Multigraph, ...]
+    bperp_members: tuple[Multigraph, ...]
+    v_members: tuple[Multigraph, ...]
+    x_members: tuple[Multigraph, ...]
 
     @property
     def dim_b(self) -> int:
@@ -371,15 +342,9 @@ class KneisslerFamilies:
 @lru_cache(maxsize=8)
 def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     _supported(loops, parity)
-    return KneisslerFamilies(
-        loops,
-        parity,
-        build_family("B", loops, parity),
-        build_family("X", loops, parity),
-        build_family("Y", loops, parity),
-        build_family("A", loops, parity),
-        build_family("Aprime", loops, parity),
-    )
+    b, x, y, a, aprime = (build_family(kind, loops, parity) for kind in FAMILY_KINDS)
+    return KneisslerFamilies(loops, parity, b, _by_edges({*a, *aprime}),
+                             _by_edges({*x, *y}), x)
 
 
 def _edge_weights(row: Multigraph) -> dict[tuple[int, int], int]:
@@ -512,7 +477,7 @@ def upper_bound(loops: int, parity: Parity, prime: int = 3323,
     if method == "gauss":
         nb = fam.dim_b
         pref_rows = frozenset(range(nb, nb + fam.dim_bperp))
-        x_forms = set(fam.x.representatives)
+        x_forms = set(fam.x_members)
         pref_cols = frozenset(
             j for j, g in enumerate(fam.v_members) if g in x_forms
         )

@@ -264,10 +264,8 @@ def per_edge_contractions(sources, targets, parity: Parity, *, strict: bool):
     The contraction differential summed over every edge of every source,
     without orbit weighting; images missing from ``targets`` raise when
     ``strict`` and are dropped otherwise.  It checks the orbit weighting
-    only: `contract_edge` itself is checked by the d∘d = 0 tests.
+    only: the contraction itself is checked by the d∘d = 0 tests.
     """
-    from gchom.complexes import contract_edge
-
     acc = {}
     for j, graph in enumerate(sources):
         for e in range(graph.num_edges):
@@ -281,6 +279,45 @@ def per_edge_contractions(sources, targets, parity: Parity, *, strict: bool):
                 continue
             acc[(j, i)] = acc.get((j, i), 0) + res.sign
     return {k: v for k, v in acc.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# Not oracles: entry points into gchom's own splitting and contraction that
+# only the tests call, kept here rather than as package API.
+# ---------------------------------------------------------------------------
+
+
+def vertex_splits(graph: Multigraph) -> list[Multigraph]:
+    """gchom's one-vertex splits of ``graph``, one per Aut(graph) orbit.
+
+    The new vertex gets the highest label; the children are not
+    canonicalized.
+    """
+    from gchom.complexes import _split_children
+
+    return [child for _, child in _split_children(graph)]
+
+
+def contract_edge(graph: Multigraph, edge_index: int, parity: Parity):
+    """Contract one edge and canonicalize, with the orientation sign.
+
+    Contracting an edge with a parallel partner would create tadpoles,
+    so it gives zero; any other edge is contracted by gchom's
+    `_contract` and labeled through the cached `canonicalize`.
+    """
+    from gchom.complexes import _contract, _is_parallel
+    from gchom.graphs import CanonicalResult, canonicalize
+
+    edges = graph.edges
+    if not 0 <= edge_index < len(edges):
+        raise IndexError(f"edge index {edge_index} out of range")
+    if _is_parallel(edges, edge_index):
+        return CanonicalResult.zero()
+    image, sign = _contract(graph, edge_index, parity)
+    res = canonicalize(image, parity)
+    if res.is_zero:
+        return res
+    return CanonicalResult(res.canonical, sign * res.sign)
 
 
 def naive_enumerate(num_vertices: int, num_edges: int, *, min_degree: int = 3,
@@ -478,11 +515,12 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
 
 
 def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
-    """`BarrelFamily.representatives`, building and labeling every permutation.
+    """Each nonzero class of a family -> the permutations whose graph is in it.
 
     No frame-symmetry orbits: each defining permutation's graph is built,
     filtered and labeled on its own, in `itertools.permutations` order,
-    and the complement kinds exclude the forms of every barrel.
+    and the complement kinds exclude the forms of every barrel.  The keys
+    are the classes `kneissler.build_family` returns.
     """
     from gchom.graphs import canonical_data, canonicalize
     from gchom.kneissler import _BUILDERS, barrel

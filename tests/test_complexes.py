@@ -30,7 +30,6 @@ from gchom.complexes import (
     _split_child,
     _split_orbit_reps,
     _split_work,
-    contract_edge,
     contraction_entries,
     differential_matrix,
     dump_basis,
@@ -38,10 +37,10 @@ from gchom.complexes import (
     load_basis,
     raw_slice,
     vertex_count,
-    vertex_splits,
 )
 
 import oracles
+from oracles import contract_edge, vertex_splits
 
 THETA = Multigraph.from_edges(2, [(0, 1)] * 3)
 K4 = Multigraph.from_edges(4, itertools.combinations(range(4), 2))

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gchom import complexes, graphs
+from gchom import complexes, graphs, kneissler
 from gchom.graphs import Parity, automorphism_generators, canonical_data, canonicalize
 from gchom.complexes import (
     ComplexSpec,
@@ -102,10 +102,31 @@ def test_build_family_matches_exhaustive_family():
     for parity in Parity:
         for loops in range(5 if parity is Parity.EVEN else 4, 8):
             for kind in FAMILY_KINDS:
-                got = build_family(kind, loops, parity).representatives
+                got = build_family(kind, loops, parity)
                 want = oracles.exhaustive_family(kind, loops, parity)
-                # same classes, first found in the same order, same permutations
-                assert list(got.items()) == list(want.items()), (kind, loops, parity)
+                assert got == tuple(sorted(want, key=lambda m: m.edges)), (kind, loops, parity)
+
+
+def test_second_parity_builds_and_labels_nothing(monkeypatch):
+    build_families.cache_clear()
+    build_families(7, Parity.ODD)
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for kind, build in _BUILDERS.items():
+        monkeypatch.setitem(_BUILDERS, kind, spy(kind, build))
+    for module in (graphs, complexes, kneissler):
+        monkeypatch.setattr(module, "_canonical_data", spy("label", module._canonical_data))
+    before = canonicalize.cache_info()
+    fam = build_families(7, Parity.EVEN)
+    assert calls == []
+    assert canonicalize.cache_info() == before
+    assert (fam.dim_b, fam.dim_bperp, fam.dim_v) == BOUND_SMALL[(Parity.EVEN, 7)][:3]
 
 
 def test_frame_symmetries_preserve_the_graph_class():
