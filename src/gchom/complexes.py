@@ -60,6 +60,7 @@ from gchom.graphs import (
     _orbit_sizes,
     automorphism_generators,
     is_triconnected,
+    orientation_sign,
     perm_sign,
 )
 from gchom.sparse import IntSparseMatrix
@@ -204,21 +205,21 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _split_children(graph: Multigraph, keep=None):
+def _split_children(graph: Multigraph, keep=None, nbrs=None):
     """``(v, child)`` for each split `_split_orbit_reps` keeps, in its order.
 
     v is the split vertex, so the child's fresh edge is ``(v, n)`` for
-    ``n = graph.num_vertices``; ``keep`` is passed on.
+    ``n = graph.num_vertices``; ``keep`` and ``nbrs`` are passed on.
     """
     n = graph.num_vertices
-    incident, splits = _split_orbit_reps(graph, keep)
+    incident, splits = _split_orbit_reps(graph, keep, nbrs)
     for v, group in itertools.groupby(splits, key=lambda split: split[0]):
         others = [e for e in graph.edges if v not in e]
         for _, take in group:
             yield v, _split_child(n, others, v, incident[v], take)
 
 
-def _split_orbit_reps(graph: Multigraph, keep=None):
+def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
     """One-vertex splits keeping minimum degree 3, one per Aut(graph) orbit.
 
     Splitting vertex v distributes its half-edges over two vertices
@@ -235,21 +236,16 @@ def _split_orbit_reps(graph: Multigraph, keep=None):
     half-edges to each neighbor in ``incident[v]`` that move.  ``keep``,
     if given, is a predicate ``keep(v, incident[v], take)`` that must be
     invariant under Aut(graph); it drops whole orbits before any pruning.
+    ``nbrs``, if given, is ``_neighbors(graph)``, built by the caller, and
+    becomes ``incident``.
     """
-    n = graph.num_vertices
-    degrees = graph.degrees()
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), m in Counter(graph.edges).items():
-        incident[u].append((v, m))
-        incident[v].append((u, m))
-    for row in incident:
-        row.sort()
+    incident = _neighbors(graph) if nbrs is None else nbrs
     splits = []  # (v, moved counts in the order of incident[v])
-    for v in range(n):
-        d = degrees[v]
+    for v, row in enumerate(incident):
+        counts = [m for _, m in row]
+        d = sum(counts)
         if d < 4:
             continue
-        counts = [m for _, m in incident[v]]
         for take in itertools.product(*(range(m + 1) for m in counts)):
             if not 2 <= sum(take) <= d - 2:
                 continue
@@ -359,9 +355,10 @@ def _accepted_children(parent: Multigraph):
     One child per orbit of splits; see `_canonical_parent_form`.
     """
     n = parent.num_vertices
-    deg = parent.degrees()
-    simple = sorted(((_sorted_pair(deg[u], deg[x]), u, x) for (u, x), m in
-                     Counter(parent.edges).items() if m == 1), reverse=True)
+    nbrs = _neighbors(parent)
+    deg = [sum(m for _, m in row) for row in nbrs]
+    simple = sorted(((_sorted_pair(deg[u], deg[x]), u, x) for u, row in enumerate(nbrs)
+                     for x, m in row if m == 1 and u < x), reverse=True)
     # per splittable vertex v, the largest degree pair of a simple edge
     # away from v, which the split leaves as it is
     away = {v: next((pair for pair, a, b in simple if a != v != b), (0, 0))
@@ -381,7 +378,7 @@ def _accepted_children(parent: Multigraph):
             or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
             for (x, m), k in zip(row, take)))
 
-    for v, child in _split_children(parent, fresh_may_win):
+    for v, child in _split_children(parent, fresh_may_win, nbrs):
         canon = _canonical_parent_form(child, (v, n))
         if canon is not None:
             yield canon
@@ -627,6 +624,34 @@ def _contract(graph: Multigraph, edge_index: int, parity: Parity) -> tuple[Multi
     return Multigraph._trusted(n - 1, tuple(sorted(mapped))), sign
 
 
+def _contraction_sign(graph: Multigraph, edge_index: int, parity: Parity) -> int:
+    """The sign `_contract` returns, without building the image.
+
+    For edge (u, v), relabeling v to u and keeping every other label
+    orders the surviving edges as `_contract`'s relabeling does, which is
+    increasing off v.  Odd parity: (-1)^(n-1-v) times -1 for each edge
+    (a, v) with a > u, the moved half-edges whose far end is above u: the
+    only edges whose direction flips.  Even parity: (-1)^index times -1
+    for each inversion that the relabeling introduces among the edges.
+    """
+    edges = graph.edges
+    u, v = edges[edge_index]
+    n = graph.num_vertices
+    if parity is Parity.ODD:
+        flips = sum(1 for a, b in edges if b == v and a > u)
+        return -1 if (n - 1 - v + flips) % 2 else 1
+    codes = []
+    for i, (a, b) in enumerate(edges):
+        if i != edge_index:
+            if b == v:
+                a, b = (a, u) if a < u else (u, a)
+            elif a == v:
+                a = u
+            codes.append(a * n + b)
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    return (-1 if edge_index % 2 else 1) * perm_sign(order)
+
+
 def _edge_orbit_roots(graph: Multigraph) -> dict[int, int]:
     """Each simple edge index -> the first edge index of its Aut(graph) orbit.
 
@@ -661,12 +686,16 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     """Contraction differential as ``(source index, target index) -> coefficient``.
 
     Each source graph contributes the signed sum of its edge contractions,
-    looked up in ``targets``.  A nonzero graph has only automorphisms of
+    looked up in ``targets``, which holds nonzero classes of the parity,
+    as every `BasisSlice` does.  A nonzero graph has only automorphisms of
     sign +1, so contracting any edge of an Aut orbit gives the same term:
     one edge per orbit is contracted and weighted by the orbit size.  A
     zero source contributes nothing, as its terms cancel.  An image class
     missing from ``targets`` raises RuntimeError when ``strict``, and is
-    dropped otherwise; a zero image is dropped in both modes.
+    dropped otherwise; a zero image is dropped in both modes.  So the
+    sign of the first labeling alone gives the term of a class found in
+    ``targets``, and only a missing class is tested for zero, in strict
+    mode.
 
     Each distinct image is labeled once per share, with the uncached
     `_canonical_data`, so images never enter the `canonical_data` or
@@ -684,13 +713,16 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
 
     def term(image: Multigraph) -> tuple[int, int] | None:
         # (target index, sign) of a contracted image; None if it is dropped
-        res = _canonicalize(image, parity, _canonical_data)
-        if res.is_zero:
+        if parity is Parity.EVEN and not image.is_simple():
             return None
-        i = targets.get(res.canonical)
-        if i is None and strict:
-            raise RuntimeError(f"contraction image missing from target slice: {res.canonical}")
-        return None if i is None else (i, res.sign)
+        data = _canonical_data(image)
+        canon, labelings, _ = data
+        i = targets.get(canon)
+        if i is not None:
+            return i, orientation_sign(image, labelings[0], parity)
+        if strict and not _canonicalize(image, parity, lambda _: data).is_zero:
+            raise RuntimeError(f"contraction image missing from target slice: {canon}")
+        return None
 
     def share(k, jobs):
         # keyed by the image's vertex count and edge codes, not by the image:

@@ -17,7 +17,6 @@ finds.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -225,7 +224,12 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # multiplicity counts into the cells present at the start of the pass, and
 # orders the parts by those count vectors; the counts come from neighbor
 # lists built once per graph, and only the counts into the cells created by
-# the pass before can differ within a cell.
+# the pass before can differ within a cell.  A pass scans each cell until a
+# vertex's key differs from the first vertex's; a cell that runs out first
+# is kept whole, without grouping.  Otherwise the rest of the cell is sorted
+# into the first key's group and the differing key's, and the two groups,
+# the common case on near-regular graphs, are ordered by comparing their
+# keys.  A third key sends the cell to a dict grouping and a sort of its keys.
 #
 # The canonical form is the lexicographically smallest relabeled edge list
 # over the leaves of the (isomorphism-invariant) search tree.  Only two
@@ -248,20 +252,60 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 
 
 def _neighbors(graph: Multigraph) -> list[list[tuple[int, int]]]:
-    """Per vertex, the (neighbor, multiplicity) pairs."""
+    """Per vertex, the (neighbor, multiplicity) pairs, sorted by neighbor.
+
+    One run over the sorted edge tuple: the copies of an edge are adjacent,
+    and a vertex meets its lower neighbors (as the second end) before its
+    higher ones (as the first end), each group in increasing order.
+    """
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_vertices)]
-    for (u, v), m in Counter(graph.edges).items():
+    edges = graph.edges
+    if not edges:
+        return nbrs
+    prev = edges[0]
+    m = 0
+    for e in edges:
+        if e == prev:
+            m += 1
+            continue
+        u, v = prev
         nbrs[u].append((v, m))
         nbrs[v].append((u, m))
+        prev = e
+        m = 1
+    u, v = prev
+    nbrs[u].append((v, m))
+    nbrs[v].append((u, m))
     return nbrs
 
 
+def _multiplicity_key(row) -> tuple:
+    """A vertex's degree, then its multiplicities in decreasing order."""
+    mults = sorted([m for _, m in row], reverse=True)
+    return sum(mults), tuple(mults)
+
+
 def _initial_cells(nbrs) -> list[list[int]]:
-    groups: dict[tuple, list[int]] = {}
+    """Vertices grouped by their multiplicities, ordered by `_multiplicity_key`.
+
+    A vertex is grouped by the number of its neighbors joined by m edges,
+    for each m, packed as digit m of a number in radix 2^shift, which
+    exceeds every neighbor count.  The groups are ordered only when there
+    are two or more; every cubic graph is one.
+    """
+    shift = len(nbrs).bit_length()
+    groups: dict[int, list[int]] = {}
     for v, row in enumerate(nbrs):
-        mults = sorted([m for _, m in row], reverse=True)
-        groups.setdefault((sum(mults), tuple(mults)), []).append(v)
-    return [groups[k] for k in sorted(groups)]
+        key = 0
+        for _, m in row:
+            key += 1 << shift * m
+        if key in groups:
+            groups[key].append(v)
+        else:
+            groups[key] = [v]
+    if len(groups) == 1:
+        return list(groups.values())
+    return sorted(groups.values(), key=lambda cell: _multiplicity_key(nbrs[cell[0]]))
 
 
 def _refine(cells: list[list[int]], nbrs, parts, base: int) -> list[list[int]]:
@@ -293,13 +337,33 @@ def _refine(cells: list[list[int]], nbrs, parts, base: int) -> list[list[int]]:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            keys = [key[v] for v in cell]
-            if min(keys) == max(keys):
+            first = key[cell[0]]
+            for i, v in enumerate(cell):
+                if key[v] != first:
+                    break
+            else:
                 new_cells.append(cell)
                 continue
+            second = key[v]
+            low, high = cell[:i], []
+            for v in cell[i:]:
+                k = key[v]
+                if k == first:
+                    low.append(v)
+                elif k == second:
+                    high.append(v)
+                else:
+                    break
+            else:
+                if first > second:
+                    low, high = high, low
+                new_cells.append(low)
+                new_cells.append(high)
+                parts.append(low)
+                continue
             groups: dict[int, list[int]] = {}
-            for k, v in zip(keys, cell):
-                groups.setdefault(k, []).append(v)
+            for v in cell:
+                groups.setdefault(key[v], []).append(v)
             ordered = [groups[k] for k in sorted(groups)]
             new_cells += ordered
             parts += ordered[:-1]
@@ -372,10 +436,10 @@ def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
     pos = [0] * n
     for i, c in enumerate(cells):
         pos[c[0]] = i
-    key = tuple(sorted([
+    key = sorted([
         pos[u] * n + pos[v] if pos[u] < pos[v] else pos[v] * n + pos[u]
         for u, v in st.edges
-    ]))
+    ])
     if st.first is None:
         st.first = st.best = pos
         st.first_key = st.best_key = key

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from gchom.complexes import (
-    _contract,
+    _contraction_sign,
     _edge_orbit_roots,
     _is_zero,
     _record_class,
@@ -382,7 +382,7 @@ def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
                 weights[row] = _edge_weights(row)
             lab = canonical_data(child)[1][0]
             weight = weights[row][_sorted_pair(lab[v], lab[n])]
-            _, sign = _contract(child, child.edges.index((v, n)), parity)
+            sign = _contraction_sign(child, child.edges.index((v, n)), parity)
             acc[(i, j)] = acc.get((i, j), 0) + weight * res.sign * sign
     return {k: val for k, val in acc.items() if val}
 

@@ -164,6 +164,18 @@ def _reference_refine(cells, weights):
             return cells
 
 
+def counter_neighbors(graph: Multigraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, the (neighbor, multiplicity) pairs, sorted by neighbor.
+
+    Counted with a Counter over the edge list and sorted row by row.
+    """
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_vertices)]
+    for (u, v), m in Counter(graph.edges).items():
+        rows[u].append((v, m))
+        rows[v].append((u, m))
+    return [sorted(row) for row in rows]
+
+
 def reference_canonical_data(graph: Multigraph):
     """(canonical edge tuple, all minimal labelings) by the dense search.
 

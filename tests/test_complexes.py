@@ -280,7 +280,8 @@ def test_contraction_entries_drop_zero_images_and_check_missing_ones():
     image = contract_edge(graph, 0, Parity.ODD)
     assert not image.is_zero
     targets = {image.canonical: 0}
-    # the zero image is never looked up, so strict mode does not raise
+    # the zero image is missing from the targets, but it is dropped as
+    # zero, so strict mode does not raise
     entries = contraction_entries([graph], targets, Parity.ODD, strict=True)
     assert entries == {(0, 0): image.sign * _edge_orbits(graph)[0]}
     assert entries == oracles.per_edge_contractions([graph], targets, Parity.ODD, strict=True)

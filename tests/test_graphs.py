@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gchom.complexes import raw_slice
+from gchom.complexes import ComplexSpec, Variant, _contract, _edge_orbits, enumerate_basis, raw_slice
 from gchom.graphs import (
     Multigraph,
     Parity,
@@ -81,6 +81,22 @@ def test_automorphism_group_sizes():
     assert automorphism_group_size(PATH2) == 2
 
 
+def contraction_images(loops: int) -> list[Multigraph]:
+    """Every distinct graph the odd and even full differentials contract to.
+
+    One image per edge orbit of every generator, as `contraction_entries`
+    makes them, before any labeling.
+    """
+    images = {}
+    for parity in Parity:
+        spec = ComplexSpec(parity, Variant.FULL, loops)
+        for v in range(3, 2 * loops - 1):
+            for graph in enumerate_basis(spec, v).generators:
+                for e in _edge_orbits(graph):
+                    images.setdefault(_contract(graph, e, parity)[0], None)
+    return list(images)
+
+
 def test_search_matches_reference_search():
     graphs = core_test_graphs()
     rng = random.Random(61)
@@ -88,6 +104,12 @@ def test_search_matches_reference_search():
         perm = list(range(g.num_vertices))
         rng.shuffle(perm)
         graphs.append(g.relabel(perm))
+    # 12-vertex cubic graphs, one initial cell each, which reach the
+    # refinement's two-group splits, and the images the differentials label
+    cubic = [build(p) for build, degree in ((barrel, 6), (a_graph, 5), (a_prime_graph, 5))
+             for p in itertools.permutations(range(degree))]
+    graphs += random.Random(71).sample(cubic, 200)
+    graphs += contraction_images(5)
     for g in graphs:
         canon, labelings, order = canonical_data(g)
         form, reference = oracles.reference_canonical_data(g)
@@ -112,6 +134,11 @@ def test_refine_returns_a_discrete_partition_unchanged():
     nbrs = _Unread(_neighbors(K4))
     assert _refine(cells, nbrs, [[2]], K4.num_edges + 1) is cells
     assert cells == [[2], [0], [3], [1]]
+
+
+def test_neighbor_rows_match_counted_rows():
+    for g in core_test_graphs():
+        assert _neighbors(g) == oracles.counter_neighbors(g), g
 
 
 def test_automorphism_group_size_matches_brute_force():

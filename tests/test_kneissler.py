@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from types import SimpleNamespace
@@ -10,8 +11,13 @@ from gchom.complexes import (
     ComplexSpec,
     Variant,
     _class_generators,
+    _contract,
+    _contraction_sign,
+    _is_parallel,
     _is_zero,
+    _split_children,
     enumerate_basis,
+    raw_slice,
 )
 from gchom.cohomology import KNOWN_VALUES
 from gchom.kneissler import (
@@ -41,6 +47,15 @@ BOUND_SMALL = {
     (Parity.ODD, 5): (2, 1, 1, 1, 2),
     (Parity.ODD, 6): (3, 3, 4, 4, 2),
     (Parity.ODD, 7): (9, 13, 27, 19, 3),
+}
+
+# sha256 of repr(sorted(restricted_differential(g, parity).entries.items())),
+# and the entry count: the signs, which the bound rows do not pin
+PINNED_RESTRICTED_DIFFERENTIALS = {
+    (Parity.EVEN, 7): (36, "39cbc3cf69c0eb795c316232358145cc4d55f582ba3fa16d24fac27b0d06dbdf"),
+    (Parity.ODD, 7): (72, "accba39509b1f403e2a7a022cd0043f4d200810a85a0d07fb17f62be637d1de6"),
+    (Parity.EVEN, 8): (245, "d51d5457e5f2284abb21fafbb2ea8b948a9b1050dc55bd8977c74ace5d589362"),
+    (Parity.ODD, 8): (460, "c103b9424850bc89e3ac9f949aa872ba2dca0bf3a1d7e5c791b04fafe1184e62"),
 }
 
 
@@ -255,6 +270,29 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
         misses = canonical_data.cache_info().misses
         restricted_differential(loops, parity)
         assert canonical_data.cache_info().misses == misses, parity
+
+
+@pytest.mark.parametrize("parity,loops", sorted(PINNED_RESTRICTED_DIFFERENTIALS, key=str))
+def test_restricted_differentials_are_pinned(parity, loops):
+    entries = restricted_differential(loops, parity).entries
+    digest = hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()
+    assert (len(entries), digest) == PINNED_RESTRICTED_DIFFERENTIALS[(parity, loops)]
+
+
+def test_contraction_sign_matches_contract():
+    edges = []  # (graph, index of a simple edge)
+    for parity in Parity:
+        for loops in range(5 if parity is Parity.EVEN else 4, 9):
+            for x in build_families(loops, parity).v_members:
+                n = x.num_vertices
+                edges += [(child, child.edges.index((v, n))) for v, child in _split_children(x)]
+    for loops in range(2, 6):
+        for v in range(2, 2 * loops - 1):
+            edges += [(m, i) for m in raw_slice(loops, v)
+                      for i in range(m.num_edges) if not _is_parallel(m.edges, i)]
+    for graph, i in edges:
+        for parity in Parity:
+            assert _contraction_sign(graph, i, parity) == _contract(graph, i, parity)[1], (graph, i)
 
 
 def test_wiedemann_method_agrees():
