@@ -18,7 +18,7 @@ from gchom.cohomology import cohomology_dims, render_text
 from gchom.complexes import ComplexSpec, Variant, dump_basis
 from gchom.graphs import Parity
 from gchom.kneissler import upper_bound
-from gchom.linalg import PrimeField, gauss_rank, reduce_mod_p, wiedemann_rank
+from gchom.linalg import RANK_METHODS, PrimeField, reduce_mod_p
 from gchom.sparse import dump_sms, load_sms
 
 
@@ -57,14 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank of an SMS matrix over F_p")
     p.add_argument("--matrix", required=True)
     p.add_argument("--prime", type=int, default=3323)
-    p.add_argument("--method", choices=["gauss", "wiedemann"], default="gauss")
-    p.add_argument("--block", type=int, default=1)
+    p.add_argument("--method", choices=list(RANK_METHODS), default="gauss")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("cohomology", help="cohomology dimension table")
     _add_spec_flags(p)
     p.add_argument("--prime", type=int, default=3323)
-    p.add_argument("--method", choices=["gauss", "wiedemann"], default="gauss")
+    p.add_argument("--method", choices=list(RANK_METHODS), default="gauss")
     p.add_argument("--confirm-prime", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cache")
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kneissler", help="top-degree upper-bound report")
     _add_spec_flags(p, variant=False)
     p.add_argument("--prime", type=int, default=3323)
-    p.add_argument("--method", choices=["gauss", "wiedemann"], default="gauss")
+    p.add_argument("--method", choices=list(RANK_METHODS), default="gauss")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("check", help="run a self-check suite")
@@ -110,12 +109,7 @@ def cmd_diff(args) -> int:
 def cmd_rank(args) -> int:
     matrix = load_sms(Path(args.matrix).read_text())
     fp = PrimeField(args.prime)
-    mp = reduce_mod_p(matrix, fp)
-    seed = _pick_seed(args.seed)
-    if args.method == "gauss":
-        result = gauss_rank(mp, seed=seed)
-    else:
-        result = wiedemann_rank(mp, args.block, seed=seed)
+    result = RANK_METHODS[args.method](reduce_mod_p(matrix, fp), seed=_pick_seed(args.seed))
     print(result.report_line())
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from gchom.cache import FileCache
 from gchom.complexes import BasisSlice, ComplexSpec
-from gchom.linalg import PrimeField, gauss_rank, reduce_mod_p, wiedemann_rank
+from gchom.linalg import RANK_METHODS, PrimeField, reduce_mod_p
 
 DEFAULT_GENERATOR_CAP = 5_000_000
 
@@ -82,8 +82,7 @@ def _slice_range(spec: ComplexSpec) -> range:
 
 def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
                     seed: int = 0, confirm_prime: int | None = None,
-                    cache: FileCache | None = None,
-                    generator_cap: int = DEFAULT_GENERATOR_CAP) -> CohomologyTable:
+                    cache: FileCache | None = None) -> CohomologyTable:
     """Dimension table of the complex, one row per slice degree.
 
     Ranks of the two differentials adjacent to each slice are computed
@@ -93,9 +92,10 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     (which must differ from `prime`), rows whose ranks agree at both
     primes are certified.  Bases and differentials come from `cache`,
     an in-memory `FileCache` when none is given; each differential is
-    fetched once and ranked at every prime.
+    fetched once and ranked at every prime.  A slice with more than
+    `DEFAULT_GENERATOR_CAP` generators raises GeneratorCapExceeded.
     """
-    if method not in ("gauss", "wiedemann"):
+    if method not in RANK_METHODS:
         raise ValueError(f"unknown method {method!r}")
     fields = [PrimeField(prime)]
     if confirm_prime is not None:
@@ -109,9 +109,9 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     slices: dict[int, BasisSlice] = {}
     for v in _slice_range(spec):
         s = cache.basis(spec, v)
-        if len(s) > generator_cap:
+        if len(s) > DEFAULT_GENERATOR_CAP:
             raise GeneratorCapExceeded(
-                f"slice V={v} has {len(s)} generators (cap {generator_cap})"
+                f"slice V={v} has {len(s)} generators (cap {DEFAULT_GENERATOR_CAP})"
             )
         slices[v] = s
 
@@ -122,11 +122,7 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
             continue
         mat = cache.matrix(spec, v)
         for fp, ranks in zip(fields, per_field):
-            mp = reduce_mod_p(mat, fp)
-            if method == "gauss":
-                ranks[v] = gauss_rank(mp, seed=seed).rank
-            else:
-                ranks[v] = wiedemann_rank(mp, 1, seed=seed).rank
+            ranks[v] = RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank
 
     ranks, *confirm = per_field
     rows = []

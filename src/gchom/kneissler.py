@@ -55,13 +55,7 @@ from gchom.graphs import (
     _join,
     canonical_data,
 )
-from gchom.linalg import (
-    PrimeField,
-    TwoPhase,
-    gauss_rank,
-    reduce_mod_p,
-    wiedemann_rank,
-)
+from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, reduce_mod_p
 from gchom.sparse import IntSparseMatrix
 
 FAMILY_KINDS = ("B", "X", "Y", "A", "Aprime")
@@ -315,8 +309,7 @@ class KneisslerFamilies:
     """The families for one (loops, parity), each sorted by edges.
 
     The rows of `restricted_differential` are the barrels followed by the
-    complement (A and A' merged), its columns the X and Y classes merged;
-    ``x_members`` are the X classes among them.
+    complement (A and A' merged), its columns the X and Y classes merged.
     """
 
     loops: int
@@ -324,7 +317,6 @@ class KneisslerFamilies:
     b_members: tuple[Multigraph, ...]
     bperp_members: tuple[Multigraph, ...]
     v_members: tuple[Multigraph, ...]
-    x_members: tuple[Multigraph, ...]
 
     @property
     def dim_b(self) -> int:
@@ -344,7 +336,7 @@ def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     _supported(loops, parity)
     b, x, y, a, aprime = (build_family(kind, loops, parity) for kind in FAMILY_KINDS)
     return KneisslerFamilies(loops, parity, b, _by_edges({*a, *aprime}),
-                             _by_edges({*x, *y}), x)
+                             _by_edges({*x, *y}))
 
 
 def _edge_weights(row: Multigraph) -> dict[tuple[int, int], int]:
@@ -467,25 +459,16 @@ def upper_bound(loops: int, parity: Parity, prime: int = 3323,
                 method: str = "gauss", seed: int = 0) -> KneisslerReport:
     """Top-degree upper bound dim B - rank(d) + dim B-complement.
 
-    The Gauss rank uses the two-phase pivoting: eliminate the complement
-    rows first, then the X-derived columns.
+    rank(d) is the rank of `restricted_differential` at `prime`, by the
+    engine `method` names in `RANK_METHODS`; an unknown name raises
+    ValueError before the families are built, as does a bad prime.
     """
-    fam = build_families(loops, parity)
-    matrix = restricted_differential(loops, parity)
-    fp = PrimeField(prime)
-    mp = reduce_mod_p(matrix, fp)
-    if method == "gauss":
-        nb = fam.dim_b
-        pref_rows = frozenset(range(nb, nb + fam.dim_bperp))
-        x_forms = set(fam.x_members)
-        pref_cols = frozenset(
-            j for j, g in enumerate(fam.v_members) if g in x_forms
-        )
-        rank = gauss_rank(mp, TwoPhase(pref_rows, pref_cols), seed=seed).rank
-    elif method == "wiedemann":
-        rank = wiedemann_rank(mp, 1, seed=seed).rank
-    else:
+    if method not in RANK_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    fp = PrimeField(prime)
+    fam = build_families(loops, parity)
+    mp = reduce_mod_p(restricted_differential(loops, parity), fp)
+    rank = RANK_METHODS[method](mp, seed=seed).rank
     bound = fam.dim_b - rank + fam.dim_bperp
     if bound < 0 or rank > fam.dim_v:
         raise RuntimeError("inconsistent rank in upper bound computation")

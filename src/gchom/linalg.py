@@ -1,16 +1,16 @@
 """Exact linear algebra over prime fields.
 
-Two rank engines: sparse Gaussian elimination with pluggable pivoting
-(exact), and a randomized Wiedemann rank estimator (a probabilistic
-lower bound, from the minimal polynomial of a preconditioned Gram
-operator recovered by Berlekamp-Massey).  The Gram operator
-B = D1 A^T D2 A D1 is symmetric, so the Krylov sequence u^T B^k u is
-read off w_j = B^j u as w_j.w_j and w_j.w_{j+1}: one application of B
-per two terms.  The random diagonals are folded into the stored values
-of A once, so an application is two sparse passes.  Arithmetic is exact
-for any odd prime; the vectorized fast path kicks in for p < 2**25
-where int64 products cannot overflow, and long sums of them are reduced
-in chunks.
+Two rank engines, named in `RANK_METHODS`: sparse Gaussian elimination
+with Markowitz-style pivoting (exact), and a randomized Wiedemann rank
+estimator (a probabilistic lower bound, from the minimal polynomial of
+a preconditioned Gram operator recovered by Berlekamp-Massey).  The
+Gram operator B = D1 A^T D2 A D1 is symmetric, so the Krylov sequence
+u^T B^k u is read off w_j = B^j u as w_j.w_j and w_j.w_{j+1}: one
+application of B per two terms.  The random diagonals are folded into
+the stored values of A once, so an application is two sparse passes.
+Arithmetic is exact for any odd prime; the vectorized fast path kicks
+in for p < 2**25 where int64 products cannot overflow, and long sums of
+them are reduced in chunks.
 """
 
 from __future__ import annotations
@@ -163,22 +163,6 @@ def reduce_mod_p(matrix, fp: PrimeField) -> FpSparseMatrix:
 
 
 @dataclass(frozen=True)
-class TwoPhase:
-    """Pivot first inside the preferred rows, then the preferred columns.
-
-    Phase one eliminates the designated rows (the complement-family rows
-    in the top-degree pipeline), phase two the designated columns, after
-    which Markowitz-style selection takes over.
-    """
-
-    preferred_rows: frozenset[int]
-    preferred_cols: frozenset[int]
-
-
-MARKOWITZ = "markowitz"
-
-
-@dataclass(frozen=True)
 class RankResult:
     rank: int
     method: str
@@ -225,14 +209,12 @@ _DENSE_SWITCH_AREA = 4_000_000
 _DENSE_SWITCH_DENSITY = 0.2
 
 
-def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> RankResult:
+def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
     """Exact F_p rank by sparse elimination.
 
-    Pivot selection is Markowitz-flavoured (sparsest column, then
-    shortest row) unless a TwoPhase strategy dictates preferred rows and
-    columns first.  When the active block becomes small or dense enough
-    it is finished by vectorized dense elimination; the rank is
-    invariant under all of this.
+    Pivot selection is Markowitz-flavoured: the sparsest column, then
+    its shortest row.  When the active block becomes small or dense
+    enough it is finished by vectorized dense elimination.
     """
     import heapq
 
@@ -246,14 +228,6 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
     # nonempty rows and columns; a row or column that empties stays empty
     live_row_count = sum(1 for r in rows if r)
     live_col_count = len(cols)
-
-    pref_rows: set[int] = set()
-    pref_cols: set[int] = set()
-    if isinstance(strategy, TwoPhase):
-        pref_rows = {i for i in strategy.preferred_rows if rows[i]}
-        pref_cols = {j for j in strategy.preferred_cols if j in cols}
-    elif strategy != MARKOWITZ:
-        raise ValueError(f"unknown pivot strategy {strategy!r}")
 
     col_heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(col_heap)
@@ -270,23 +244,6 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
                 continue
             return j
         return None
-
-    def pick_pivot():
-        live_pref = [i for i in pref_rows if rows[i]]
-        if live_pref:
-            i = min(live_pref, key=lambda r: (len(rows[r]), r))
-            j = min(rows[i], key=lambda c: (len(cols[c]), c))
-            return i, j
-        live_pref_c = [j for j in pref_cols if cols.get(j)]
-        if live_pref_c:
-            j = min(live_pref_c, key=lambda c: (len(cols[c]), c))
-            i = min(cols[j], key=lambda r: (len(rows[r]), r))
-            return i, j
-        j = pop_column()
-        if j is None:
-            return None
-        i = min(cols[j], key=lambda r: (len(rows[r]), r))
-        return i, j
 
     dense_ok = p < _FAST_PRIME_LIMIT
     check_interval = 16
@@ -308,10 +265,10 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
                 rank += _dense_rank_mod_p(dense, p)
                 return RankResult(rank, "gauss", True, p, seed)
         steps += 1
-        piv = pick_pivot()
-        if piv is None:
+        j = pop_column()
+        if j is None:
             break
-        i, j = piv
+        i = min(cols[j], key=lambda r: (len(rows[r]), r))
         piv_row = rows[i]
         inv = pow(piv_row[j], p - 2, p)
         for r in [r for r in cols[j] if r != i]:
@@ -344,8 +301,6 @@ def gauss_rank(matrix: FpSparseMatrix, strategy=MARKOWITZ, seed: int = 0) -> Ran
         rows[i] = {}
         live_row_count -= 1
         cols.pop(j, None)
-        pref_rows.discard(i)
-        pref_cols.discard(j)
         rank += 1
 
     return RankResult(rank, "gauss", True, p, seed)
@@ -440,8 +395,8 @@ class PreconditionedOperator:
     multiply and bincount passes.  The bincount sums in float64, which
     is exact while an output adds fewer than 2**53 / (p - 1)**2
     products; only a half with a longer row or column reduces its
-    products first.  `apply` takes a vector or an (n, k) block.
-    ``arrays``, if given, is ``matrix.to_arrays()``, built by the caller.
+    products first.  ``arrays``, if given, is ``matrix.to_arrays()``,
+    built by the caller.
     """
 
     def __init__(self, matrix: FpSparseMatrix, d1: np.ndarray, d2: np.ndarray,
@@ -463,17 +418,11 @@ class PreconditionedOperator:
         self._reduce_cols = np.bincount(self.ci, minlength=1).max() > exact_terms
 
     def _half(self, vals, src, dst, size, reduce, x):
-        # out[dst] += vals * x[src], mod p, for a vector or a block x
-        t = vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[src]
+        # out[dst] += vals * x[src], mod p
+        t = vals * x[src]
         if reduce:
             t %= self.p
-        if x.ndim == 1:
-            out = np.bincount(dst, weights=t, minlength=size)
-        else:
-            k = x.shape[1]
-            flat = (dst[:, None] * k + np.arange(k)).ravel()
-            out = np.bincount(flat, weights=t.ravel(), minlength=size * k).reshape(size, k)
-        return out.astype(np.int64) % self.p
+        return np.bincount(dst, weights=t, minlength=size).astype(np.int64) % self.p
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.p
@@ -545,61 +494,24 @@ def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int, arrays=None) -> i
     return deg - (1 if g[0] == 0 else 0)
 
 
-def _block_wiedemann_bound(matrix: FpSparseMatrix, blocking: int, seed: int,
-                           arrays=None) -> int:
-    """Rank bound from the shifted block-Hankel matrix of U^T B^k U.
-
-    The Hankel matrix of the shifted sequence factors through B, so its
-    rank is a valid lower bound for rank(A) for any truncation; with
-    random projections and enough blocks it is tight with high
-    probability.  As in the scalar case, S_{2j} = W_j^T W_j and
-    S_{2j+1} = W_j^T W_{j+1} with W_j = B^j U, one block application
-    per step.  ``arrays`` is passed on to `precondition`.
-    """
-    p = matrix.p
-    n = matrix.ncols
-    op = precondition(matrix, seed, arrays)
-    rng = np.random.Generator(np.random.PCG64(seed ^ 0xB10C))
-    u = rng.integers(0, p, size=(n, blocking), dtype=np.int64)
-    nblocks = min(n, min(matrix.nrows, matrix.ncols)) // blocking + 2
-    # the Hankel matrix reads S_1 .. S_{2 nblocks - 1}
-    seq = [None] * (2 * nblocks)
-    w = u
-    for j in range(nblocks):
-        if j:
-            seq[2 * j] = _matmul_mod(w.T, w, p)
-        w_next = op.apply(w)
-        seq[2 * j + 1] = _matmul_mod(w.T, w_next, p)
-        w = w_next
-    # block Hankel of the shifted sequence S_1, S_2, ...
-    hank = np.zeros((nblocks * blocking, nblocks * blocking), dtype=np.int64)
-    for bi in range(nblocks):
-        for bj in range(nblocks):
-            hank[bi * blocking:(bi + 1) * blocking,
-                 bj * blocking:(bj + 1) * blocking] = seq[bi + bj + 1]
-    return _dense_rank_mod_p(hank, p)
-
-
-def wiedemann_rank(matrix: FpSparseMatrix, blocking: int = 1, seed: int = 0) -> RankResult:
+def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
     """Probabilistic lower bound on the F_p rank.
 
-    Scalar path (blocking=1): degree of the Berlekamp-Massey minimal
-    generator of u^T B^k u, minus one when divisible by x.  Three seeds
-    are tried and the best bound reported; the result is never above the
-    true rank, so certified stays False.
+    The degree of the Berlekamp-Massey minimal generator of u^T B^k u,
+    minus one when divisible by x.  Three seeds are tried and the best
+    bound reported; the result is never above the true rank, so
+    certified stays False.
     """
-    if blocking < 1:
-        raise ValueError("blocking must be >= 1")
     if not matrix.entries:
         return RankResult(0, "wiedemann", False, matrix.p, seed)
     # only the diagonals depend on the seed
     arrays = matrix.to_arrays()
     best = 0
     for s in (seed, seed + 1, seed + 2):
-        if blocking == 1:
-            est = _scalar_wiedemann_bound(matrix, s, arrays)
-        else:
-            est = _block_wiedemann_bound(matrix, blocking, s, arrays)
-        best = max(best, est)
+        best = max(best, _scalar_wiedemann_bound(matrix, s, arrays))
     best = min(best, matrix.nrows, matrix.ncols)
     return RankResult(best, "wiedemann", False, matrix.p, seed)
+
+
+# The rank engines by name; every caller that takes a ``method`` looks it up here.
+RANK_METHODS = {"gauss": gauss_rank, "wiedemann": wiedemann_rank}

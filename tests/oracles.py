@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from gchom.graphs import Multigraph, Parity
-from gchom.linalg import _dense_rank_mod_p, _matmul_mod
+from gchom.linalg import _matmul_mod
 
 
 def relabel_sorted(graph: Multigraph, perm) -> tuple:
@@ -565,7 +565,7 @@ def dense(matrix):
 # ---------------------------------------------------------------------------
 # Reference Wiedemann: one operator application per sequence term, the
 # diagonals applied as separate passes, the Berlekamp-Massey window rebuilt
-# from a list.  Shares `_matmul_mod` and `_dense_rank_mod_p` with gchom.
+# from a list.  Shares `_matmul_mod` with gchom.
 # ---------------------------------------------------------------------------
 
 
@@ -682,28 +682,3 @@ def reference_wiedemann_bound(matrix, seed: int):
     if deg == 0:
         return 0, state.seq
     return deg - (1 if g[0] == 0 else 0), state.seq
-
-
-def reference_block_wiedemann_bound(matrix, blocking: int, seed: int) -> int:
-    """Block Wiedemann bound with S_k = U^T (B^k U), B applied column by
-    column, once per term."""
-    p = matrix.p
-    n = matrix.ncols
-    op = _ReferenceOperator(matrix, seed)
-    rng = np.random.Generator(np.random.PCG64(seed ^ 0xB10C))
-    u = rng.integers(0, p, size=(n, blocking), dtype=np.int64)
-    nblocks = min(n, min(matrix.nrows, matrix.ncols)) // blocking + 2
-    w = u.copy()
-    seq = []
-    for _ in range(2 * nblocks + 1):
-        seq.append(_matmul_mod(u.T, w, p))
-        wn = np.empty_like(w)
-        for c in range(blocking):
-            wn[:, c] = op.apply(w[:, c])
-        w = wn
-    hank = np.zeros((nblocks * blocking, nblocks * blocking), dtype=np.int64)
-    for bi in range(nblocks):
-        for bj in range(nblocks):
-            hank[bi * blocking:(bi + 1) * blocking,
-                 bj * blocking:(bj + 1) * blocking] = seq[bi + bj + 1]
-    return _dense_rank_mod_p(hank, p)

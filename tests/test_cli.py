@@ -1,12 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gchom.cli import main
+from gchom.cli import build_parser, main
 from gchom.complexes import dump_basis, enumerate_basis, ComplexSpec, Variant, load_basis
 from gchom.graphs import Parity
+from gchom.linalg import RANK_METHODS
 from gchom.sparse import IntSparseMatrix, dump_sms, load_sms
 
 
@@ -60,7 +62,7 @@ def test_rank_wiedemann_prints_seed_line(capsys, tmp_path):
     sms = tmp_path / "m.sms"
     sms.write_text(dump_sms(IntSparseMatrix(2, 2, {(0, 0): 1, (1, 1): 2})))
     code, out, _ = run(capsys, "rank", "--matrix", str(sms),
-                       "--method", "wiedemann", "--block", "1", "--seed", "3")
+                       "--method", "wiedemann", "--seed", "3")
     assert code == 0
     assert "method=wiedemann" in out and "seed=3" in out and "certified=false" in out
 
@@ -158,6 +160,14 @@ def test_errors_exit_nonzero(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--parity", "even", "--variant", "full",
                        "--loops", "1", "--vertices", "3")
     assert code == 1 and "loop order" in err
+
+
+def test_method_choices_are_the_rank_engines():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("rank", "cohomology", "kneissler"):
+        method = next(a for a in sub.choices[command]._actions if a.dest == "method")
+        assert list(method.choices) == list(RANK_METHODS), command
 
 
 def test_bad_flags_exit_two(tmp_path):

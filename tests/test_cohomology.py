@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gchom import cohomology
 from gchom.graphs import Parity
 from gchom.complexes import ComplexSpec, Variant
 from gchom.cohomology import (
@@ -102,9 +103,10 @@ def test_nonnegative_dimensions_everywhere():
             assert all(r.h >= 0 for r in t.rows)
 
 
-def test_generator_cap():
+def test_generator_cap(monkeypatch):
+    monkeypatch.setattr(cohomology, "DEFAULT_GENERATOR_CAP", 3)
     with pytest.raises(GeneratorCapExceeded):
-        table(Parity.ODD, Variant.FULL, 5, generator_cap=3)
+        table(Parity.ODD, Variant.FULL, 5)
 
 
 def test_registry_lookups():

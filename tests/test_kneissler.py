@@ -301,6 +301,19 @@ def test_wiedemann_method_agrees():
     assert g6.method == "wiedemann"
 
 
+def test_unknown_method_is_rejected_before_any_family_is_built(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return build_families(*args)
+
+    monkeypatch.setattr(kneissler, "build_families", spy)
+    with pytest.raises(ValueError, match="unknown method"):
+        upper_bound(10, Parity.ODD, method="lu")
+    assert not built
+
+
 def test_report_json_keys():
     rep = upper_bound(5, Parity.ODD, seed=11)
     payload = json.loads(rep.to_json())

@@ -9,13 +9,10 @@ from hypothesis import given, settings, strategies as st
 from gchom.complexes import ComplexSpec, Variant, differential_matrix, enumerate_basis
 from gchom.graphs import Parity
 from gchom.linalg import (
-    MARKOWITZ,
     FpSparseMatrix,
     PreconditionedOperator,
     PrimeField,
     RankResult,
-    TwoPhase,
-    _block_wiedemann_bound,
     _BMState,
     _matmul_mod,
     _scalar_wiedemann_bound,
@@ -110,20 +107,6 @@ def test_gauss_product_rank():
     b = rng.integers(0, P, size=(30, 50))
     m = sparse_from_dense((a @ b) % P)
     assert gauss_rank(m).rank == 30
-    assert gauss_rank(m, TwoPhase(frozenset({0, 4}), frozenset({9}))).rank == 30
-
-
-def test_gauss_strategy_invariance():
-    rng = random.Random(11)
-    for _ in range(25):
-        m = random_fp(rng, rng.randint(2, 25), rng.randint(2, 25),
-                      rng.uniform(0.05, 0.5))
-        base = gauss_rank(m, MARKOWITZ).rank
-        pr = frozenset(rng.sample(range(m.nrows), min(2, m.nrows)))
-        pc = frozenset(rng.sample(range(m.ncols), min(2, m.ncols)))
-        assert gauss_rank(m, TwoPhase(pr, pc)).rank == base
-    with pytest.raises(ValueError):
-        gauss_rank(m, "fancy")
 
 
 def test_gauss_matches_dense_oracle():
@@ -165,11 +148,10 @@ def test_gauss_sparse_phase_matches_dense_oracle(monkeypatch):
     rng = random.Random(59)
     # 33554467 > 2**25 has no dense phase: every pivot is sparse
     for p in (P, 10007, 33554467):
-        for strategy in (MARKOWITZ, TwoPhase(frozenset(range(0, 360, 7)),
-                                             frozenset(range(0, 300, 11)))):
+        for _ in range(2):
             m = dependent_sparse_matrix(rng, p)
             handed_off.clear()
-            got = gauss_rank(m, strategy).rank
+            got = gauss_rank(m).rank
             assert got == dense_rank(oracles.dense(m), p)
             assert len(handed_off) == (p < 1 << 25)
             for block in handed_off:
@@ -295,15 +277,15 @@ def test_precondition_preserves_rank():
 
 
 def test_wiedemann_trivial_cases():
-    assert wiedemann_rank(FpSparseMatrix(3, 3, P, {}), 1, seed=0).rank == 0
+    assert wiedemann_rank(FpSparseMatrix(3, 3, P, {}), seed=0).rank == 0
     # the identity's preconditioned spectrum is uniform random, so single
     # seeds can lose one degree to an eigenvalue collision in a field this
     # small; the default seed triple is collision-free
     ident = FpSparseMatrix(100, 100, P, {(i, i): 1 for i in range(100)})
-    assert wiedemann_rank(ident, 1, seed=0).rank == 100
+    assert wiedemann_rank(ident, seed=0).rank == 100
     big = FpSparseMatrix(100, 100, 1000003, {(i, i): 1 for i in range(100)})
     for seed in range(5):
-        assert wiedemann_rank(big, 1, seed=seed).rank == 100
+        assert wiedemann_rank(big, seed=seed).rank == 100
 
 
 def test_wiedemann_matches_gauss_on_g5_differentials():
@@ -313,7 +295,7 @@ def test_wiedemann_matches_gauss_on_g5_differentials():
     for m in mats:
         expect = gauss_rank(m).rank
         for seed in range(100 // len(mats) + 1):
-            got = wiedemann_rank(m, 1, seed=seed).rank
+            got = wiedemann_rank(m, seed=seed).rank
             assert got <= expect
             total += 1
             equal += got == expect
@@ -325,22 +307,7 @@ def test_wiedemann_monotone_soundness():
     for i in range(40):
         m = random_fp(rng, rng.randint(2, 35), rng.randint(2, 35),
                       rng.uniform(0.03, 0.4))
-        gr = gauss_rank(m).rank
-        for blocking in (1, 3):
-            wr = wiedemann_rank(m, blocking, seed=i).rank
-            assert wr <= gr
-
-
-def test_block_wiedemann_usually_tight():
-    rng = random.Random(37)
-    equal = total = 0
-    for i in range(20):
-        m = random_fp(rng, rng.randint(4, 30), rng.randint(4, 30), 0.25)
-        gr = gauss_rank(m).rank
-        wr = wiedemann_rank(m, 4, seed=i).rank
-        total += 1
-        equal += wr == gr
-    assert equal >= 0.9 * total
+        assert wiedemann_rank(m, seed=i).rank <= gauss_rank(m).rank
 
 
 def traced_scalar_bound(m, seed):
@@ -365,7 +332,7 @@ def traced_scalar_bound(m, seed):
 
 
 def assert_wiedemann_matches_reference(m, seeds):
-    """Scalar and blocking-3 runs agree with the reference loops."""
+    """Runs at each seed agree with the reference loop."""
     for seed in seeds:
         bound, pushed, applies = traced_scalar_bound(m, seed)
         ref_bound, ref_pushed = oracles.reference_wiedemann_bound(m, seed)
@@ -373,8 +340,6 @@ def assert_wiedemann_matches_reference(m, seeds):
         assert bound == ref_bound
         # B is symmetric: two terms per application
         assert applies == len(pushed) // 2
-        assert (_block_wiedemann_bound(m, 3, seed)
-                == oracles.reference_block_wiedemann_bound(m, 3, seed))
 
 
 def test_wiedemann_matches_reference_on_differentials():
@@ -432,15 +397,10 @@ def test_wiedemann_rank_builds_the_matrix_arrays_once():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FpSparseMatrix, "to_arrays", counting_to_arrays)
-        for blocking in (1, 3):
-            calls[0] = 0
-            got = wiedemann_rank(m, blocking, seed=5).rank
-            assert calls[0] == 1, blocking
-            if blocking == 1:
-                ref = max(oracles.reference_wiedemann_bound(m, s)[0] for s in (5, 6, 7))
-            else:
-                ref = max(oracles.reference_block_wiedemann_bound(m, 3, s) for s in (5, 6, 7))
-            assert got == min(ref, 20), blocking
+        got = wiedemann_rank(m, seed=5).rank
+    assert calls[0] == 1
+    ref = max(oracles.reference_wiedemann_bound(m, s)[0] for s in (5, 6, 7))
+    assert got == min(ref, 20)
 
 
 def test_berlekamp_massey_state_matches_reference_state():
@@ -483,8 +443,8 @@ def test_berlekamp_massey_last_discrepancy_stays_within_twice_the_length():
 def test_wiedemann_deterministic_per_seed():
     rng = random.Random(41)
     m = random_fp(rng, 25, 25, 0.2)
-    a = wiedemann_rank(m, 1, seed=1234)
-    b = wiedemann_rank(m, 1, seed=1234)
+    a = wiedemann_rank(m, seed=1234)
+    b = wiedemann_rank(m, seed=1234)
     assert a == b
     assert a == RankResult(a.rank, "wiedemann", False, P, 1234)
 
