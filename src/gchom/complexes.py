@@ -53,6 +53,7 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _canonicalize,
+    _edge_codes,
     _find,
     _generators,
     _join,
@@ -693,14 +694,18 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     zero source contributes nothing, as its terms cancel.  An image class
     missing from ``targets`` raises RuntimeError when ``strict``, and is
     dropped otherwise; a zero image is dropped in both modes.  So the
-    sign of the first labeling alone gives the term of a class found in
+    sign of one labeling alone gives the term of a class found in
     ``targets``, and only a missing class is tested for zero, in strict
     mode.
 
     Each distinct image is labeled once per share, with the uncached
     `_canonical_data`, so images never enter the `canonical_data` or
     `canonicalize` caches: an image is rarely met again outside the
-    matrix that contracts to it.
+    matrix that contracts to it.  The search is given the edge codes of
+    ``targets`` (canonical forms, built once per call) and stops at the
+    first leaf that spells one; that leaf's labeling is an isomorphism
+    onto the target, whose sign is the first canonical labeling's.  Only
+    an image in no target class, zero or missing, is searched to the end.
 
     The sources are contracted in `_split_work` shares (every jobs-th
     source, from source k), one per usable CPU, each with its own image
@@ -711,17 +716,18 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     in a worker reaches the caller unchanged.
     """
 
+    known = {_edge_codes(target): i for target, i in targets.items()}
+
     def term(image: Multigraph) -> tuple[int, int] | None:
         # (target index, sign) of a contracted image; None if it is dropped
         if parity is Parity.EVEN and not image.is_simple():
             return None
-        data = _canonical_data(image)
-        canon, labelings, _ = data
-        i = targets.get(canon)
-        if i is not None:
-            return i, orientation_sign(image, labelings[0], parity)
+        data = _canonical_data(image, known=known)
+        if len(data) == 2:
+            i, labeling = data
+            return i, orientation_sign(image, labeling, parity)
         if strict and not _canonicalize(image, parity, lambda _: data).is_zero:
-            raise RuntimeError(f"contraction image missing from target slice: {canon}")
+            raise RuntimeError(f"contraction image missing from target slice: {data[0]}")
         return None
 
     def share(k, jobs):

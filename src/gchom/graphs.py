@@ -248,6 +248,18 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # orbit under the stabilizer of the path, so the group order is the product
 # of those orbit sizes.  Only the two leaves are kept, so a search with a
 # trivial group holds no more than the unpruned search did.
+#
+# A caller that expects the graph to be in one of a set of classes it has
+# labeled already passes their canonical edge codes as ``known``, and the
+# search stops at the first leaf whose edge list is one of them.  A leaf's
+# labeling relabels the graph onto the edge list the leaf spells, so it is
+# an isomorphism onto that class, which is all such a caller reads: for a
+# nonzero class every isomorphism gives the same orientation sign, as any
+# two differ by an automorphism of sign +1, and the Aut orbit of an edge's
+# image is the same under each.  The canonical leaf is always reached, so a
+# graph in a known class always stops early; a graph in no known class is
+# searched to the end, with a lookup per new leaf edge list, and gives the
+# same form, labelings and order as a search without the map.
 # ---------------------------------------------------------------------------
 
 
@@ -383,15 +395,19 @@ class _Search:
     -> position; a leaf's edge list is packed as the sorted codes u * n + v
     (u < v), which order exactly as the sorted (u, v) pairs do.  ``orbits``
     is the union-find forest of the generators, made with the first one.
+    ``known`` maps edge lists, as tuples, to the values a leaf spelling one
+    of them stops the search with; ``hit`` is then ``(value, labeling)``.
     """
 
-    __slots__ = ("nbrs", "base", "edges", "path", "first", "first_key",
+    __slots__ = ("nbrs", "base", "edges", "known", "hit", "path", "first", "first_key",
                  "best", "best_key", "best_path", "generators", "orbits", "order")
 
-    def __init__(self, nbrs, base, edges):
+    def __init__(self, nbrs, base, edges, known):
         self.nbrs = nbrs
         self.base = base
         self.edges = edges
+        self.known = known
+        self.hit = None
         self.path = []
         self.first = self.first_key = None
         self.best = self.best_key = self.best_path = None
@@ -431,7 +447,12 @@ def _orbit_sizes(size: int, perms) -> dict[int, int]:
 
 
 def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
-    """Compare a leaf with the first and the best leaf; see `_search`."""
+    """Compare a leaf with the first and the best leaf; see `_search`.
+
+    A leaf whose edge list is a key of ``st.known`` returns -1 and sets
+    ``st.hit``; only a leaf matching neither kept leaf is looked up, since
+    those two were looked up when they were reached.
+    """
     n = len(cells)
     pos = [0] * n
     for i, c in enumerate(cells):
@@ -440,22 +461,28 @@ def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
         pos[u] * n + pos[v] if pos[u] < pos[v] else pos[v] * n + pos[u]
         for u, v in st.edges
     ])
+    if st.first is not None:
+        if key == st.first_key:
+            _add_generator(st, st.first, pos)
+            return anchor
+        if key == st.best_key:
+            _add_generator(st, st.best, pos)
+            back = 0
+            for a, b in zip(st.path, st.best_path):
+                if a != b:
+                    break
+                back += 1
+            return back
+    if st.known is not None:
+        code = tuple(key)
+        if code in st.known:
+            st.hit = st.known[code], tuple(pos)
+            return -1
     if st.first is None:
         st.first = st.best = pos
         st.first_key = st.best_key = key
         st.best_path = st.path[:]
         return depth
-    if key == st.first_key:
-        _add_generator(st, st.first, pos)
-        return anchor
-    if key == st.best_key:
-        _add_generator(st, st.best, pos)
-        back = 0
-        for a, b in zip(st.path, st.best_path):
-            if a != b:
-                break
-            back += 1
-        return back
     if key < st.best_key:
         st.best, st.best_key, st.best_path = pos, key, st.path[:]
     return depth
@@ -478,11 +505,12 @@ def _search(cells, parts, depth: int, anchor: int, st: _Search) -> int:
 
     ``anchor`` is the depth of the deepest first-path node on the path to
     this node, which is ``depth`` itself on the first path.  The return
-    value is ``depth`` when the node is done, or a smaller depth when a
+    value is ``depth`` when the node is done, a smaller depth when a
     leaf below matched the first or the best leaf: the depth where the two
-    paths part.  The recursion passes its state as arguments: a recursive
-    closure is a reference cycle, and leaving one per graph to the cyclic
-    garbage collector added about 7% to the g=6 tables' time.
+    paths part, or -1 when a leaf below hit ``st.known``.  The recursion
+    passes its state as arguments: a recursive closure is a reference
+    cycle, and leaving one per graph to the cyclic garbage collector added
+    about 7% to the g=6 tables' time.
     """
     cells = _refine(cells, st.nbrs, parts, st.base)
     for idx, cell in enumerate(cells):
@@ -509,9 +537,11 @@ def _search(cells, parts, depth: int, anchor: int, st: _Search) -> int:
             if any(_find(orbits, x) == root for x in explored):
                 continue
         path.append(v)
-        _search(head + [[v], [u for u in cell if u != v]] + rest, [[v]],
-                depth + 1, depth if explored else depth + 1, st)
+        back = _search(head + [[v], [u for u in cell if u != v]] + rest, [[v]],
+                       depth + 1, depth if explored else depth + 1, st)
         path.pop()
+        if back < 0:
+            return back
         explored.append(v)
     if st.orbits is not None:
         root = _find(st.orbits, cell[0])
@@ -519,21 +549,36 @@ def _search(cells, parts, depth: int, anchor: int, st: _Search) -> int:
     return depth
 
 
-def _canonical_data(graph: Multigraph, nbrs=None):
+def _edge_codes(graph: Multigraph) -> tuple[int, ...]:
+    """The sorted codes ``u * n + v`` of ``graph``'s edges, as ``known`` keys them."""
+    n = graph.num_vertices
+    return tuple([u * n + v for u, v in graph.edges])
+
+
+def _canonical_data(graph: Multigraph, nbrs=None, known=None):
     """Uncached `canonical_data`, for graphs labeled only once.
 
     ``nbrs``, if given, is ``_neighbors(graph)``, built by the caller.
+    ``known``, if given, maps the `_edge_codes` of canonical forms with
+    ``graph``'s vertex count to values.  When ``graph`` is in one of those
+    classes, the search stops at the first leaf that spells its form and
+    returns ``(value, labeling)``, the labeling an isomorphism onto the
+    form that need not be the first canonical one.  Otherwise it returns
+    the triple it returns without ``known``.
     """
     n = graph.num_vertices
     if n == 1:
+        if known is not None and () in known:
+            return known[()], (0,)
         return graph, ((0,),), 1
     if nbrs is None:
         nbrs = _neighbors(graph)
     cells = _initial_cells(nbrs)
-    st = _Search(nbrs, len(graph.edges) + 1, graph.edges)
+    st = _Search(nbrs, len(graph.edges) + 1, graph.edges, known)
     # the initial cells are the parts of one split of the vertex set, and
     # the degree is constant on each; the radix exceeds every degree
-    _search(cells, cells[:-1], 0, 0, st)
+    if _search(cells, cells[:-1], 0, 0, st) < 0:
+        return st.hit
     best = st.best
     canon = Multigraph._trusted(n, tuple(divmod(code, n) for code in st.best_key))
     labelings = (tuple(best),) + tuple(

@@ -17,6 +17,12 @@ assembled on the coboundary side, from the vertex splits of the X/Y
 members, which the check that their images stay in the row span labels
 anyway: each split orbit of a column graph is one edge orbit of the row
 graph its child is isomorphic to, so no contracted image is labeled.
+Each column class's children are labeled once, for both parities, with
+the uncached `_canonical_data` given the barrel and complement classes:
+the search stops at the first leaf that spells one of them, whose
+labeling is an isomorphism onto it and gives the edge orbit, and for a
+nonzero class the sign, that the first canonical labeling gives.  So
+neither the `canonical_data` nor the `canonicalize` cache is used.
 
 Each family is built once per loop order, with no parity, as `raw_slice`
 builds a slice: one defining permutation per orbit of its frame
@@ -26,8 +32,10 @@ onto the graph of another permutation p'.  The orbits come from
 union-find over the permutations in `itertools.permutations` order, so
 each orbit's root is its first permutation.  Only the root's graph is
 built and labeled, and its class's Aut generators are recorded from that
-labeling; each parity then keeps the nonzero classes, tested on those
-generators, so the second parity builds and labels nothing.
+labeling; a root in a class already found, or in a barrel class for the
+complement, is skipped at the first leaf that spells it.  Each parity
+then keeps the nonzero classes, tested on those generators, so the
+second parity builds and labels nothing.
 """
 
 from __future__ import annotations
@@ -51,9 +59,10 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _canonicalize,
+    _edge_codes,
     _find,
     _join,
-    canonical_data,
+    orientation_sign,
 )
 from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, reduce_mod_p
 from gchom.sparse import IntSparseMatrix
@@ -271,12 +280,18 @@ def _family_classes(kind: str, loops: int) -> tuple[Multigraph, ...]:
     doubles an edge, and those degenerate graphs are not part of the
     relation span.  The complement kinds (A, A') drop graphs isomorphic
     to a barrel.
+
+    A root is labeled against the classes found so far, and the barrels
+    for A and A', so a root in one of those classes stops at the first
+    leaf that spells it and is skipped; only a root of a new class is
+    searched to the end, and it records the class.
     """
     degree = loops - 1 if kind == "B" else loops - 2
     build = _BUILDERS[kind]
-    excluded = set(_family_classes("B", loops)) if kind in ("A", "Aprime") else set()
+    barrels = _family_classes("B", loops) if kind in ("A", "Aprime") else ()
+    known = {_edge_codes(m): m for m in barrels}
     simple_only = kind in ("Y", "Aprime")
-    forms = set()
+    forms = []
     perms = itertools.permutations(range(degree))
     for i, (perm, root) in enumerate(zip(perms, _orbit_roots(kind, degree))):
         if i != root:  # isomorphic to its orbit's root, built earlier
@@ -284,10 +299,13 @@ def _family_classes(kind: str, loops: int) -> tuple[Multigraph, ...]:
         g = build(perm)
         if simple_only and not g.is_simple():
             continue
-        form, labelings, _ = _canonical_data(g)
+        data = _canonical_data(g, known=known)
+        if len(data) == 2:  # a barrel, or a class found at an earlier root
+            continue
+        form, labelings, _ = data
         _record_class(form, labelings)
-        if form not in excluded:
-            forms.add(form)
+        known[_edge_codes(form)] = form
+        forms.append(form)
     return _by_edges(forms)
 
 
@@ -346,36 +364,72 @@ def _edge_weights(row: Multigraph) -> dict[tuple[int, int], int]:
     return {row.edges[i]: sizes[root] for i, root in roots.items()}
 
 
+@lru_cache(maxsize=None)
+def _span_classes(loops: int) -> dict[tuple[int, ...], Multigraph]:
+    """`_edge_codes` of every B, A and A' class, zero or not -> the class."""
+    return {_edge_codes(m): m for kind in ("B", "A", "Aprime")
+            for m in _family_classes(kind, loops)}
+
+
+@lru_cache(maxsize=None)
+def _split_terms(x: Multigraph) -> tuple[tuple[Multigraph, tuple[int, int], int, int], ...]:
+    """``(class, edge, even sign, odd sign)`` per split child of X/Y class x.
+
+    Each child is labeled once, with no parity, against `_span_classes`
+    of x's loop order, so a child in a B, A or A' class stops at the
+    first leaf that spells it; that leaf's labeling is an isomorphism
+    onto the class, and it is zero or nonzero by the class's recorded
+    generators.  A child in no such class is labeled to the end and
+    tested for zero on its own labelings.  ``edge`` is the image of the
+    child's fresh edge (v, n) under the labeling, and a parity's sign is
+    the child's orientation sign times the sign of contracting (v, n),
+    or 0 where the child is zero.
+    """
+    known = _span_classes(x.loop_order)
+    n = x.num_vertices
+    terms = []
+    for v, child in _split_children(x):
+        data = _canonical_data(child, known=known)
+        if len(data) == 2:
+            form, lab = data
+            signs = [0 if _is_zero(form, p) else orientation_sign(child, lab, p)
+                     for p in Parity]
+        else:
+            form, lab = data[0], data[1][0]
+            signs = [_canonicalize(child, p, lambda _: data).sign for p in Parity]
+        fresh = child.edges.index((v, n))
+        terms.append((form, _sorted_pair(lab[v], lab[n]),
+                      *[s * _contraction_sign(child, fresh, p) if s else 0
+                        for s, p in zip(signs, Parity)]))
+    return tuple(terms)
+
+
 def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
     """Entries of `restricted_differential`, from one pass over the X/Y splits.
 
     The same pass checks the span: a nonzero split child whose class is
     no row signals a mis-built complement and raises
-    ImageOutsideSpanError.  The children are labeled through the cached
-    `canonical_data`, because the two parities share most X/Y members,
-    and `dperp_rank` rebuilds the matrix after `upper_bound`.  Each row's
-    edge orbits are computed once per call, from its recorded generators.
+    ImageOutsideSpanError.  The children's terms come from `_split_terms`,
+    labeled once per class for both parities and for the rebuild
+    `dperp_rank` makes after `upper_bound`, outside the `canonical_data`
+    and `canonicalize` caches.  Each row's edge orbits are computed once
+    per call, from its recorded generators.
     """
-    parity = fam.parity
+    odd = fam.parity is Parity.ODD
     rows = {r: i for i, r in enumerate(fam.b_members + fam.bperp_members)}
     weights: dict[Multigraph, dict[tuple[int, int], int]] = {}
     acc: dict[tuple[int, int], int] = {}
     for j, x in enumerate(fam.v_members):
-        n = x.num_vertices
-        for v, child in _split_children(x):
-            res = _canonicalize(child, parity, canonical_data)
-            if res.is_zero:
+        for row, edge, even_sign, odd_sign in _split_terms(x):
+            sign = odd_sign if odd else even_sign
+            if not sign:
                 continue
-            row = res.canonical
             i = rows.get(row)
             if i is None:
                 raise ImageOutsideSpanError(f"split of {x} produced {row}")
             if row not in weights:
                 weights[row] = _edge_weights(row)
-            lab = canonical_data(child)[1][0]
-            weight = weights[row][_sorted_pair(lab[v], lab[n])]
-            sign = _contraction_sign(child, child.edges.index((v, n)), parity)
-            acc[(i, j)] = acc.get((i, j), 0) + weight * res.sign * sign
+            acc[(i, j)] = acc.get((i, j), 0) + weights[row][edge] * sign
     return {k: val for k, val in acc.items() if val}
 
 
@@ -397,10 +451,11 @@ def restricted_differential(loops: int, parity: Parity) -> IntSparseMatrix:
     pairs (r, orbit of edges e of r) with r/e isomorphic to x one to one.
     So each split orbit of x whose child is labeled as row r adds
     weight·sign to entry (r, x), where
-      - weight is the size of the Aut(r) orbit of the edge lab0(v, n),
-        lab0 being c's first canonical labeling, and
-      - sign is c's canonical sign times the sign of contracting (v, n)
-        in c.
+      - weight is the size of the Aut(r) orbit of the edge lab(v, n),
+        lab being any isomorphism of c onto r, such as c's first
+        canonical labeling, and
+      - sign is c's orientation sign under lab, the same for every such
+        lab as r is nonzero, times the sign of contracting (v, n) in c.
     """
     fam = build_families(loops, parity)
     entries = _coboundary_entries(fam)

@@ -10,6 +10,9 @@ from gchom.graphs import (
     Multigraph,
     Parity,
     SelfEdgeError,
+    _canonical_data,
+    _canonicalize,
+    _edge_codes,
     _neighbors,
     _refine,
     automorphism_generators,
@@ -20,7 +23,16 @@ from gchom.graphs import (
     is_triconnected,
     orientation_sign,
 )
-from gchom.kneissler import a_graph, a_prime_graph, barrel, x_graph, y_graph
+from gchom.complexes import _split_children
+from gchom.kneissler import (
+    _family_classes,
+    _span_classes,
+    a_graph,
+    a_prime_graph,
+    barrel,
+    x_graph,
+    y_graph,
+)
 
 import oracles
 
@@ -120,6 +132,64 @@ def test_search_matches_reference_search():
         group = oracles.permutation_group(automorphism_generators(g), g.num_vertices)
         first = labelings[0]
         assert {tuple(first[h[v]] for v in range(g.num_vertices)) for h in group} == set(reference)
+
+
+def assert_known_lookups_match_the_plain_search(graphs, known):
+    """Each graph in a class of ``known`` hits it on an isomorphism; any other misses.
+
+    A hit must give the class ``_canonical_data`` finds, through a labeling
+    that relabels the graph onto it and has the sign of ``labelings[0]`` in
+    each parity where the class is nonzero.  A miss must give the plain
+    search's exact triple.  Returns the number of hits.
+    """
+    classes = set(known.values())
+    hits = 0
+    for g in graphs:
+        plain = _canonical_data(g)
+        got = _canonical_data(g, known=known)
+        if plain[0] not in classes:
+            assert got == plain, g
+            continue
+        hits += 1
+        form, labeling = got
+        assert form == plain[0], g
+        assert g.relabel(labeling) == form, g
+        for parity in Parity:
+            if not _canonicalize(g, parity, lambda _: plain).is_zero:
+                assert (orientation_sign(g, labeling, parity)
+                        == orientation_sign(g, plain[1][0], parity)), (g, parity)
+    return hits
+
+
+def test_known_classes_stop_the_search_on_an_isomorphism():
+    for loops in range(2, 7):
+        images = contraction_images(loops)
+        known = {}
+        for image in images:
+            form = _canonical_data(image)[0]
+            known[_edge_codes(form)] = form
+        assert assert_known_lookups_match_the_plain_search(images, known) == len(images)
+
+
+def test_span_check_children_stop_on_their_row_class():
+    for loops in range(4, 9):
+        children = [child for kind in ("X", "Y") for x in _family_classes(kind, loops)
+                    for _, child in _split_children(x)]
+        hits = assert_known_lookups_match_the_plain_search(children, _span_classes(loops))
+        assert hits > len(children) // 2, loops
+
+
+def test_search_without_a_known_class_matches_the_plain_search():
+    graphs = core_test_graphs()
+    assert assert_known_lookups_match_the_plain_search(graphs, {}) == 0
+    known = {_edge_codes(m): m for m in {_canonical_data(g)[0] for g in graphs}}
+    for g in graphs:
+        # every class of the set but g's own
+        plain = _canonical_data(g)
+        own = _edge_codes(plain[0])
+        form = known.pop(own)
+        assert _canonical_data(g, known=known) == plain, g
+        known[own] = form
 
 
 class _Unread(list):

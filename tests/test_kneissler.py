@@ -249,27 +249,38 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
     loops = 7
     for parity in Parity:
         build_families(loops, parity)
+    kneissler._split_terms.cache_clear()
     labeled = []
 
     def spy(label):
-        def wrapper(graph, *args):
+        def wrapper(graph, *args, **kwargs):
             labeled.append(graph.num_vertices)
-            return label(graph, *args)
+            return label(graph, *args, **kwargs)
         return wrapper
 
     # cached and uncached labelings alike
-    monkeypatch.setattr(graphs, "_canonical_data", spy(graphs._canonical_data))
-    monkeypatch.setattr(complexes, "_canonical_data", spy(complexes._canonical_data))
+    for module in (graphs, complexes, kneissler):
+        monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
     for parity in Parity:
         restricted_differential(loops, parity)
     # the X/Y members' split children have 2g-2 vertices, the contraction
     # images of the rows (the X/Y classes) 2g-3
-    assert set(labeled) <= {2 * loops - 2}
+    assert set(labeled) == {2 * loops - 2}
     # a rebuild, as `dperp_rank` makes after `upper_bound`, labels nothing
+    count = len(labeled)
     for parity in Parity:
-        misses = canonical_data.cache_info().misses
         restricted_differential(loops, parity)
-        assert canonical_data.cache_info().misses == misses, parity
+    assert len(labeled) == count
+
+
+def test_bound_path_leaves_the_label_caches_alone():
+    for cached in (build_families, kneissler._family_classes, kneissler._span_classes,
+                   kneissler._split_terms):
+        cached.cache_clear()
+    before = (canonical_data.cache_info(), canonicalize.cache_info())
+    for parity in Parity:
+        assert upper_bound(7, parity).columns() == BOUND_SMALL[(parity, 7)]
+    assert (canonical_data.cache_info(), canonicalize.cache_info()) == before
 
 
 @pytest.mark.parametrize("parity,loops", sorted(PINNED_RESTRICTED_DIFFERENTIALS, key=str))
