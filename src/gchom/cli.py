@@ -148,7 +148,7 @@ def cmd_check(args) -> int:
     elif args.suite == "tables":
         if args.max_loops:
             kwargs["max_even"] = args.max_loops
-            kwargs["max_odd"] = min(args.max_loops, 6)
+            kwargs["max_odd"] = min(args.max_loops, 7)
         if args.prime:
             kwargs["primes"] = (args.prime, 10007 if args.prime != 10007 else 3323)
         kwargs["cache"] = resolve_cache(args.cache)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from gchom.cache import FileCache
 from gchom.complexes import BasisSlice, ComplexSpec
-from gchom.linalg import RANK_METHODS, PrimeField, reduce_mod_p
+from gchom.linalg import RANK_METHODS, PrimeField, gauss_ranks, reduce_mod_p
 
 DEFAULT_GENERATOR_CAP = 5_000_000
 
@@ -92,18 +92,21 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     (which must differ from `prime`), rows whose ranks agree at both
     primes are certified.  Bases and differentials come from `cache`,
     an in-memory `FileCache` when none is given; each differential is
-    fetched once and ranked at every prime.  A slice with more than
+    fetched once.  Gauss with a confirm prime ranks it at both primes in
+    one elimination over Z/pqZ (`gauss_ranks`); otherwise it is ranked
+    at `prime` alone.  A slice with more than
     `DEFAULT_GENERATOR_CAP` generators raises GeneratorCapExceeded.
     """
     if method not in RANK_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    fields = [PrimeField(prime)]
+    fp = PrimeField(prime)
+    primes = (prime,)
     if confirm_prime is not None:
         if confirm_prime == prime:
             raise ValueError(f"confirm prime must differ from the prime {prime}")
-        confirm_field = PrimeField(confirm_prime)
+        PrimeField(confirm_prime)
         if method == "gauss":
-            fields.append(confirm_field)
+            primes = (prime, confirm_prime)
     if cache is None:
         cache = FileCache()
     slices: dict[int, BasisSlice] = {}
@@ -115,16 +118,20 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
             )
         slices[v] = s
 
-    # per field: V -> rank of the differential leaving the slice at V
-    per_field: list[dict[int, int]] = [{} for _ in fields]
+    # per prime: V -> rank of the differential leaving the slice at V
+    per_prime: list[dict[int, int]] = [{} for _ in primes]
     for v in _slice_range(spec):
         if v - 1 not in slices or not len(slices[v]) or not len(slices[v - 1]):
             continue
         mat = cache.matrix(spec, v)
-        for fp, ranks in zip(fields, per_field):
-            ranks[v] = RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank
+        if len(primes) > 1:
+            got = gauss_ranks(mat, primes)
+        else:
+            got = (RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank,)
+        for rank, ranks in zip(got, per_prime):
+            ranks[v] = rank
 
-    ranks, *confirm = per_field
+    ranks, *confirm = per_prime
     rows = []
     for v in sorted(slices):
         dim = len(slices[v])

@@ -3,19 +3,36 @@
 Two rank engines, named in `RANK_METHODS`: sparse Gaussian elimination
 with Markowitz-style pivoting (exact), and a randomized Wiedemann rank
 estimator (a probabilistic lower bound, from the minimal polynomial of
-a preconditioned Gram operator recovered by Berlekamp-Massey).  The
-Gram operator B = D1 A^T D2 A D1 is symmetric, so the Krylov sequence
-u^T B^k u is read off w_j = B^j u as w_j.w_j and w_j.w_{j+1}: one
-application of B per two terms.  The random diagonals are folded into
-the stored values of A once, so an application is two sparse passes.
-Arithmetic is exact for any odd prime; the vectorized fast path kicks
-in for p < 2**25 where int64 products cannot overflow, and long sums of
-them are reduced in chunks.
+a preconditioned Gram operator recovered by Berlekamp-Massey).
+
+Gauss ranks a matrix at several primes in one elimination over Z/NZ,
+N the product of the primes (`gauss_ranks`; `gauss_rank` is its
+one-prime case).  By the Chinese remainder theorem Z/NZ is the product
+of the fields F_p, and reduction mod each p is a ring map, so a step
+whose pivot is a unit mod N, nonzero mod every p, is a valid pivot step
+over every F_p at once.  A column whose live entries are all non-units
+is set aside until an update gives it a unit.  The rows that remain
+have entries only in set-aside columns; each prime ranks them on its
+own, and the rank at p is the number of unit pivots plus theirs.  The
+active block turns dense once more than `_DENSE_SWITCH_DENSITY` of it
+is filled (and its area is at most `_DENSE_SWITCH_AREA`); the dense
+phase pivots by the same rule in int64, which is exact while
+(N - 1)**2 + N < 2**63, so N below about 3e9.  Past that the
+elimination stays sparse, in Python ints.
+
+The Gram operator B = D1 A^T D2 A D1 is symmetric, so the Krylov
+sequence u^T B^k u is read off w_j = B^j u as w_j.w_j and
+w_j.w_{j+1}: one application of B per two terms.  The random diagonals
+are folded into the stored values of A once, so an application is two
+sparse passes.  Arithmetic is exact for any odd prime; the vectorized
+fast path kicks in for p < 2**25 where int64 products cannot overflow,
+and long sums of them are reduced in chunks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,12 +118,6 @@ class FpSparseMatrix:
     def num_entries(self) -> int:
         return len(self.entries)
 
-    def rows(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     def to_arrays(self):
         """(row_idx, col_idx, values) as int64 arrays, row-major order."""
         items = sorted(self.entries.items())
@@ -178,66 +189,84 @@ class RankResult:
         )
 
 
-def _dense_rank_mod_p(dense: np.ndarray, p: int) -> int:
-    m = np.ascontiguousarray(dense % p, dtype=np.int64)
+def _dense_ranks(dense: np.ndarray, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Ranks of a dense integer block at each prime, by elimination mod N.
+
+    N is the product of the primes and must satisfy `_dense_exact(N)`.
+    A column pivots on its first unit; the rows left below the last
+    pivot are ranked at each prime on their own.
+    """
+    n = math.prod(primes)
+    m = np.ascontiguousarray(dense % n, dtype=np.int64)
     nr, nc = m.shape
-    rank = 0
     row = 0
     for col in range(nc):
         if row == nr:
             break
-        piv = None
         colvals = m[row:, col]
-        nz = np.nonzero(colvals)[0]
-        if nz.size == 0:
+        if len(primes) == 1:
+            units = np.flatnonzero(colvals)
+        else:
+            units = np.flatnonzero(np.logical_and.reduce([colvals % p != 0 for p in primes]))
+        if units.size == 0:
             continue
-        piv = row + nz[0]
+        piv = row + units[0]
         if piv != row:
             m[[row, piv]] = m[[piv, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
+        inv = pow(int(m[row, col]), -1, n)
         below = m[row + 1:, col]
-        nzb = np.nonzero(below)[0]
+        nzb = np.flatnonzero(below)
         if nzb.size:
-            factors = (below[nzb] * inv) % p
-            m[row + 1 + nzb] = (m[row + 1 + nzb] - factors[:, None] * m[row]) % p
-        rank += 1
+            factors = (below[nzb] * inv) % n
+            m[row + 1 + nzb] = (m[row + 1 + nzb] - factors[:, None] * m[row]) % n
         row += 1
-    return rank
+    if len(primes) == 1:
+        # every nonzero is a unit, so nothing is left below the pivots
+        return (row,)
+    rest = m[row:]
+    return tuple(row + _dense_ranks(rest % p, (p,))[0] for p in primes)
+
+
+def _dense_exact(n: int) -> bool:
+    """int64 dense elimination mod n is exact: a product of two residues
+    subtracted from a residue stays inside int64."""
+    return (n - 1) ** 2 + n < _INT64_SUM_LIMIT
 
 
 _DENSE_SWITCH_AREA = 4_000_000
 _DENSE_SWITCH_DENSITY = 0.2
 
 
-def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
-    """Exact F_p rank by sparse elimination.
-
-    Pivot selection is Markowitz-flavoured: the sparsest column, then
-    its shortest row.  When the active block becomes small or dense
-    enough it is finished by vectorized dense elimination.
-    """
+def _eliminate(nrows: int, entries, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Ranks at each prime of the matrix whose nonzero entries are
+    ``entries``, an iterable of ((i, j), v) with v already reduced mod
+    N = prod(primes) and nonzero.  See `gauss_ranks`."""
     import heapq
 
-    p = matrix.p
-    rows = matrix.rows()
+    n = math.prod(primes)
+    single = len(primes) == 1
+    rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
     cols: dict[int, set[int]] = {}
-    for (i, j) in matrix.entries:
+    for (i, j), v in entries:
+        rows[i][j] = v
         cols.setdefault(j, set()).add(i)
-    nnz = len(matrix.entries)
-    rank = 0
+    nnz = sum(len(r) for r in rows)
+    pivots = 0
     # nonempty rows and columns; a row or column that empties stays empty
     live_row_count = sum(1 for r in rows if r)
     live_col_count = len(cols)
+    # live columns without a unit entry, off the heap until an update gives them one
+    aside: set[int] = set()
 
     col_heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(col_heap)
 
     def pop_column():
-        # lazy heap: skip stale or exhausted columns
+        # lazy heap: skip stale, exhausted or set-aside columns
         while col_heap:
             cnt, j = heapq.heappop(col_heap)
             live = cols.get(j)
-            if not live:
+            if not live or j in aside:
                 continue
             if len(live) != cnt:
                 heapq.heappush(col_heap, (len(live), j))
@@ -245,7 +274,7 @@ def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
             return j
         return None
 
-    dense_ok = p < _FAST_PRIME_LIMIT
+    dense_ok = _dense_exact(n)
     check_interval = 16
     steps = 0
     while True:
@@ -253,29 +282,32 @@ def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
             if not live_row_count:
                 break
             area = live_row_count * live_col_count
-            if area <= 65536 or (area <= _DENSE_SWITCH_AREA
-                                 and nnz > _DENSE_SWITCH_DENSITY * area):
-                live_rows = [i for i in range(matrix.nrows) if rows[i]]
+            if area <= _DENSE_SWITCH_AREA and nnz > _DENSE_SWITCH_DENSITY * area:
+                live_rows = [r for r in rows if r]
                 live_cols = sorted(c for c, members in cols.items() if members)
                 cmap = {c: k for k, c in enumerate(live_cols)}
                 dense = np.zeros((live_row_count, live_col_count), dtype=np.int64)
-                for k, i in enumerate(live_rows):
-                    for c, v in rows[i].items():
+                for k, r in enumerate(live_rows):
+                    for c, v in r.items():
                         dense[k, cmap[c]] = v
-                rank += _dense_rank_mod_p(dense, p)
-                return RankResult(rank, "gauss", True, p, seed)
+                return tuple(pivots + r for r in _dense_ranks(dense, primes))
         steps += 1
         j = pop_column()
         if j is None:
             break
-        i = min(cols[j], key=lambda r: (len(rows[r]), r))
+        # at one prime every nonzero entry is a unit
+        units = cols[j] if single else [r for r in cols[j] if math.gcd(rows[r][j], n) == 1]
+        if not units:
+            aside.add(j)
+            continue
+        i = min(units, key=lambda r: (len(rows[r]), r))
         piv_row = rows[i]
-        inv = pow(piv_row[j], p - 2, p)
+        inv = pow(piv_row[j], -1, n)
         for r in [r for r in cols[j] if r != i]:
             rr = rows[r]
-            factor = (rr[j] * inv) % p
+            factor = (rr[j] * inv) % n
             for c, v in piv_row.items():
-                nv = (rr.get(c, 0) - factor * v) % p
+                nv = (rr.get(c, 0) - factor * v) % n
                 if nv:
                     if c not in rr:
                         colset = cols.setdefault(c, set())
@@ -283,6 +315,9 @@ def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
                         heapq.heappush(col_heap, (len(colset), c))
                         nnz += 1
                     rr[c] = nv
+                    if aside and c in aside and math.gcd(nv, n) == 1:
+                        aside.discard(c)
+                        heapq.heappush(col_heap, (len(cols[c]), c))
                 else:
                     if c in rr:
                         del rr[c]
@@ -301,9 +336,49 @@ def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
         rows[i] = {}
         live_row_count -= 1
         cols.pop(j, None)
-        rank += 1
+        pivots += 1
 
-    return RankResult(rank, "gauss", True, p, seed)
+    if single:
+        # every nonzero entry was a unit, so the pivots emptied every row
+        return (pivots,)
+    # the rows left have entries only in set-aside columns
+    left = [(i, r) for i, r in enumerate(rows) if r]
+    return tuple(
+        pivots + _eliminate(nrows, (((i, c), v % p) for i, r in left
+                                    for c, v in r.items() if v % p), (p,))[0]
+        for p in primes
+    )
+
+
+def gauss_ranks(matrix, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact ranks of an integer matrix at each of several primes, from
+    one sparse elimination over Z/NZ, N the product of the primes.
+
+    ``matrix`` is any sparse matrix with ``nrows``, ``ncols`` and integer
+    ``entries``, such as an `IntSparseMatrix`.  Pivots are Markowitz-
+    flavoured, as in `gauss_rank`, but must be units mod N: a column
+    whose live entries are all non-units is set aside until an update
+    gives it a unit.  The rows left at the end are ranked at each prime
+    on their own.  When the active block becomes dense enough it is
+    finished by the same rule in vectorized dense elimination, if N is
+    small enough for int64 (below about 3e9).
+    """
+    n = math.prod(primes)
+    reduced = ((key, v % n) for key, v in matrix.entries.items())
+    return _eliminate(matrix.nrows, ((key, v) for key, v in reduced if v), tuple(primes))
+
+
+def gauss_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
+    """Exact F_p rank by sparse elimination: `gauss_ranks` at the one
+    prime p, where every nonzero entry is a unit.
+
+    Pivot selection is Markowitz-flavoured: the sparsest column, then
+    its shortest row.  When the active block becomes dense enough
+    (more than `_DENSE_SWITCH_DENSITY` of it filled, and no larger than
+    `_DENSE_SWITCH_AREA`) it is finished by vectorized dense elimination.
+    """
+    (rank,) = gauss_ranks(matrix, (matrix.p,))
+    return RankResult(rank, "gauss", True, matrix.p, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,36 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank mod p of a sparse integer matrix's `entries`, by echelon insertion.
+
+    Each row is reduced by the echelon rows found so far, leading column
+    first, and joins them (scaled to a leading 1) unless it vanishes.
+    Plain Python ints, one prime, no pivot ordering.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in matrix.entries.items():
+        if v % p:
+            rows.setdefault(i, {})[j] = v % p
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> row
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            basis = echelon.get(lead)
+            if basis is None:
+                inv = pow(row[lead], p - 2, p)
+                echelon[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in basis.items():
+                nv = (row.get(j, 0) - f * v) % p
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+    return len(echelon)
+
+
 def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
     """Each nonzero class of a family -> the permutations whose graph is in it.
 

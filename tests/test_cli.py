@@ -145,6 +145,59 @@ def test_check_suite_exit_codes(capsys):
                for line in out.strip().splitlines())
 
 
+def recording_suite(monkeypatch, name):
+    """Swap the named check suite for one that records its kwargs."""
+    from gchom import checks
+
+    calls = []
+    monkeypatch.setitem(checks.SUITES, name, lambda **kwargs: calls.append(kwargs) or [])
+    return calls
+
+
+def test_check_tables_caps_odd_at_seven(capsys, monkeypatch):
+    import inspect
+
+    from gchom.checks import suite_tables
+
+    assert inspect.signature(suite_tables).parameters["max_odd"].default == 7
+    calls = recording_suite(monkeypatch, "tables")
+    for loops, odd in (("8", 7), ("7", 7), ("5", 5)):
+        code, _, _ = run(capsys, "check", "--suite", "tables", "--max-loops", loops)
+        assert code == 0
+        kwargs = calls.pop()
+        assert (kwargs["max_even"], kwargs["max_odd"]) == (int(loops), odd)
+        assert "primes" not in kwargs
+    run(capsys, "check", "--suite", "tables", "--prime", "10007")
+    kwargs = calls.pop()
+    assert "max_odd" not in kwargs and kwargs["primes"] == (10007, 3323)
+
+
+def test_check_kneissler_reaches_the_g10_rows(capsys, monkeypatch):
+    from gchom import checks
+    from gchom.kneissler import KneisslerReport
+
+    asked = []
+
+    def fake_upper_bound(g, parity, prime):
+        asked.append((parity, g))
+        want = checks.BOUND_ROWS_G10.get((parity, g), (0, 0, 0, 0, 0))
+        return KneisslerReport(g, parity, *want, prime, "gauss", 0)
+
+    monkeypatch.setattr(checks, "upper_bound", fake_upper_bound)
+    monkeypatch.setattr(checks, "dperp_rank", lambda g, parity, prime: (1, 1))
+    code, out, _ = run(capsys, "check", "--suite", "kneissler", "--max-loops", "10")
+    assert sorted(g for _, g in asked) == [5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10]
+    assert "PASS bound odd g=10" in out and "PASS bound even g=10" in out
+    assert "PASS surjectivity odd g=10" in out and "PASS surjectivity even g=10" in out
+    assert checks.BOUND_ROWS_G10 == {
+        (Parity.ODD, 10): (652, 3778, 11091, 4424, 6),
+        (Parity.EVEN, 10): (542, 3484, 10652, 4025, 1),
+    }
+    asked.clear()
+    run(capsys, "check", "--suite", "kneissler", "--max-loops", "9")
+    assert max(g for _, g in asked) == 9
+
+
 def test_errors_exit_nonzero(capsys, tmp_path):
     code, _, err = run(capsys, "rank", "--matrix", str(tmp_path / "nope.sms"))
     assert code == 1 and "error" in err

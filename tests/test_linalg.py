@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gchom.cache import FileCache
 from gchom.complexes import ComplexSpec, Variant, differential_matrix, enumerate_basis
 from gchom.graphs import Parity
 from gchom.linalg import (
@@ -16,8 +17,10 @@ from gchom.linalg import (
     _BMState,
     _matmul_mod,
     _scalar_wiedemann_bound,
+    _dense_ranks,
     berlekamp_massey,
     gauss_rank,
+    gauss_ranks,
     precondition,
     rational_rank,
     reduce_mod_p,
@@ -111,54 +114,230 @@ def test_gauss_product_rank():
 
 def test_gauss_matches_dense_oracle():
     rng = random.Random(13)
-    from gchom.linalg import _dense_rank_mod_p
-
     for _ in range(30):
         nr, nc = rng.randint(1, 20), rng.randint(1, 20)
         m = random_fp(rng, nr, nc, rng.uniform(0.05, 0.6))
-        assert gauss_rank(m).rank == _dense_rank_mod_p(oracles.dense(m), P)
+        assert gauss_rank(m).rank == oracles.rank_mod_p(m, P)
 
 
 def dependent_sparse_matrix(rng, p, nrows=360, ncols=300, independent=200):
-    """Sparse rows, the later ones sums of two earlier ones, so that
-    elimination empties rows as it goes."""
+    """Sparse rows, the later ones sums of three earlier ones, so that
+    elimination empties rows as it goes and fills the rest in enough
+    to reach the dense phase."""
     entries = {}
     for i in range(independent):
-        for j in rng.sample(range(ncols), 3):
+        for j in rng.sample(range(ncols), 8):
             entries[(i, j)] = rng.randrange(1, p)
     for i in range(independent, nrows):
-        a, b = rng.sample(range(independent), 2)
+        picked = rng.sample(range(independent), 3)
         for (r, j), v in list(entries.items()):
-            if r in (a, b):
+            if r in picked:
                 entries[(i, j)] = (entries.get((i, j), 0) + v) % p
     return FpSparseMatrix(nrows, ncols, p, {k: v for k, v in entries.items() if v})
 
 
-def test_gauss_sparse_phase_matches_dense_oracle(monkeypatch):
+def recording_dense_phase(monkeypatch):
+    """The blocks (and primes) handed to the dense phase, as they are handed."""
     from gchom import linalg
 
     handed_off = []
-    dense_rank = linalg._dense_rank_mod_p
+    dense_ranks = linalg._dense_ranks
 
-    def recording_dense_rank(block, p):
-        handed_off.append(block.copy())
-        return dense_rank(block, p)
+    def recording(block, primes):
+        handed_off.append((block.copy(), primes))
+        return dense_ranks(block, primes)
 
-    monkeypatch.setattr(linalg, "_dense_rank_mod_p", recording_dense_rank)
+    monkeypatch.setattr(linalg, "_dense_ranks", recording)
+    return handed_off
+
+
+def assert_switch_rule(block):
+    # the live counts kept while pivoting size the block exactly, and
+    # only a block denser than the switch density is handed off
+    from gchom import linalg
+
+    assert block.any(axis=1).all() and block.any(axis=0).all()
+    area = block.size
+    assert area <= linalg._DENSE_SWITCH_AREA
+    assert np.count_nonzero(block) > linalg._DENSE_SWITCH_DENSITY * area
+
+
+def test_gauss_sparse_phase_matches_dense_oracle(monkeypatch):
+    handed_off = recording_dense_phase(monkeypatch)
     rng = random.Random(59)
-    # 33554467 > 2**25 has no dense phase: every pivot is sparse
-    for p in (P, 10007, 33554467):
+    # 4294967311 > 2**32 fails the int64 gate of the dense phase: every
+    # pivot is sparse
+    for p in (P, 10007, 4294967311):
         for _ in range(2):
             m = dependent_sparse_matrix(rng, p)
             handed_off.clear()
-            got = gauss_rank(m).rank
-            assert got == dense_rank(oracles.dense(m), p)
-            assert len(handed_off) == (p < 1 << 25)
-            for block in handed_off:
-                # the live counts kept while pivoting size the block exactly
-                assert block.any(axis=1).all() and block.any(axis=0).all()
-                area = block.size
-                assert area <= 65536 or np.count_nonzero(block) > 0.2 * area
+            assert gauss_rank(m).rank == oracles.rank_mod_p(m, p)
+            assert len(handed_off) == (p < 1 << 32)
+            for block, primes in handed_off:
+                assert primes == (p,)
+                assert_switch_rule(block)
+                # the fill-in made the block dense; it was handed off
+                # after some sparse pivots, not at the start
+                assert block.shape[0] < m.nrows
+
+
+def test_gauss_never_hands_off_a_sparse_block(monkeypatch):
+    # small blocks with fill <= 0.2 stay sparse however small they are;
+    # only the last few pivots of a shrinking block may go dense
+    handed_off = recording_dense_phase(monkeypatch)
+    rng = random.Random(67)
+    for _ in range(20):
+        nr, nc = rng.randint(30, 120), rng.randint(30, 250)
+        m = random_fp(rng, nr, nc, rng.uniform(0.01, 0.1))
+        handed_off.clear()
+        assert gauss_rank(m).rank == oracles.rank_mod_p(m, P)
+        for block, _ in handed_off:
+            assert_switch_rule(block)
+            assert block.shape != (nr, nc)
+    # the 107 x 250 odd g=6 differential, 3.6% filled
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 6)
+    m = FileCache().matrix(spec, 6)
+    assert (m.nrows, m.ncols) == (107, 250)
+    handed_off.clear()
+    gauss_ranks(m, TWO_PRIMES)
+    for block, primes in handed_off:
+        if primes == TWO_PRIMES:  # not a per-prime leftover
+            assert_switch_rule(block)
+            assert block.size < m.nrows * m.ncols
+
+
+TWO_PRIMES = (3323, 10007)
+
+
+def assert_ranks_match_oracle(m, primes=TWO_PRIMES):
+    got = gauss_ranks(m, primes)
+    assert got == tuple(oracles.rank_mod_p(m, p) for p in primes)
+    return got
+
+
+def test_gauss_ranks_match_oracle_on_differentials():
+    count = 0
+    for parity, variant in itertools.product(Parity, Variant):
+        for g in range(2, 7):
+            spec = ComplexSpec(parity, variant, g)
+            provider = FileCache()
+            for v in range(3, 2 * g - 1):
+                m = provider.matrix(spec, v)
+                if m.entries:
+                    assert_ranks_match_oracle(m)
+                    count += 1
+    assert count >= 20
+
+
+def non_unit_matrix(rng, primes, nr, nc, fill):
+    """Integer entries, a quarter of them multiples of the first prime and
+    a quarter multiples of the second: non-units mod their product."""
+    p, q = primes
+    entries = {}
+    for i in range(nr):
+        for j in range(nc):
+            if rng.random() < fill:
+                kind = rng.random()
+                v = rng.randrange(1, p * q)
+                if kind < 0.25:
+                    v = p * rng.randrange(-q, q)
+                elif kind < 0.5:
+                    v = q * rng.randrange(-p, p)
+                if v:
+                    entries[(i, j)] = v
+    return IntSparseMatrix(nr, nc, entries)
+
+
+def recording_leftovers(monkeypatch):
+    """(entries, one-prime rank) of the rows that unit pivots leave, sparse
+    or dense."""
+    from gchom import linalg
+
+    leftovers = []
+    eliminate, dense_ranks = linalg._eliminate, linalg._dense_ranks
+
+    def recording_eliminate(nrows, entries, primes):
+        entries = list(entries)
+        got = eliminate(nrows, entries, primes)
+        if len(primes) == 1:
+            leftovers.append((len(entries), got[0]))
+        return got
+
+    def recording_dense(block, primes):
+        got = dense_ranks(block, primes)
+        if len(primes) == 1:
+            leftovers.append((np.count_nonzero(block), got[0]))
+        return got
+
+    monkeypatch.setattr(linalg, "_eliminate", recording_eliminate)
+    monkeypatch.setattr(linalg, "_dense_ranks", recording_dense)
+    return leftovers
+
+
+def test_gauss_ranks_with_non_unit_entries(monkeypatch):
+    leftovers = recording_leftovers(monkeypatch)
+    rng = random.Random(71)
+    sparse_left = dense_left = 0
+    for k in range(300):
+        # the sparser half pivots sparse, the denser half goes dense at
+        # once, small enough that some columns hold no unit
+        if k % 2:
+            nr, nc, fill = rng.randint(1, 30), rng.randint(1, 30), rng.uniform(0.02, 0.2)
+        else:
+            nr, nc, fill = rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.3, 0.9)
+        m = non_unit_matrix(rng, TWO_PRIMES, nr, nc, fill)
+        leftovers.clear()
+        assert_ranks_match_oracle(m)
+        if any(rank for _, rank in leftovers):
+            sparse_left += k % 2
+            dense_left += 1 - k % 2
+    # rows left without unit pivots had a rank of their own at some prime
+    assert sparse_left >= 30 and dense_left >= 20
+
+
+def test_gauss_ranks_revive_a_set_aside_column(monkeypatch):
+    # column 0 holds only non-units, so it is set aside; pivoting on
+    # column 1 leaves 65539 - 65537 = 2, a unit, in row 1, and column 0
+    # comes back for the second pivot: no rows are left over
+    leftovers = recording_leftovers(monkeypatch)
+    primes = (65537, 65539)
+    gadget = IntSparseMatrix(2, 2, {(0, 0): 65537, (0, 1): 1, (1, 0): 65539, (1, 1): 1})
+    assert gauss_ranks(gadget, primes) == (2, 2)
+    assert leftovers == [(0, 0), (0, 0)]
+
+
+def test_gauss_ranks_above_the_dense_gate(monkeypatch):
+    from gchom import linalg
+
+    handed_off = recording_dense_phase(monkeypatch)
+    primes = (65537, 65539)
+    assert all(linalg._is_prime(p) for p in primes)
+    assert not linalg._dense_exact(65537 * 65539)
+    rng = random.Random(73)
+    for _ in range(40):
+        m = non_unit_matrix(rng, primes, rng.randint(1, 25), rng.randint(1, 25),
+                            rng.uniform(0.1, 0.9))
+        assert_ranks_match_oracle(m, primes)
+    # only the one-prime leftovers, whose prime passes the gate, go dense
+    assert all(len(got) == 1 for _, got in handed_off)
+
+
+def test_gauss_ranks_shapes():
+    for nr, nc in ((0, 0), (0, 5), (5, 0), (4, 6)):
+        assert gauss_ranks(IntSparseMatrix(nr, nc, {}), TWO_PRIMES) == (0, 0)
+    rng = random.Random(79)
+    for nr, nc in ((1, 17), (17, 1), (1, 1)):
+        for _ in range(10):
+            assert_ranks_match_oracle(non_unit_matrix(rng, TWO_PRIMES, nr, nc, 0.7))
+    ident = IntSparseMatrix(9, 9, {(i, i): 1 for i in range(9)})
+    assert gauss_ranks(ident, TWO_PRIMES) == (9, 9)
+    # a diagonal of non-units: each prime sees only the entries it does not divide
+    diag = IntSparseMatrix(3, 3, {(0, 0): 3323, (1, 1): 10007, (2, 2): 3323 * 10007})
+    assert gauss_ranks(diag, TWO_PRIMES) == (1, 1)
+    assert gauss_ranks(diag, (3323,)) == (1,)
+    # a dense column without a unit: each prime ranks the other's multiple
+    column = IntSparseMatrix(2, 1, {(0, 0): 3323, (1, 0): 2 * 10007})
+    assert gauss_ranks(column, TWO_PRIMES) == (1, 1)
 
 
 def test_berlekamp_massey_examples():
@@ -258,8 +437,6 @@ def test_precondition_identity_diagonals_give_gram_operator():
 
 
 def test_precondition_preserves_rank():
-    from gchom.linalg import _dense_rank_mod_p
-
     rng = random.Random(29)
     agree = 0
     for i in range(100):
@@ -269,8 +446,8 @@ def test_precondition_preserves_rank():
         dense = oracles.dense(m)
         b = (np.diag(op.d1) @ dense.T % P @ np.diag(op.d2) % P
              @ dense % P @ np.diag(op.d1)) % P
-        ra = _dense_rank_mod_p(dense, P)
-        rb = _dense_rank_mod_p(b, P)
+        (ra,) = _dense_ranks(dense, (P,))
+        (rb,) = _dense_ranks(b, (P,))
         assert rb <= ra
         agree += rb == ra
     assert agree >= 95
