@@ -43,6 +43,7 @@ import itertools
 import os
 import pickle
 import threading
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -206,18 +207,32 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _split_children(graph: Multigraph, keep=None, nbrs=None):
+def _split_children(graph: Multigraph):
     """``(v, child)`` for each split `_split_orbit_reps` keeps, in its order.
 
     v is the split vertex, so the child's fresh edge is ``(v, n)`` for
-    ``n = graph.num_vertices``; ``keep`` and ``nbrs`` are passed on.
+    ``n = graph.num_vertices``.
     """
-    n = graph.num_vertices
-    incident, splits = _split_orbit_reps(graph, keep, nbrs)
-    for v, group in itertools.groupby(splits, key=lambda split: split[0]):
-        others = [e for e in graph.edges if v not in e]
-        for _, take in group:
-            yield v, _split_child(n, others, v, incident[v], take)
+    nbrs, splits = _split_orbit_reps(graph)
+    deg = [sum(m for _, m in row) for row in nbrs]
+    for v, take in splits:
+        yield v, _rows_graph(_split_child(nbrs, deg, v, take)[0])
+
+
+@lru_cache(maxsize=None)
+def _split_takes(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The takes that split a vertex whose multiplicities, in neighbor order, are ``counts``.
+
+    A take gives the half-edges to each neighbor that move.  Both sides
+    must keep at least two old half-edges, and of a take and its
+    complement, the two orders of the sides, only the smaller is kept.
+    These depend on the multiplicities alone, so they are found once per
+    tuple, in `itertools.product` order; the slices of g=7 meet 145 tuples.
+    """
+    d = sum(counts)
+    return tuple(take for take in itertools.product(*(range(m + 1) for m in counts))
+                 if 2 <= sum(take) <= d - 2
+                 and take <= tuple([m - k for m, k in zip(counts, take)]))
 
 
 def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
@@ -227,9 +242,10 @@ def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
     joined by a fresh edge; both sides must keep at least two old
     half-edges, so only vertices of degree >= 4 split.  A split is v with
     the number of half-edges to each neighbor that move, up to swapping
-    the sides.  Splits in one orbit give isomorphic graphs, so only the
-    first split of each orbit (in the order of v, then of the counts) is
-    kept.
+    the sides: one of v's `_split_takes`, read from the table of its
+    multiplicity pattern, so no split is built to be thrown away.  Splits
+    in one orbit give isomorphic graphs, so only the first split of each
+    orbit (in the order of v, then of the takes) is kept.
 
     Returns ``(incident, splits)``: ``incident[v]`` lists v's (neighbor,
     multiplicity) pairs in neighbor order, and ``splits`` the first
@@ -243,17 +259,8 @@ def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
     incident = _neighbors(graph) if nbrs is None else nbrs
     splits = []  # (v, moved counts in the order of incident[v])
     for v, row in enumerate(incident):
-        counts = [m for _, m in row]
-        d = sum(counts)
-        if d < 4:
-            continue
-        for take in itertools.product(*(range(m + 1) for m in counts)):
-            if not 2 <= sum(take) <= d - 2:
-                continue
-            comp = tuple(m - k for m, k in zip(counts, take))
-            if take > comp:  # unordered pair of sides, keep one representative
-                continue
-            if keep is None or keep(v, incident[v], take):
+        for take in _split_takes(tuple([m for _, m in row])):
+            if keep is None or keep(v, row, take):
                 splits.append((v, take))
     if len(splits) > 1:
         generators = _generators_of(graph)
@@ -263,17 +270,46 @@ def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
     return incident, splits
 
 
-def _split_child(n: int, others, v: int, row, take) -> Multigraph:
-    """The split of vertex v of an n-vertex graph; its fresh edge is (v, n).
+def _split_child(nbrs, deg, v: int, take):
+    """Rows and degrees of the split of vertex v, edited from the parent's.
 
-    ``others`` are the graph's edges not at v, ``row`` is v's incidence
-    list and ``take`` the half-edges to each neighbor that move to n.
+    ``nbrs`` and ``deg`` are the parent's `_neighbors` rows and degrees,
+    and ``take`` the half-edges to each neighbor in ``nbrs[v]`` that move
+    to the new vertex n = len(nbrs), which the fresh edge (v, n) joins to
+    v.  Only the rows of v, of its neighbors and of n, and the degrees of
+    v and n, differ from the parent's; the other rows are the parent's
+    own lists, shared.  The rows are those `_neighbors` gives the child.
     """
-    edges = others + [(v, n)]
-    for (x, m), k in zip(row, take):
-        edges.extend([(x, n)] * k)
-        edges.extend([(v, x) if v < x else (x, v)] * (m - k))
-    return Multigraph._trusted(n + 1, tuple(sorted(edges)))
+    n = len(nbrs)
+    rows = nbrs + [None]
+    row_v, row_n = [], []
+    moved = 0
+    for (x, m), k in zip(nbrs[v], take):
+        kept = m - k
+        row = [(y, kept) if y == v else (y, c) for y, c in nbrs[x] if y != v or kept]
+        if k:
+            row.append((n, k))
+            row_n.append((x, k))
+            moved += k
+        if kept:
+            row_v.append((x, kept))
+        rows[x] = row
+    row_v.append((n, 1))
+    insort(row_n, (v, 1))
+    rows[v], rows[n] = row_v, row_n
+    child_deg = deg + [moved + 1]
+    child_deg[v] = deg[v] + 1 - moved
+    return rows, child_deg
+
+
+def _rows_graph(rows) -> Multigraph:
+    """The graph whose `_neighbors` rows are ``rows``."""
+    edges = []
+    for u, row in enumerate(rows):
+        for x, m in row:
+            if u < x:
+                edges.extend([(u, x)] * m)
+    return Multigraph._trusted(len(rows), tuple(edges))
 
 
 def _split_images(splits, incident, generators):
@@ -298,43 +334,61 @@ def _sorted_pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _canonical_parent_form(child: Multigraph, fresh: tuple[int, int]) -> Multigraph | None:
-    """Canonical form of ``child`` if ``fresh`` is its canonical contraction edge.
+def _still_tied(tied, fresh, key):
+    """The edges of ``tied`` whose sorted pair of endpoint keys is fresh's.
 
-    The canonical contraction edge m(child) is a simple edge chosen up to
-    Aut(child), in three isomorphism-invariant stages: the largest sorted
-    pair of endpoint degrees, then among those the largest sorted pair of
-    endpoint signatures (a vertex's sorted (neighbor degree, multiplicity)
-    pairs), then among those the edge with the smallest image under the
-    first canonical labeling.  Returns None when ``fresh`` loses stage 1
-    or 2, before anything is labeled, or when it is not in the Aut(child)
-    orbit of m(child) (union-find over the generators).  An accepted
-    class's generators are recorded from the child's labelings.
+    ``key`` lists a key per vertex.  None as soon as one edge's pair is
+    larger than fresh's.
     """
-    nbrs = _neighbors(child)
-    deg = [sum(m for _, m in row) for row in nbrs]
-
-    def degree_pair(e):
-        return _sorted_pair(deg[e[0]], deg[e[1]])
-
-    simple = [(u, v) for u, row in enumerate(nbrs) for v, m in row if m == 1 and u < v]
-    top = max(map(degree_pair, simple))
-    if degree_pair(fresh) != top:
-        return None
-    tied = [e for e in simple if degree_pair(e) == top]
-    if len(tied) > 1:
-        signature = {}
-
-        def signature_pair(e):
-            for x in e:
-                if x not in signature:
-                    signature[x] = sorted([(deg[y], m) for y, m in nbrs[x]])
-            return _sorted_pair(signature[e[0]], signature[e[1]])
-
-        top = max(map(signature_pair, tied))
-        if signature_pair(fresh) != top:
+    top = _sorted_pair(key[fresh[0]], key[fresh[1]])
+    out = []
+    for a, b in tied:
+        ka, kb = key[a], key[b]
+        pair = (ka, kb) if ka < kb else (kb, ka)
+        if pair > top:
             return None
-        tied = [e for e in tied if signature_pair(e) == top]
+        if pair == top:
+            out.append((a, b))
+    return out
+
+
+def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]) -> Multigraph | None:
+    """Canonical form of the child if ``fresh`` is its canonical contraction edge.
+
+    The child is given by its `_neighbors` rows ``nbrs`` and degrees
+    ``deg``.  The canonical contraction edge m(child) is a simple edge
+    chosen up to Aut(child), in four isomorphism-invariant stages: the
+    largest sorted pair of endpoint degrees; among those, the largest
+    sorted pair of endpoint signatures (a vertex's sorted (neighbor
+    degree, multiplicity) pairs); among those, the largest sorted pair of
+    endpoint two-hop signatures (a vertex's sorted (neighbor signature,
+    multiplicity) pairs); and among those, the edge with the smallest
+    image under the first canonical labeling.
+
+    Stage 1 must already have passed: no simple edge may have a larger
+    degree pair than ``fresh``, which `_accepted_children` decides on the
+    split descriptor.  Stages 2 and 2b run on the rows and return None as
+    soon as an edge beats ``fresh``; the child is built and labeled only
+    when ``fresh`` survives them.  None also when ``fresh`` is not in the
+    Aut(child) orbit of m(child) (union-find over the generators).  An
+    accepted class's generators are recorded from the child's labelings.
+    """
+    a, b = fresh
+    # an edge at a vertex of one of fresh's degrees ties when its degrees sum as fresh's do
+    top, total = (deg[a], deg[b]), deg[a] + deg[b]
+    tied = [(u, x) for u, row in enumerate(nbrs) if deg[u] in top
+            for x, m in row if m == 1 and u < x and deg[u] + deg[x] == total]
+    if len(tied) > 1:
+        signature = [sorted([(deg[y], m) for y, m in row]) for row in nbrs]
+        tied = _still_tied(tied, fresh, signature)
+        if tied is None:
+            return None
+        if len(tied) > 1:
+            tied = _still_tied(tied, fresh, [sorted([(signature[y], m) for y, m in row])
+                                             for row in nbrs])
+            if tied is None:
+                return None
+    child = _rows_graph(nbrs)
     canon, labelings, _ = _canonical_data(child, nbrs)
     if len(tied) > 1:
         lab = labelings[0]
@@ -353,7 +407,12 @@ def _canonical_parent_form(child: Multigraph, fresh: tuple[int, int]) -> Multigr
 def _accepted_children(parent: Multigraph):
     """Canonical forms of the split children whose fresh edge is canonical.
 
-    One child per orbit of splits; see `_canonical_parent_form`.
+    One child per orbit of splits, and only those whose fresh edge passes
+    stage 1 of the canonical contraction edge (see
+    `_canonical_parent_form`), decided here on the split descriptor by
+    `fresh_may_win` before the orbit pruning.  The child's rows and
+    degrees are edited from the parent's (`_split_child`) for stages 2
+    and 2b, and the child is built only when it is labeled.
     """
     n = parent.num_vertices
     nbrs = _neighbors(parent)
@@ -366,9 +425,11 @@ def _accepted_children(parent: Multigraph):
             for v in range(n) if deg[v] >= 4}
 
     def fresh_may_win(v, row, take):
-        """Stage 1 of `_canonical_parent_form`, on the split descriptor.
+        """Stage 1 of the canonical contraction edge, on the split descriptor.
 
-        It reads only degrees and multiplicities, so it is invariant under
+        The split keeps the degrees of every vertex but v and n, so only
+        the simple edges at v and at n can change their degree pair.  It
+        reads only degrees and multiplicities, so it is invariant under
         Aut(parent) and can run before the orbit pruning.
         """
         moved = sum(take)
@@ -379,8 +440,10 @@ def _accepted_children(parent: Multigraph):
             or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
             for (x, m), k in zip(row, take)))
 
-    for v, child in _split_children(parent, fresh_may_win, nbrs):
-        canon = _canonical_parent_form(child, (v, n))
+    _, splits = _split_orbit_reps(parent, fresh_may_win, nbrs)
+    for v, take in splits:
+        rows, child_deg = _split_child(nbrs, deg, v, take)
+        canon = _canonical_parent_form(rows, child_deg, (v, n))
         if canon is not None:
             yield canon
 
@@ -525,8 +588,14 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     fewer, and the split that undoes it is unique up to the parent's
     automorphisms.  So each such class is the split child, with the fresh
     edge in the orbit of its canonical contraction edge, of exactly one
-    parent class and one split orbit, and no dedup is needed.  The classes
-    whose edges are all parallel come from `_all_parallel_graphs`.
+    parent class and one split orbit, and no dedup is needed.  The
+    canonical contraction edge is chosen in stages (`_canonical_parent_form`):
+    the endpoint degree pair, on the split descriptor; the endpoint
+    signature pair and two-hop signature pair, on the child's rows edited
+    from the parent's; then the first canonical labeling.  So a child is
+    built and labeled only when its fresh edge survives the first three
+    stages.  The classes whose edges are all parallel come from
+    `_all_parallel_graphs`.
 
     Every class is labeled once, and its Aut generators are recorded in
     `_class_generators` from that labeling, so the class is not labeled
@@ -803,7 +872,13 @@ def load_basis(text: str) -> BasisSlice:
         int(fields["loops"]),
     )
     count = int(fields["count"])
+    vertices = int(fields["vertices"])
+    edges = vertices + spec.loops - 1
     gens = tuple(Multigraph.from_line(ln) for ln in lines[1:])
     if len(gens) != count:
         raise ValueError(f"header count {count} != {len(gens)} graphs")
-    return BasisSlice(spec, int(fields["vertices"]), gens)
+    for graph in gens:
+        if graph.num_vertices != vertices or len(graph.edges) != edges:
+            raise ValueError(f"graph {graph.to_line()!r} is not in the header's slice: "
+                             f"{vertices} vertices, {edges} edges")
+    return BasisSlice(spec, vertices, gens)

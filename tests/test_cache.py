@@ -3,7 +3,13 @@ from collections import Counter
 import gchom.cache
 from gchom.cache import FileCache
 from gchom.cohomology import cohomology_dims
-from gchom.complexes import ComplexSpec, Variant, differential_matrix, enumerate_basis
+from gchom.complexes import (
+    ComplexSpec,
+    Variant,
+    differential_matrix,
+    dump_basis,
+    enumerate_basis,
+)
 from gchom.graphs import Parity
 
 
@@ -67,3 +73,15 @@ def test_two_prime_table_assembles_each_differential_once(monkeypatch):
     assert nonempty > 1
     assert len(built) == nonempty
     assert set(built.values()) == {1}
+
+
+def test_basis_lines_outside_the_header_slice_are_recomputed(tmp_path):
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 3)
+    cache = FileCache(tmp_path)
+    path = cache.basis_path(spec, 4)
+    # a theta graph under a V=4 header: parses as a graph, but not of this slice
+    path.write_text("#gls parity=odd variant=full loops=3 vertices=4 count=1\n"
+                    "2 3 0 1 0 1 0 1\n")
+    got = cache.basis(spec, 4)
+    assert got == enumerate_basis(spec, 4)
+    assert path.read_text() == dump_basis(enumerate_basis(spec, 4))

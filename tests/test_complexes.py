@@ -11,6 +11,7 @@ import pytest
 from gchom.graphs import (
     Multigraph,
     Parity,
+    _neighbors,
     automorphism_generators,
     canonical_data,
     canonicalize,
@@ -27,8 +28,10 @@ from gchom.complexes import (
     _connected_simple_graphs,
     _edge_orbits,
     _is_zero,
+    _rows_graph,
     _split_child,
     _split_orbit_reps,
+    _split_takes,
     _split_work,
     contraction_entries,
     differential_matrix,
@@ -234,28 +237,101 @@ def test_slices_and_differentials_do_not_need_recorded_generators():
     assert unrecorded == recorded
 
 
+def _built_child(parent, v, row, take):
+    """The split of v, built from the parent's edge list as a sorted edge tuple."""
+    n = parent.num_vertices
+    edges = [e for e in parent.edges if v not in e] + [(v, n)]
+    for (x, m), k in zip(row, take):
+        edges += [(x, n)] * k + [(min(v, x), max(v, x))] * (m - k)
+    return Multigraph(n + 1, tuple(sorted(edges)))
+
+
 def _split_children(parent):
     """Every orbit-representative split child of parent, with its fresh edge."""
-    n = parent.num_vertices
     incident, splits = _split_orbit_reps(parent)
     for v, take in splits:
-        others = [e for e in parent.edges if v not in e]
-        yield _split_child(n, others, v, incident[v], take), (v, n)
+        yield _built_child(parent, v, incident[v], take), (v, parent.num_vertices)
+
+
+def test_split_takes_match_the_product_filter():
+    for d in range(1, 9):
+        for cuts in itertools.product((0, 1), repeat=d - 1):
+            counts, run = [], 1
+            for cut in cuts:  # one multiplicity tuple per composition of d
+                if cut:
+                    counts.append(run)
+                    run = 0
+                run += 1
+            counts = tuple(counts + [run])
+            brute = tuple(take for take in itertools.product(*(range(m + 1) for m in counts))
+                          if 2 <= sum(take) <= d - 2
+                          and take <= tuple(m - k for m, k in zip(counts, take)))
+            assert _split_takes(counts) == brute, counts
+
+
+def test_split_child_rows_match_the_built_child():
+    checked = 0
+    for g in range(2, 7):
+        for v in range(2, 2 * g - 2):
+            for parent in raw_slice(g, v):
+                nbrs, splits = _split_orbit_reps(parent)
+                deg = list(parent.degrees())
+                for x, take in splits:
+                    rows, child_deg = _split_child(nbrs, deg, x, take)
+                    child = _built_child(parent, x, nbrs[x], take)
+                    assert rows == _neighbors(child), (parent, x, take)
+                    assert child_deg == list(child.degrees()), (parent, x, take)
+                    assert _rows_graph(rows) == child
+                    checked += 1
+                assert nbrs == _neighbors(parent)  # the parent's rows are left alone
+    assert checked > 10000
+
+
+def _passes_stage_one(child, fresh):
+    deg = child.degrees()
+    pairs = [tuple(sorted((deg[u], deg[x]))) for u, x in set(child.edges)
+             if child.multiplicity(u, x) == 1]
+    return max(pairs) == tuple(sorted((deg[fresh[0]], deg[fresh[1]])))
 
 
 def test_canonical_parent_test_is_invariant_under_relabeling():
     children = [pair for g in (5, 6) for v in range(2, 2 * g - 2)
-                for parent in raw_slice(g, v) for pair in _split_children(parent)]
+                for parent in raw_slice(g, v) for pair in _split_children(parent)
+                if _passes_stage_one(*pair)]
     rng = random.Random(71)
     kept = 0
+
+    def parent_form(graph, fresh):
+        return _canonical_parent_form(_neighbors(graph), list(graph.degrees()), fresh)
+
     for child, (a, b) in rng.sample(children, 200):
         perm = list(range(child.num_vertices))
         rng.shuffle(perm)
-        form = _canonical_parent_form(child, (a, b))
+        form = parent_form(child, (a, b))
         fresh = (perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a])
-        assert _canonical_parent_form(child.relabel(perm), fresh) == form, child
+        assert parent_form(child.relabel(perm), fresh) == form, child
         kept += form is not None
     assert 0 < kept < 200
+
+
+def test_canonical_augmentation_labels_only_the_children_past_every_stage(monkeypatch):
+    # every parent of g=6 in one process: 1,836 children accepted and 163
+    # labeled only to be rejected at the last stage; without the two-hop
+    # stage 449 were, of 2,285 labelings, so a lost stage fails here
+    parents = [p for v in range(2, 10) for p in raw_slice(6, v)]
+    split_classes = sum(len(raw_slice(6, v)) - len(_all_parallel_graphs(v, v + 5))
+                        for v in range(3, 11))
+    labeled = []
+
+    def counting(graph, nbrs=None, known=None):
+        labeled.append(graph)
+        return canonical_data_uncached(graph, nbrs, known)
+
+    canonical_data_uncached = complexes._canonical_data
+    monkeypatch.setattr(complexes, "_canonical_data", counting)
+    accepted = sum(1 for parent in parents for _ in _accepted_children(parent))
+    assert accepted == split_classes == 1836
+    assert len(labeled) == 1999
 
 
 def test_orbit_weighted_differential_matches_per_edge_sum():
@@ -379,6 +455,15 @@ def test_basis_file_rejects_count_mismatch():
     text = dump_basis(basis).replace("count=1", "count=2")
     with pytest.raises(ValueError):
         load_basis(text)
+
+
+def test_basis_file_rejects_graphs_outside_the_header_slice():
+    head = "#gls parity=odd variant=full loops=3 vertices=4 count=1\n"
+    # the theta graph: 2 vertices; K4 less an edge: 4 vertices but 5 edges
+    for line in ("2 3 0 1 0 1 0 1", "4 5 0 1 0 2 0 3 1 2 1 3"):
+        with pytest.raises(ValueError, match="not in the header's slice"):
+            load_basis(head + line + "\n")
+    assert len(load_basis(head + K4.to_line() + "\n")) == 1
 
 
 def test_graphs_by_edge_addition_small():
