@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from gchom.cache import FileCache
-from gchom.complexes import BasisSlice, ComplexSpec
+from gchom.complexes import _NONZEROS_PER_ITEM, BasisSlice, ComplexSpec, _split_work
 from gchom.linalg import RANK_METHODS, PrimeField, gauss_ranks, reduce_mod_p
 
 DEFAULT_GENERATOR_CAP = 5_000_000
@@ -91,11 +91,16 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     only zero rows are certified.  With gauss and a `confirm_prime`
     (which must differ from `prime`), rows whose ranks agree at both
     primes are certified.  Bases and differentials come from `cache`,
-    an in-memory `FileCache` when none is given; each differential is
-    fetched once.  Gauss with a confirm prime ranks it at both primes in
-    one elimination over Z/pqZ (`gauss_ranks`); otherwise it is ranked
-    at `prime` alone.  A slice with more than
-    `DEFAULT_GENERATOR_CAP` generators raises GeneratorCapExceeded.
+    an in-memory `FileCache` when none is given.  Every differential is
+    fetched once, here and in V order, before any is ranked.  Then the
+    matrices are ranked in `_split_work` shares, one per usable CPU,
+    dealt by `_deal`, and the ranks come back keyed by V, so the table
+    is the one a single process gives.  Gauss with a confirm prime ranks
+    a matrix at both primes in one elimination over Z/pqZ
+    (`gauss_ranks`); otherwise it is ranked at `prime` alone, the
+    Wiedemann rank from ``seed`` in whichever process ranks it.  A slice
+    with more than `DEFAULT_GENERATOR_CAP` generators raises
+    GeneratorCapExceeded.
     """
     if method not in RANK_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -118,20 +123,32 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
             )
         slices[v] = s
 
-    # per prime: V -> rank of the differential leaving the slice at V
-    per_prime: list[dict[int, int]] = [{} for _ in primes]
+    # V -> the differential leaving the slice at V
+    mats = {}
     for v in _slice_range(spec):
-        if v - 1 not in slices or not len(slices[v]) or not len(slices[v - 1]):
-            continue
-        mat = cache.matrix(spec, v)
-        if len(primes) > 1:
-            got = gauss_ranks(mat, primes)
-        else:
-            got = (RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank,)
-        for rank, ranks in zip(got, per_prime):
-            ranks[v] = rank
+        if v - 1 in slices and len(slices[v]) and len(slices[v - 1]):
+            mats[v] = cache.matrix(spec, v)
+    nonzeros = {v: len(mat.entries) for v, mat in mats.items()}
 
-    ranks, *confirm = per_prime
+    def rank(mat) -> tuple[int, ...]:
+        if len(primes) > 1:
+            return gauss_ranks(mat, primes)
+        return (RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank,)
+
+    def share(k, jobs):
+        mine = _deal(nonzeros, jobs)[k]
+        if k == 0:
+            # the children rank the rest; drop them before the first elimination
+            for v in [v for v in mats if v not in mine]:
+                del mats[v]
+        # lightest first: each matrix is dropped once ranked, so the
+        # heaviest elimination runs after the share's others are freed
+        return [(v, rank(mats.pop(v))) for v in reversed(mine)]
+
+    got = dict(_split_work(share, len(mats),
+                           sum(nonzeros.values()) // _NONZEROS_PER_ITEM))
+    # per prime: V -> rank of the differential leaving the slice at V
+    ranks, *confirm = ({v: r[i] for v, r in got.items()} for i in range(len(primes)))
     rows = []
     for v in sorted(slices):
         dim = len(slices[v])
@@ -146,6 +163,22 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
         rows.append(CohomologyRow(spec.degree_of(v), dim, rank_out, rank_in,
                                   h, certified))
     return CohomologyTable(spec, prime, method, tuple(rows))
+
+
+def _deal(weights: dict[int, int], jobs: int) -> list[list[int]]:
+    """The keys of ``weights`` dealt to ``jobs`` shares, heaviest first.
+
+    Each key, in order of decreasing weight and then increasing key, goes
+    to the share with the least weight so far (the first, on a tie), so
+    the deal depends only on the weights and ``jobs``.
+    """
+    shares: list[list[int]] = [[] for _ in range(jobs)]
+    loads = [0] * jobs
+    for key in sorted(weights, key=lambda key: (-weights[key], key)):
+        k = loads.index(min(loads))
+        shares[k].append(key)
+        loads[k] += weights[key]
+    return shares
 
 
 def euler_characteristic(table: CohomologyTable) -> tuple[int, int]:

@@ -27,14 +27,15 @@ differential are labeled once per matrix and worker, outside the
 `canonical_data` and `canonicalize` caches, which they would otherwise
 fill with graphs looked up about once each.
 
-Both loops that dominate a cold table, splitting the parents of a raw
-slice and contracting the sources of a differential, run on every CPU
-this process may use (`os.sched_getaffinity`): `_split_work` forks one
-worker per extra CPU, gives each a share of the items, and merges the
-shares in a fixed order, so the slices, the recorded generators and the
-matrices are the same as in one process.  Small calls, hosts with one
-usable CPU, platforms without `os.fork` and processes with other live
-threads run in one process.
+The loops that dominate a table run on every CPU this process may use
+(`os.sched_getaffinity`): here, splitting the parents of a raw slice and
+contracting the sources of a differential, and in `gchom.cohomology`,
+ranking the differentials of a table.  `_split_work` forks one worker
+per extra CPU, gives each a share of the items, and merges the shares in
+a fixed order, so the slices, the recorded generators, the matrices and
+the ranks are the same as in one process.  Calls with less work than
+`_FORK_FLOOR`, hosts with one usable CPU, platforms without `os.fork`
+and processes with other live threads run in one process.
 """
 
 from __future__ import annotations
@@ -448,32 +449,42 @@ def _accepted_children(parent: Multigraph):
             yield canon
 
 
-# A call with fewer items than this runs in one process: a fork, its pipe
-# and its exit cost a few milliseconds, more than that many items' work.
+# A call with less work than this runs in one process: a fork, its pipe
+# and its exit cost a few milliseconds, more than that much work.  The
+# unit, for every caller, is one item: one parent split or one source
+# contracted, about 0.1-0.5 ms each on a 2-core Xeon.  Ranking
+# `_NONZEROS_PER_ITEM` matrix nonzeros counts as one item; a nonzero costs
+# about 4 us in a two-prime Gauss elimination and 17 us in a Wiedemann
+# rank.  So the odd g=5 ranks (227 nonzeros, 2-8 ms) run in one process,
+# and the odd g=6 ranks (5,319 nonzeros, 30-100 ms) are split.
 _FORK_FLOOR = 100
+_NONZEROS_PER_ITEM = 20
 
 
-def _split_work(share, size: int) -> list:
+def _split_work(share, size: int, work: int | None = None) -> list:
     """``share(k, jobs)`` for each k < jobs, concatenated in k order.
 
     jobs is the number of CPUs this process may run on, but at most
-    ``size``, the number of items the shares divide.  Share 0 runs here;
-    every other share runs in a forked child, which pickles its result,
-    or the exception it raised, into a pipe and leaves with `os._exit`.
-    A child's exception is raised again here, with its type and message.
-    Every child is reaped before this returns or raises; when anything
-    fails, the children still running are killed first.  A child sees this
-    process as it was at the fork, so a share must return, not store,
-    what it finds.
+    ``size``, the number of items the shares divide.  ``work`` is what
+    they cost in the unit of `_FORK_FLOOR`, ``size`` when not given.
+    Share 0 runs here; every other share runs in a forked child, which
+    pickles its result, or the exception it raised, into a pipe and
+    leaves with `os._exit`.  A child's exception is raised again here,
+    with its type and message.  Every child is reaped before this returns
+    or raises; when anything fails, the children still running are killed
+    first.  A child sees this process as it was at the fork, so a share
+    must return, not store, what it finds.
 
     It runs ``share(0, 1)`` here instead when only one CPU is usable, when
-    ``size`` is below `_FORK_FLOOR`, when ``os.fork`` is missing, or when
+    ``work`` is below `_FORK_FLOOR`, when ``os.fork`` is missing, or when
     another thread is alive, since a forked child gets only the calling
     thread and may inherit a lock some other thread held.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     jobs = min(cpus, size)
-    if (jobs < 2 or size < _FORK_FLOOR or not hasattr(os, "fork")
+    if work is None:
+        work = size
+    if (jobs < 2 or work < _FORK_FLOOR or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return share(0, 1)
     children = []  # (pid, read end of its pipe)

@@ -291,19 +291,16 @@ def _neighbors(graph: Multigraph) -> list[list[tuple[int, int]]]:
     return nbrs
 
 
-def _multiplicity_key(row) -> tuple:
-    """A vertex's degree, then its multiplicities in decreasing order."""
-    mults = sorted([m for _, m in row], reverse=True)
-    return sum(mults), tuple(mults)
-
-
 def _initial_cells(nbrs) -> list[list[int]]:
-    """Vertices grouped by their multiplicities, ordered by `_multiplicity_key`.
+    """Vertices grouped by their multiplicities, ordered by degree, then key.
 
     A vertex is grouped by the number of its neighbors joined by m edges,
     for each m, packed as digit m of a number in radix 2^shift, which
-    exceeds every neighbor count.  The groups are ordered only when there
-    are two or more; every cubic graph is one.
+    exceeds every neighbor count.  Of two vertices of one degree, the
+    larger key has more neighbors at the highest multiplicity where the
+    counts differ, so the order is that of the degree and then the
+    multiplicities in decreasing order.  The groups are ordered only
+    when there are two or more; every cubic graph is one.
     """
     shift = len(nbrs).bit_length()
     groups: dict[int, list[int]] = {}
@@ -317,7 +314,8 @@ def _initial_cells(nbrs) -> list[list[int]]:
             groups[key] = [v]
     if len(groups) == 1:
         return list(groups.values())
-    return sorted(groups.values(), key=lambda cell: _multiplicity_key(nbrs[cell[0]]))
+    order = sorted(groups, key=lambda key: (sum([m for _, m in nbrs[groups[key][0]]]), key))
+    return [groups[key] for key in order]
 
 
 def _refine(cells: list[list[int]], nbrs, parts, base: int) -> list[list[int]]:

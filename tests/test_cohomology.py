@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
-from gchom import cohomology
+from conftest import assert_no_child_left, needs_fork, no_fork
+from gchom import cohomology, complexes
+from gchom.cache import FileCache
 from gchom.graphs import Parity
-from gchom.complexes import ComplexSpec, Variant
+from gchom.complexes import _FORK_FLOOR, _NONZEROS_PER_ITEM, ComplexSpec, Variant
 from gchom.cohomology import (
     EXACT,
     EXTERNAL,
@@ -161,3 +164,85 @@ def test_euler_characteristic_identity():
             t = table(parity, Variant.FULL, g)
             chain, coh = euler_characteristic(t)
             assert chain == coh
+
+
+# ---------------------------------------------------------------------------
+# Ranks in forked shares.
+# ---------------------------------------------------------------------------
+
+SPECS = [ComplexSpec(parity, variant, g) for parity in Parity for variant in Variant
+         for g in range(2, 7)]
+RUNS = [{"confirm_prime": 10007}, {}, {"method": "wiedemann", "seed": 5}]
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """A `FileCache` holding every basis and differential of `SPECS`."""
+    cache = FileCache(tmp_path_factory.mktemp("cache"))
+    for spec in SPECS:
+        cohomology_dims(spec, cache=cache)
+    return cache
+
+
+def _matrices(spec, cache):
+    """V -> the differential leaving V, for the V that `cohomology_dims` ranks."""
+    return {v: cache.matrix(spec, v) for v in cohomology._slice_range(spec)
+            if v - 1 in cohomology._slice_range(spec)
+            and len(cache.basis(spec, v)) and len(cache.basis(spec, v - 1))}
+
+
+@needs_fork
+def test_forked_ranks_give_the_tables_of_one_process(monkeypatch, forks, filled_cache):
+    counts = [len(_matrices(spec, filled_cache)) for spec in SPECS]
+    forked = [cohomology_dims(spec, cache=filled_cache, **run) for spec in SPECS for run in RUNS]
+    # a table of two matrices or more forks a worker per matrix, up to two
+    assert len(forks) == len(RUNS) * sum(min(count, 3) - 1 for count in counts if count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial = [cohomology_dims(spec, cache=filled_cache, **run) for spec in SPECS for run in RUNS]
+    assert forked == serial
+    assert_no_child_left()
+
+
+def test_deal_gives_the_heaviest_to_the_least_loaded_share():
+    weights = {3: 2, 4: 18, 5: 222, 6: 967, 7: 1646, 8: 1402, 9: 787, 10: 275}
+    assert cohomology._deal(weights, 1) == [[7, 8, 6, 9, 10, 5, 4, 3]]
+    assert cohomology._deal(weights, 2) == [[7, 9, 5, 3], [8, 6, 10, 4]]
+    assert cohomology._deal({4: 1, 3: 1, 5: 0}, 3) == [[3], [4], [5]]
+
+
+@needs_fork
+def test_a_rank_error_in_a_worker_reaches_the_caller(monkeypatch, forks, filled_cache):
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 5)
+    mats = _matrices(spec, filled_cache)
+    # the first matrix of the last share, which a forked worker ranks
+    v = cohomology._deal({v: len(m.entries) for v, m in mats.items()}, 3)[2][0]
+    real = cohomology.gauss_ranks
+
+    def gauss_ranks(mat, primes):
+        if mat.entries == mats[v].entries:
+            raise ArithmeticError(f"no rank at V={v}")
+        return real(mat, primes)
+
+    monkeypatch.setattr(cohomology, "gauss_ranks", gauss_ranks)
+    with pytest.raises(ArithmeticError, match=f"^no rank at V={v}$"):
+        cohomology_dims(spec, confirm_prime=10007, cache=filled_cache)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_ranks_stay_in_one_process_on_one_cpu_or_below_the_floor(monkeypatch, filled_cache):
+    def work(spec):
+        return sum(len(m.entries) for m in _matrices(spec, filled_cache).values())
+
+    small = ComplexSpec(Parity.ODD, Variant.FULL, 5)
+    large = ComplexSpec(Parity.ODD, Variant.FULL, 6)
+    assert work(small) // _NONZEROS_PER_ITEM < _FORK_FLOOR <= work(large) // _NONZEROS_PER_ITEM
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for run in RUNS:
+        cohomology_dims(small, cache=filled_cache, **run)
+    monkeypatch.setattr(complexes, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for run in RUNS:
+        cohomology_dims(large, cache=filled_cache, **run)

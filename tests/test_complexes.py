@@ -43,6 +43,7 @@ from gchom.complexes import (
 )
 
 import oracles
+from conftest import assert_no_child_left, needs_fork, no_fork
 from oracles import contract_edge, vertex_splits
 
 THETA = Multigraph.from_edges(2, [(0, 1)] * 3)
@@ -478,31 +479,6 @@ def test_graphs_by_edge_addition_small():
 # Work split across forked workers.
 # ---------------------------------------------------------------------------
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Every call with two items or more forks, as on a 3-CPU host; returns the forked pids."""
-    real_fork = os.fork
-    pids = []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(complexes, "_FORK_FLOOR", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 def _fresh_enumeration(max_loops):
     """Raw slices, recorded generators, bases and matrix entries from empty caches."""
@@ -537,7 +513,7 @@ def test_parallel_and_serial_runs_agree(monkeypatch, forks):
         _class_generators.update(saved)
     for got, want in zip(parallel, serial):
         assert got == want
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @needs_fork
@@ -552,7 +528,7 @@ def test_missing_image_error_in_a_worker_reaches_the_caller(monkeypatch, forks):
         contraction_entries([THETA, graph], {}, Parity.ODD, strict=True)
     assert len(forks) == 1  # the graph went to the forked worker
     assert str(parallel.value) == str(serial.value)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @needs_fork
@@ -561,7 +537,7 @@ def test_split_work_concatenates_uneven_shares_in_order(forks):
     assert out == [(0, 3, 0), (0, 3, 3), (0, 3, 6), (1, 3, 1), (1, 3, 4), (2, 3, 2),
                    (2, 3, 5)]
     assert len(forks) == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @needs_fork
@@ -574,7 +550,7 @@ def test_split_work_reraises_a_worker_exception_and_reaps_every_worker(forks):
     with pytest.raises(ValueError, match="^share 1 of 3 failed$"):
         _split_work(share, 3)
     assert len(forks) == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @needs_fork
@@ -590,23 +566,19 @@ def test_split_work_kills_the_workers_when_the_parent_share_raises(forks):
         _split_work(share, 3)
     assert time.monotonic() - t0 < 30
     assert len(forks) == 2
-    _assert_no_child_left()
-
-
-def _no_fork():
-    raise AssertionError("forked")
+    assert_no_child_left()
 
 
 def test_split_work_does_not_fork_on_one_usable_cpu(monkeypatch):
     monkeypatch.setattr(complexes, "_FORK_FLOOR", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert _split_work(lambda k, jobs: [(k, jobs)], 1000) == [(0, 1)]
 
 
 def test_split_work_does_not_fork_below_the_floor_or_beside_a_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     share = lambda k, jobs: [(k, jobs)]  # noqa: E731
     assert _split_work(share, complexes._FORK_FLOOR - 1) == [(0, 1)]
     release = threading.Event()

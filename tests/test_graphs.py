@@ -5,7 +5,15 @@ from collections import Counter
 
 import pytest
 
-from gchom.complexes import ComplexSpec, Variant, _contract, _edge_orbits, enumerate_basis, raw_slice
+from gchom.complexes import (
+    ComplexSpec,
+    Variant,
+    _contract,
+    _edge_orbits,
+    _is_parallel,
+    enumerate_basis,
+    raw_slice,
+)
 from gchom.graphs import (
     Multigraph,
     Parity,
@@ -13,6 +21,7 @@ from gchom.graphs import (
     _canonical_data,
     _canonicalize,
     _edge_codes,
+    _initial_cells,
     _neighbors,
     _refine,
     automorphism_generators,
@@ -190,6 +199,27 @@ def test_search_without_a_known_class_matches_the_plain_search():
         form = known.pop(own)
         assert _canonical_data(g, known=known) == plain, g
         known[own] = form
+
+
+def _multiplicities(row) -> tuple:
+    """A vertex's degree, then its multiplicities in decreasing order."""
+    mults = sorted([m for _, m in row], reverse=True)
+    return sum(mults), tuple(mults)
+
+
+def test_initial_cells_are_ordered_by_degree_then_multiplicities():
+    raw = [m for g in range(2, 7) for v in range(2, 2 * g - 1) for m in raw_slice(g, v)]
+    # every raw class and the image of each of its simple edges, zero classes too
+    images = {_contract(m, i, Parity.ODD)[0] for m in raw
+              for i in range(m.num_edges) if not _is_parallel(m.edges, i)}
+    for g in raw + list(images):
+        nbrs = _neighbors(g)
+        cells = _initial_cells(nbrs)
+        assert sorted(v for cell in cells for v in cell) == list(range(g.num_vertices)), g
+        keys = [{_multiplicities(nbrs[v]) for v in cell} for cell in cells]
+        assert all(len(key) == 1 for key in keys), g
+        keys = [key.pop() for key in keys]
+        assert keys == sorted(set(keys)), g
 
 
 class _Unread(list):
