@@ -18,22 +18,23 @@ canonical contraction edge, so every class is reached exactly once, no
 global dedup is needed, and the astronomically larger labeled search
 space is never touched.
 
-Each class is labeled once, as the child that finds it.  The generators
-of its automorphism group, conjugated from that labeling onto its
-canonical vertex labels, are recorded with it, and splitting it, the
-zero test and the edge orbits of the differential read them instead of
-labeling the canonical form again.  The contracted images of the
-differential are labeled once per matrix and worker, outside the
-`canonical_data` and `canonicalize` caches, which they would otherwise
-fill with graphs looked up about once each.
+Each class is labeled once, as the child that finds it, and returned
+with the generators of its automorphism group, conjugated from that
+labeling onto its canonical vertex labels.  Splitting it, the zero test
+and the edge orbits of the differential take them as an argument instead
+of labeling the canonical form again; a graph read from a file gets them
+from one uncached labeling.  The contracted images of the differential
+are labeled once per matrix and worker, outside the `canonical_data` and
+`canonicalize` caches, which they would otherwise fill with graphs
+looked up about once each.
 
 The loops that dominate a table run on every CPU this process may use
 (`os.sched_getaffinity`): here, splitting the parents of a raw slice and
 contracting the sources of a differential, and in `gchom.cohomology`,
 ranking the differentials of a table.  `_split_work` forks one worker
 per extra CPU, gives each a share of the items, and merges the shares in
-a fixed order, so the slices, the recorded generators, the matrices and
-the ranks are the same as in one process.  Calls with less work than
+a fixed order, so the slices, their generators, the matrices and the
+ranks are the same as in one process.  Calls with less work than
 `_FORK_FLOOR`, hosts with one usable CPU, platforms without `os.fork`
 and processes with other live threads run in one process.
 """
@@ -54,14 +55,14 @@ from gchom.graphs import (
     Multigraph,
     Parity,
     _canonical_data,
-    _canonicalize,
     _edge_codes,
     _find,
+    _form_generators,
     _generators,
+    _is_zero,
     _join,
     _neighbors,
     _orbit_sizes,
-    automorphism_generators,
     is_triconnected,
     orientation_sign,
     perm_sign,
@@ -127,10 +128,6 @@ class BasisSlice:
     def __len__(self) -> int:
         return len(self.generators)
 
-    @property
-    def degree(self) -> int:
-        return self.spec.degree_of(self.num_vertices)
-
     @cached_property
     def index(self) -> dict[Multigraph, int]:
         return {g: i for i, g in enumerate(self.generators)}
@@ -164,16 +161,17 @@ def _connected_simple_graphs(num_vertices: int, max_edges: int) -> set[Multigrap
     return level
 
 
-def _all_parallel_graphs(num_vertices: int, num_edges: int) -> list[Multigraph]:
+def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, tuple]:
     """Connected loopless multigraphs, degrees >= 3, every edge parallel.
 
     These are the graphs with no contractible edge; they only exist when
     a connected simple support with at most E/2 edges fits, i.e. for
     V <= g + 1.  Enumerated as support graphs plus multiplicities >= 2.
+    Returns each canonical form with the generators of its automorphism group.
     """
-    out: set[Multigraph] = set()
+    out: dict[Multigraph, tuple] = {}
     if num_vertices == 1 or 2 * (num_vertices - 1) > num_edges:
-        return []
+        return out
     for support in _connected_simple_graphs(num_vertices, num_edges // 2):
         sup_edges = support.edges
         for comp in _compositions(num_edges - 2 * len(sup_edges), len(sup_edges)):
@@ -189,9 +187,8 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> list[Multigraph]:
                 edges.extend([(u, v)] * m)
             canon, labelings, _ = _canonical_data(
                 Multigraph._trusted(num_vertices, tuple(sorted(edges))))
-            _record_class(canon, labelings)
-            out.add(canon)
-    return sorted(out, key=lambda m: m.edges)
+            out.setdefault(canon, _form_generators(labelings))
+    return out
 
 
 def _compositions(total: int, parts: int):
@@ -208,13 +205,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _split_children(graph: Multigraph):
+def _split_children(graph: Multigraph, generators):
     """``(v, child)`` for each split `_split_orbit_reps` keeps, in its order.
 
-    v is the split vertex, so the child's fresh edge is ``(v, n)`` for
-    ``n = graph.num_vertices``.
+    ``generators`` generate Aut(graph).  v is the split vertex, so the
+    child's fresh edge is ``(v, n)`` for ``n = graph.num_vertices``.
     """
-    nbrs, splits = _split_orbit_reps(graph)
+    nbrs, splits = _split_orbit_reps(graph, generators)
     deg = [sum(m for _, m in row) for row in nbrs]
     for v, take in splits:
         yield v, _rows_graph(_split_child(nbrs, deg, v, take)[0])
@@ -236,7 +233,7 @@ def _split_takes(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  and take <= tuple([m - k for m, k in zip(counts, take)]))
 
 
-def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
+def _split_orbit_reps(graph: Multigraph, generators, keep=None, nbrs=None):
     """One-vertex splits keeping minimum degree 3, one per Aut(graph) orbit.
 
     Splitting vertex v distributes its half-edges over two vertices
@@ -246,7 +243,8 @@ def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
     the sides: one of v's `_split_takes`, read from the table of its
     multiplicity pattern, so no split is built to be thrown away.  Splits
     in one orbit give isomorphic graphs, so only the first split of each
-    orbit (in the order of v, then of the takes) is kept.
+    orbit (in the order of v, then of the takes) is kept; the orbits come
+    from ``generators``, which generate Aut(graph).
 
     Returns ``(incident, splits)``: ``incident[v]`` lists v's (neighbor,
     multiplicity) pairs in neighbor order, and ``splits`` the first
@@ -263,11 +261,9 @@ def _split_orbit_reps(graph: Multigraph, keep=None, nbrs=None):
         for take in _split_takes(tuple([m for _, m in row])):
             if keep is None or keep(v, row, take):
                 splits.append((v, take))
-    if len(splits) > 1:
-        generators = _generators_of(graph)
-        if generators:
-            splits = [splits[i] for i in _orbit_sizes(
-                len(splits), _split_images(splits, incident, generators))]
+    if len(splits) > 1 and generators:
+        splits = [splits[i] for i in _orbit_sizes(
+            len(splits), _split_images(splits, incident, generators))]
     return incident, splits
 
 
@@ -353,8 +349,8 @@ def _still_tied(tied, fresh, key):
     return out
 
 
-def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]) -> Multigraph | None:
-    """Canonical form of the child if ``fresh`` is its canonical contraction edge.
+def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]):
+    """``(form, generators)`` of the child if ``fresh`` is its canonical contraction edge.
 
     The child is given by its `_neighbors` rows ``nbrs`` and degrees
     ``deg``.  The canonical contraction edge m(child) is a simple edge
@@ -372,7 +368,8 @@ def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]) -> Multigraph | No
     soon as an edge beats ``fresh``; the child is built and labeled only
     when ``fresh`` survives them.  None also when ``fresh`` is not in the
     Aut(child) orbit of m(child) (union-find over the generators).  An
-    accepted class's generators are recorded from the child's labelings.
+    accepted child gives its canonical form and, from its labelings, the
+    generators of Aut(form).
     """
     a, b = fresh
     # an edge at a vertex of one of fresh's degrees ties when its degrees sum as fresh's do
@@ -401,19 +398,19 @@ def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]) -> Multigraph | No
                 _join(orbits, [index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied])
             if _find(orbits, index[best]) != _find(orbits, index[fresh]):
                 return None
-    _record_class(canon, labelings)
-    return canon
+    return canon, _form_generators(labelings)
 
 
-def _accepted_children(parent: Multigraph):
-    """Canonical forms of the split children whose fresh edge is canonical.
+def _accepted_children(parent: Multigraph, generators):
+    """``(form, generators)`` of the split children whose fresh edge is canonical.
 
     One child per orbit of splits, and only those whose fresh edge passes
     stage 1 of the canonical contraction edge (see
     `_canonical_parent_form`), decided here on the split descriptor by
     `fresh_may_win` before the orbit pruning.  The child's rows and
     degrees are edited from the parent's (`_split_child`) for stages 2
-    and 2b, and the child is built only when it is labeled.
+    and 2b, and the child is built only when it is labeled.  ``generators``
+    generate Aut(parent).
     """
     n = parent.num_vertices
     nbrs = _neighbors(parent)
@@ -441,12 +438,12 @@ def _accepted_children(parent: Multigraph):
             or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
             for (x, m), k in zip(row, take)))
 
-    _, splits = _split_orbit_reps(parent, fresh_may_win, nbrs)
+    _, splits = _split_orbit_reps(parent, generators, fresh_may_win, nbrs)
     for v, take in splits:
         rows, child_deg = _split_child(nbrs, deg, v, take)
-        canon = _canonical_parent_form(rows, child_deg, (v, n))
-        if canon is not None:
-            yield canon
+        accepted = _canonical_parent_form(rows, child_deg, (v, n))
+        if accepted is not None:
+            yield accepted
 
 
 # A call with less work than this runs in one process: a fork, its pipe
@@ -541,50 +538,30 @@ def _send_share(share, k: int, jobs: int, fd: int) -> None:
         pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
 
 
-# Generators of Aut(m) for every raw or family class m, as permutations of m's own
-# vertex labels, recorded when the class is found.  Filled by `raw_slice`
-# and `kneissler._family_classes` and, like their caches, never emptied.
-_class_generators: dict[Multigraph, tuple[tuple[int, ...], ...]] = {}
+# (loops, vertices) -> {class: generators of Aut(class)}, sorted by edges,
+# for every slice `raw_slice` has enumerated; the generators permute the
+# class's own vertex labels.  Never emptied.
+_raw_classes: dict[tuple[int, int], dict[Multigraph, tuple[tuple[int, ...], ...]]] = {}
 
 
-def _record_class(canon: Multigraph, labelings) -> None:
-    """Record the generators of ``canon`` given by another graph's labelings.
-
-    ``labelings`` are `canonical_data`'s labelings of a graph in the class
-    of ``canon``: ``lab_0`` and ``lab_i = lab_0 ∘ γ_i`` for generators γ_i
-    of its group.  Conjugated onto the canonical labels, ``lab_i ∘
-    lab_0⁻¹`` generate Aut(canon).
-    """
-    if canon in _class_generators:
-        return
-    inv = [0] * len(labelings[0])
-    for v, i in enumerate(labelings[0]):
-        inv[i] = v
-    _class_generators[canon] = tuple(tuple([lab[v] for v in inv]) for lab in labelings[1:])
+def _slice_classes(loops: int, num_vertices: int) -> dict[Multigraph, tuple]:
+    """The classes of `raw_slice` (called through the module), with their generators."""
+    raw_slice(loops, num_vertices)
+    return _raw_classes.get((loops, num_vertices), {})
 
 
 def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
-    """Generators of Aut(graph): recorded for a raw or family class, else from its labeling."""
-    generators = _class_generators.get(graph)
-    return automorphism_generators(graph) if generators is None else generators
+    """Generators of Aut(graph), found with its class by `raw_slice`.
 
-
-def _is_zero(graph: Multigraph, parity: Parity) -> bool:
-    """Whether ``graph`` is the zero generator.
-
-    The signs are read off `_generators_of(graph)`: the recorded
-    generators of a raw or family class, unlabeled, or a labeling of any
-    other graph (read from a file, say).  They are taken only when the
-    parity does not already kill the graph, so an even graph with a
-    parallel edge is never labeled.
+    A graph in no enumerated slice, read from a file, say, is labeled by
+    the uncached `_canonical_data`.
     """
-    def label(g):
-        return g, (tuple(range(g.num_vertices)),) + _generators_of(g)
+    generators = _raw_classes.get((graph.loop_order, graph.num_vertices), {}).get(graph)
+    if generators is None:
+        generators = _generators(_canonical_data(graph)[1])
+    return generators
 
-    return _canonicalize(graph, parity, label).is_zero
 
-
-@lru_cache(maxsize=None)
 def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     """Canonical forms of every admissible graph class in the slice.
 
@@ -608,33 +585,33 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     stages.  The classes whose edges are all parallel come from
     `_all_parallel_graphs`.
 
-    Every class is labeled once, and its Aut generators are recorded in
-    `_class_generators` from that labeling, so the class is not labeled
-    again when it becomes a parent, is filtered or is contracted.
+    Every class is labeled once, and the code that labels it returns the
+    generators of its automorphism group with it.  The slice is kept in
+    `_raw_classes` with them, so the class is not labeled again when it
+    becomes a parent, is filtered or is contracted.
 
     The parents are split in `_split_work` shares (every jobs-th parent,
     from parent k), one per usable CPU; each share returns its classes
-    with their generators, which are recorded here, and the final sort
-    merges the shares into the order of a run in one process.
+    with their generators, and the final sort merges the shares into the
+    order of a run in one process.
     """
     g, v = loops, num_vertices
     if g < 2:
         raise ValueError("loop order must be >= 2")
-    num_edges = v + g - 1
     if v < 2 or v > 2 * (g - 1):
         return ()
-    found = _all_parallel_graphs(v, num_edges)
-    if v > 2:
-        parents = raw_slice(g, v - 1)
+    if (g, v) not in _raw_classes:
+        found = _all_parallel_graphs(v, v + g - 1)
+        if v > 2:
+            parents = list(_slice_classes(g, v - 1).items())
 
-        def share(k, jobs):
-            return [(canon, _class_generators[canon])
-                    for parent in parents[k::jobs] for canon in _accepted_children(parent)]
+            def share(k, jobs):
+                return [child for parent, generators in parents[k::jobs]
+                        for child in _accepted_children(parent, generators)]
 
-        for canon, generators in _split_work(share, len(parents)):
-            _class_generators.setdefault(canon, generators)
-            found.append(canon)
-    return tuple(sorted(found, key=lambda m: m.edges))
+            found.update(_split_work(share, len(parents)))
+        _raw_classes[(g, v)] = dict(sorted(found.items(), key=lambda item: item[0].edges))
+    return tuple(_raw_classes[(g, v)])
 
 
 def enumerate_basis(spec: ComplexSpec, num_vertices: int) -> BasisSlice:
@@ -642,10 +619,10 @@ def enumerate_basis(spec: ComplexSpec, num_vertices: int) -> BasisSlice:
     if num_vertices < 1:
         raise ValueError("vertex count must be positive")
     gens = []
-    for m in raw_slice(spec.loops, num_vertices):
+    for m, generators in _slice_classes(spec.loops, num_vertices).items():
         if spec.variant is Variant.TRICONNECTED and not is_triconnected(m):
             continue
-        if _is_zero(m, spec.parity):
+        if _is_zero(m, spec.parity, generators):
             continue
         gens.append(m)
     return BasisSlice(spec, num_vertices, tuple(gens))
@@ -733,14 +710,14 @@ def _contraction_sign(graph: Multigraph, edge_index: int, parity: Parity) -> int
     return (-1 if edge_index % 2 else 1) * perm_sign(order)
 
 
-def _edge_orbit_roots(graph: Multigraph) -> dict[int, int]:
+def _edge_orbit_roots(graph: Multigraph, generators) -> dict[int, int]:
     """Each simple edge index -> the first edge index of its Aut(graph) orbit.
 
-    Parallel edges are left out: contracting one gives zero.
+    ``generators`` generate Aut(graph).  Parallel edges are left out:
+    contracting one gives zero.
     """
     edges = graph.edges
     simple = [i for i in range(len(edges)) if not _is_parallel(edges, i)]
-    generators = _generators_of(graph)
     if not generators:
         return {i: i for i in simple}
     index = {edges[i]: k for k, i in enumerate(simple)}
@@ -754,12 +731,12 @@ def _edge_orbit_roots(graph: Multigraph) -> dict[int, int]:
     return {i: simple[_find(orbits, k)] for k, i in enumerate(simple)}
 
 
-def _edge_orbits(graph: Multigraph) -> dict[int, int]:
+def _edge_orbits(graph: Multigraph, generators) -> dict[int, int]:
     """First edge index of each Aut(graph) orbit of simple edges -> its size.
 
     The keys come in increasing order, since a root is its orbit's first edge.
     """
-    return dict(Counter(_edge_orbit_roots(graph).values()))
+    return dict(Counter(_edge_orbit_roots(graph, generators).values()))
 
 
 def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity, *,
@@ -806,7 +783,7 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
         if len(data) == 2:
             i, labeling = data
             return i, orientation_sign(image, labeling, parity)
-        if strict and not _canonicalize(image, parity, lambda _: data).is_zero:
+        if strict and not _is_zero(image, parity, _generators(data[1])):
             raise RuntimeError(f"contraction image missing from target slice: {data[0]}")
         return None
 
@@ -817,10 +794,11 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
         rows = []
         for j in range(k, len(sources), jobs):
             graph = sources[j]
-            if _is_zero(graph, parity):
+            generators = _generators_of(graph)
+            if _is_zero(graph, parity, generators):
                 continue
             row: dict[int, int] = {}
-            for e, weight in _edge_orbits(graph).items():
+            for e, weight in _edge_orbits(graph, generators).items():
                 image, sign = _contract(graph, e, parity)
                 n = image.num_vertices
                 code = tuple([n] + [u * n + v for u, v in image.edges])

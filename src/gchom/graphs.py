@@ -11,7 +11,8 @@ This module owns the graph type, the canonical-form search with sign
 tracking, and the structural predicates (connectivity, triconnectivity)
 used downstream.  The search refines partitions sparsely, pass by pass,
 and backtracks over individualizations, pruned by the automorphisms it
-finds.
+finds.  The zero test takes generators of the automorphism group as an
+argument, which the enumeration code returns with each class it labels.
 """
 
 from __future__ import annotations
@@ -612,6 +613,14 @@ def _generators(labelings) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([inv[i] for i in lab]) for lab in labelings[1:])
 
 
+def _form_generators(labelings) -> tuple[tuple[int, ...], ...]:
+    """`_generators` conjugated onto the canonical form: the ``lab_i ∘ lab_0⁻¹``."""
+    inv = [0] * len(labelings[0])
+    for v, i in enumerate(labelings[0]):
+        inv[i] = v
+    return tuple(tuple([lab[v] for v in inv]) for lab in labelings[1:])
+
+
 @lru_cache(maxsize=1 << 18)
 def canonicalize(graph: Multigraph, parity: Parity) -> CanonicalResult:
     """Canonical representative with sign, or Zero.
@@ -622,25 +631,24 @@ def canonicalize(graph: Multigraph, parity: Parity) -> CanonicalResult:
     permutation fixing the graph).  The sign is a homomorphism on the
     automorphism group, so checking the generators suffices.
     """
-    return _canonicalize(graph, parity, canonical_data)
-
-
-def _canonicalize(graph: Multigraph, parity: Parity, label) -> CanonicalResult:
-    """`canonicalize` on the labelings ``label(graph)`` gives.
-
-    ``label(graph)`` starts with the canonical form and the labelings, as
-    `canonical_data` does; it is not called for a graph with a parallel
-    edge under even parity.  Callers pass `canonical_data`, `_canonical_data`
-    or, in the zero test, the identity followed by `_generators_of(graph)`.
-    """
     if parity is Parity.EVEN and not graph.is_simple():
         return CanonicalResult.zero()
-    canon, labelings = label(graph)[:2]
-    sign0 = orientation_sign(graph, labelings[0], parity)
-    for lab in labelings[1:]:
-        if orientation_sign(graph, lab, parity) != sign0:
-            return CanonicalResult.zero()
-    return CanonicalResult(canon, sign0)
+    canon, labelings, _ = canonical_data(graph)
+    if _is_zero(graph, parity, _generators(labelings)):
+        return CanonicalResult.zero()
+    return CanonicalResult(canon, orientation_sign(graph, labelings[0], parity))
+
+
+def _is_zero(graph: Multigraph, parity: Parity, generators) -> bool:
+    """Whether ``graph`` is the zero generator, given generators of Aut(graph).
+
+    It is zero exactly when some generator acts on the orientation with
+    sign -1.  Under even parity a graph with a parallel edge is zero, and
+    ``generators`` is not read.
+    """
+    if parity is Parity.EVEN and not graph.is_simple():
+        return True
+    return any(orientation_sign(graph, gamma, parity) < 0 for gamma in generators)
 
 
 def automorphism_group_size(graph: Multigraph) -> int:

@@ -31,11 +31,12 @@ rotating a rim, swapping the two barrel rims) that map the graph of p
 onto the graph of another permutation p'.  The orbits come from
 union-find over the permutations in `itertools.permutations` order, so
 each orbit's root is its first permutation.  Only the root's graph is
-built and labeled, and its class's Aut generators are recorded from that
-labeling; a root in a class already found, or in a barrel class for the
-complement, is skipped at the first leaf that spells it.  Each parity
-then keeps the nonzero classes, tested on those generators, so the
-second parity builds and labels nothing.
+built and labeled, and its class is returned with the Aut generators
+read off that labeling; a root in a class already found, or in a barrel
+class for the complement, is skipped at the first leaf that spells it.
+Each parity then keeps the nonzero classes, tested on those generators,
+so the second parity builds and labels nothing.  One record per loop
+order holds every class with its generators, keyed by its edge codes.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from functools import lru_cache
 from gchom.complexes import (
     _contraction_sign,
     _edge_orbit_roots,
-    _is_zero,
-    _record_class,
     _sorted_pair,
     _split_children,
 )
@@ -58,9 +57,10 @@ from gchom.graphs import (
     Multigraph,
     Parity,
     _canonical_data,
-    _canonicalize,
     _edge_codes,
     _find,
+    _form_generators,
+    _is_zero,
     _join,
     orientation_sign,
 )
@@ -247,7 +247,6 @@ def _frame_symmetries(kind: str, n: int):
     return (lambda p: _compose(s, p), lambda p: _compose(p, s))
 
 
-@lru_cache(maxsize=None)
 def _orbit_roots(kind: str, n: int) -> tuple[int, ...]:
     """Orbit roots of the permutations of range(n) under `_frame_symmetries`.
 
@@ -268,14 +267,14 @@ def _by_edges(classes) -> tuple[Multigraph, ...]:
 
 
 @lru_cache(maxsize=None)
-def _family_classes(kind: str, loops: int) -> tuple[Multigraph, ...]:
+def _family_classes(kind: str, loops: int) -> dict[Multigraph, tuple]:
     """Canonical forms of one family's classes, zero or not, sorted by edges.
 
     The defining permutations are S_{g-1} for barrels and S_{g-2}
     otherwise.  Only the first permutation of each frame-symmetry orbit
     is built and labeled, once per loop order and for both parities, and
-    the generators of each class are recorded from that labeling, as
-    `raw_slice` records its classes.  Hub families (Y, A') keep only
+    each class comes with the generators of its automorphism group, read
+    off that labeling, as in `raw_slice`.  Hub families (Y, A') keep only
     their simple graphs: routing the hub strand back onto its own anchor
     doubles an edge, and those degenerate graphs are not part of the
     relation span.  The complement kinds (A, A') drop graphs isomorphic
@@ -284,14 +283,14 @@ def _family_classes(kind: str, loops: int) -> tuple[Multigraph, ...]:
     A root is labeled against the classes found so far, and the barrels
     for A and A', so a root in one of those classes stops at the first
     leaf that spells it and is skipped; only a root of a new class is
-    searched to the end, and it records the class.
+    searched to the end, and it gives the class.
     """
     degree = loops - 1 if kind == "B" else loops - 2
     build = _BUILDERS[kind]
     barrels = _family_classes("B", loops) if kind in ("A", "Aprime") else ()
     known = {_edge_codes(m): m for m in barrels}
     simple_only = kind in ("Y", "Aprime")
-    forms = []
+    classes = {}
     perms = itertools.permutations(range(degree))
     for i, (perm, root) in enumerate(zip(perms, _orbit_roots(kind, degree))):
         if i != root:  # isomorphic to its orbit's root, built earlier
@@ -303,23 +302,23 @@ def _family_classes(kind: str, loops: int) -> tuple[Multigraph, ...]:
         if len(data) == 2:  # a barrel, or a class found at an earlier root
             continue
         form, labelings, _ = data
-        _record_class(form, labelings)
         known[_edge_codes(form)] = form
-        forms.append(form)
-    return _by_edges(forms)
+        classes[form] = _form_generators(labelings)
+    return {m: classes[m] for m in _by_edges(classes)}
 
 
 def build_family(kind: str, loops: int, parity: Parity) -> tuple[Multigraph, ...]:
     """Nonzero isomorphism classes of one graph family, sorted by edges.
 
     The classes of `_family_classes` that do not vanish under the
-    parity, tested on their recorded generators, so nothing is built or
-    labeled for a parity once the other has found the classes.
+    parity, tested on the generators found with them, so nothing is built
+    or labeled for a parity once the other has found the classes.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown family kind {kind!r}")
     _supported(loops, parity)
-    return tuple(m for m in _family_classes(kind, loops) if not _is_zero(m, parity))
+    return tuple(m for m, generators in _family_classes(kind, loops).items()
+                 if not _is_zero(m, parity, generators))
 
 
 @dataclass(frozen=True)
@@ -357,46 +356,55 @@ def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
                              _by_edges({*x, *y}))
 
 
+@lru_cache(maxsize=None)
+def _family_record(loops: int) -> dict[tuple[int, ...], tuple[Multigraph, tuple]]:
+    """`_edge_codes` of every family class, zero or not -> (class, generators).
+
+    X and Y classes have an edge fewer than B, A and A' ones, so no graph spells both.
+    """
+    return {_edge_codes(m): (m, generators) for kind in FAMILY_KINDS
+            for m, generators in _family_classes(kind, loops).items()}
+
+
+def _family_generators(m: Multigraph) -> tuple:
+    """The generators `_family_classes` found with family class m."""
+    return _family_record(m.loop_order)[_edge_codes(m)][1]
+
+
 def _edge_weights(row: Multigraph) -> dict[tuple[int, int], int]:
     """Each simple edge of ``row`` -> the size of its Aut(row) orbit."""
-    roots = _edge_orbit_roots(row)
+    roots = _edge_orbit_roots(row, _family_generators(row))
     sizes = Counter(roots.values())
     return {row.edges[i]: sizes[root] for i, root in roots.items()}
-
-
-@lru_cache(maxsize=None)
-def _span_classes(loops: int) -> dict[tuple[int, ...], Multigraph]:
-    """`_edge_codes` of every B, A and A' class, zero or not -> the class."""
-    return {_edge_codes(m): m for kind in ("B", "A", "Aprime")
-            for m in _family_classes(kind, loops)}
 
 
 @lru_cache(maxsize=None)
 def _split_terms(x: Multigraph) -> tuple[tuple[Multigraph, tuple[int, int], int, int], ...]:
     """``(class, edge, even sign, odd sign)`` per split child of X/Y class x.
 
-    Each child is labeled once, with no parity, against `_span_classes`
+    Each child is labeled once, with no parity, against `_family_record`
     of x's loop order, so a child in a B, A or A' class stops at the
     first leaf that spells it; that leaf's labeling is an isomorphism
-    onto the class, and it is zero or nonzero by the class's recorded
-    generators.  A child in no such class is labeled to the end and
-    tested for zero on its own labelings.  ``edge`` is the image of the
-    child's fresh edge (v, n) under the labeling, and a parity's sign is
-    the child's orientation sign times the sign of contracting (v, n),
-    or 0 where the child is zero.
+    onto the class, and the record gives the class's generators.  A child
+    in no such class is labeled to the end, and the generators of its form
+    are read off its labelings.  Either way the class is zero or nonzero
+    by those generators.  ``edge`` is the image of the child's fresh edge
+    (v, n) under the labeling, and a parity's sign is the child's
+    orientation sign times the sign of contracting (v, n), or 0 where the
+    child is zero.
     """
-    known = _span_classes(x.loop_order)
+    known = _family_record(x.loop_order)
     n = x.num_vertices
     terms = []
-    for v, child in _split_children(x):
+    for v, child in _split_children(x, _family_generators(x)):
         data = _canonical_data(child, known=known)
         if len(data) == 2:
-            form, lab = data
-            signs = [0 if _is_zero(form, p) else orientation_sign(child, lab, p)
-                     for p in Parity]
-        else:
-            form, lab = data[0], data[1][0]
-            signs = [_canonicalize(child, p, lambda _: data).sign for p in Parity]
+            (form, generators), lab = data
+        else:  # in no family class
+            form, labelings, _ = data
+            generators, lab = _form_generators(labelings), labelings[0]
+        signs = [0 if _is_zero(form, p, generators) else orientation_sign(child, lab, p)
+                 for p in Parity]
         fresh = child.edges.index((v, n))
         terms.append((form, _sorted_pair(lab[v], lab[n]),
                       *[s * _contraction_sign(child, fresh, p) if s else 0
@@ -413,7 +421,7 @@ def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
     labeled once per class for both parities and for the rebuild
     `dperp_rank` makes after `upper_bound`, outside the `canonical_data`
     and `canonicalize` caches.  Each row's edge orbits are computed once
-    per call, from its recorded generators.
+    per call, from the generators `_family_classes` found with it.
     """
     odd = fam.parity is Parity.ODD
     rows = {r: i for i, r in enumerate(fam.b_members + fam.bperp_members)}

@@ -94,9 +94,6 @@ class PrimeField:
         if self.p == 2 or self.p >= 1 << 61 or not _is_prime(self.p):
             raise ValueError(f"need an odd prime below 2**61, got {self.p}")
 
-    def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
-
 
 @dataclass
 class FpSparseMatrix:

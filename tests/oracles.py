@@ -305,9 +305,9 @@ def vertex_splits(graph: Multigraph) -> list[Multigraph]:
     The new vertex gets the highest label; the children are not
     canonicalized.
     """
-    from gchom.complexes import _split_children
+    from gchom.complexes import _generators_of, _split_children
 
-    return [child for _, child in _split_children(graph)]
+    return [child for _, child in _split_children(graph, _generators_of(graph))]
 
 
 def contract_edge(graph: Multigraph, edge_index: int, parity: Parity):

@@ -11,6 +11,7 @@ import pytest
 from gchom.graphs import (
     Multigraph,
     Parity,
+    _is_zero,
     _neighbors,
     automorphism_generators,
     canonical_data,
@@ -24,11 +25,12 @@ from gchom.complexes import (
     _accepted_children,
     _all_parallel_graphs,
     _canonical_parent_form,
-    _class_generators,
     _connected_simple_graphs,
     _edge_orbits,
-    _is_zero,
+    _generators_of,
+    _raw_classes,
     _rows_graph,
+    _slice_classes,
     _split_child,
     _split_orbit_reps,
     _split_takes,
@@ -177,7 +179,8 @@ def test_orbit_pruned_raw_slice_matches_unpruned_splits():
                              for child in oracles.all_vertex_splits(parent)}
             # canonical augmentation: every class reached by splitting is
             # accepted from exactly one (parent, split orbit) pair
-            accepted = Counter(m for parent in parents for m in _accepted_children(parent))
+            accepted = Counter(m for parent in parents for m, _ in _accepted_children(
+                parent, _generators_of(parent)))
             assert accepted == Counter(split_classes), (g, v)
             expected = split_classes | set(_all_parallel_graphs(v, v + g - 1))
             assert set(raw_slice(g, v)) == expected, (g, v)
@@ -207,35 +210,56 @@ def test_raw_slices_are_pinned():
 def test_recorded_generators_generate_the_automorphism_group():
     for g in range(2, 7):
         for v in range(2, 2 * g - 1):
-            for m in raw_slice(g, v):
+            for m, generators in _slice_classes(g, v).items():
                 n = m.num_vertices
-                assert (oracles.permutation_group(_class_generators[m], n)
+                assert (oracles.permutation_group(generators, n)
                         == oracles.permutation_group(automorphism_generators(m), n)), m
                 for parity in Parity:
-                    assert _is_zero(m, parity) == canonicalize(m, parity).is_zero, (m, parity)
+                    assert (_is_zero(m, parity, generators)
+                            == canonicalize(m, parity).is_zero), (m, parity)
 
 
 def test_slices_and_differentials_do_not_need_recorded_generators():
-    def build():
+    def build(basis):
         out = {}
         for parity in Parity:
             for variant in Variant:
                 spec = ComplexSpec(parity, variant, 5)
-                slices = {v: enumerate_basis(spec, v) for v in range(2, 9)}
+                slices = {v: basis(spec, v) for v in range(2, 9)}
                 out[spec] = slices, {v: differential_matrix(slices[v], slices[v - 1]).entries
                                      for v in range(3, 9)}
         return out
 
-    recorded = build()
-    assert all(m in _class_generators for v in range(2, 9) for m in raw_slice(5, v))
-    saved = dict(_class_generators)
-    _class_generators.clear()
+    recorded = build(enumerate_basis)
+    assert all((5, v) in _raw_classes for v in range(2, 9))
+    saved = dict(_raw_classes)
+    _raw_classes.clear()
     try:
-        unrecorded = build()
-        assert not _class_generators  # every class took the fallback path
+        # the slices come back from their files, and none is enumerated
+        unrecorded = build(lambda spec, v: load_basis(dump_basis(recorded[spec][0][v])))
+        assert not _raw_classes  # every source took the fallback path
     finally:
-        _class_generators.update(saved)
+        _raw_classes.update(saved)
     assert unrecorded == recorded
+
+
+def test_file_loaded_differential_leaves_the_label_caches_alone():
+    # odd full g=6, V=9 -> 8: 131 sources, forked on two or more CPUs; with no
+    # slice enumerated, each is labeled once by the fallback, outside both caches
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 6)
+    src, dst = enumerate_basis(spec, 9), enumerate_basis(spec, 8)
+    enumerated = differential_matrix(src, dst)
+    saved = dict(_raw_classes)
+    _raw_classes.clear()
+    try:
+        before = canonical_data.cache_info(), canonicalize.cache_info()
+        loaded = differential_matrix(load_basis(dump_basis(src)), load_basis(dump_basis(dst)))
+        assert (canonical_data.cache_info(), canonicalize.cache_info()) == before
+        assert not _raw_classes
+    finally:
+        _raw_classes.update(saved)
+    assert loaded.entries == enumerated.entries
+    assert list(loaded.entries) == list(enumerated.entries)
 
 
 def _built_child(parent, v, row, take):
@@ -249,7 +273,7 @@ def _built_child(parent, v, row, take):
 
 def _split_children(parent):
     """Every orbit-representative split child of parent, with its fresh edge."""
-    incident, splits = _split_orbit_reps(parent)
+    incident, splits = _split_orbit_reps(parent, _generators_of(parent))
     for v, take in splits:
         yield _built_child(parent, v, incident[v], take), (v, parent.num_vertices)
 
@@ -275,7 +299,7 @@ def test_split_child_rows_match_the_built_child():
     for g in range(2, 7):
         for v in range(2, 2 * g - 2):
             for parent in raw_slice(g, v):
-                nbrs, splits = _split_orbit_reps(parent)
+                nbrs, splits = _split_orbit_reps(parent, _generators_of(parent))
                 deg = list(parent.degrees())
                 for x, take in splits:
                     rows, child_deg = _split_child(nbrs, deg, x, take)
@@ -303,7 +327,8 @@ def test_canonical_parent_test_is_invariant_under_relabeling():
     kept = 0
 
     def parent_form(graph, fresh):
-        return _canonical_parent_form(_neighbors(graph), list(graph.degrees()), fresh)
+        accepted = _canonical_parent_form(_neighbors(graph), list(graph.degrees()), fresh)
+        return None if accepted is None else accepted[0]
 
     for child, (a, b) in rng.sample(children, 200):
         perm = list(range(child.num_vertices))
@@ -319,7 +344,7 @@ def test_canonical_augmentation_labels_only_the_children_past_every_stage(monkey
     # every parent of g=6 in one process: 1,836 children accepted and 163
     # labeled only to be rejected at the last stage; without the two-hop
     # stage 449 were, of 2,285 labelings, so a lost stage fails here
-    parents = [p for v in range(2, 10) for p in raw_slice(6, v)]
+    parents = [item for v in range(2, 10) for item in _slice_classes(6, v).items()]
     split_classes = sum(len(raw_slice(6, v)) - len(_all_parallel_graphs(v, v + 5))
                         for v in range(3, 11))
     labeled = []
@@ -330,7 +355,8 @@ def test_canonical_augmentation_labels_only_the_children_past_every_stage(monkey
 
     canonical_data_uncached = complexes._canonical_data
     monkeypatch.setattr(complexes, "_canonical_data", counting)
-    accepted = sum(1 for parent in parents for _ in _accepted_children(parent))
+    accepted = sum(1 for parent, generators in parents
+                   for _ in _accepted_children(parent, generators))
     assert accepted == split_classes == 1836
     assert len(labeled) == 1999
 
@@ -352,7 +378,7 @@ def test_contraction_entries_drop_zero_images_and_check_missing_ones():
     # a trivalent odd g=4 generator with two edge orbits: contracting edge 2
     # gives a zero graph, contracting edge 0 a nonzero one
     graph = Multigraph.from_line("6 9 0 3 0 4 0 5 1 2 1 4 1 5 2 3 2 5 3 4")
-    assert sorted(_edge_orbits(graph)) == [0, 2]
+    assert sorted(_edge_orbits(graph, _generators_of(graph))) == [0, 2]
     assert contract_edge(graph, 2, Parity.ODD).is_zero
     image = contract_edge(graph, 0, Parity.ODD)
     assert not image.is_zero
@@ -360,7 +386,7 @@ def test_contraction_entries_drop_zero_images_and_check_missing_ones():
     # the zero image is missing from the targets, but it is dropped as
     # zero, so strict mode does not raise
     entries = contraction_entries([graph], targets, Parity.ODD, strict=True)
-    assert entries == {(0, 0): image.sign * _edge_orbits(graph)[0]}
+    assert entries == {(0, 0): image.sign * _edge_orbits(graph, _generators_of(graph))[0]}
     assert entries == oracles.per_edge_contractions([graph], targets, Parity.ODD, strict=True)
     with pytest.raises(RuntimeError, match="missing from target slice"):
         contraction_entries([graph], {}, Parity.ODD, strict=True)
@@ -481,12 +507,11 @@ def test_graphs_by_edge_addition_small():
 
 
 def _fresh_enumeration(max_loops):
-    """Raw slices, recorded generators, bases and matrix entries from empty caches."""
-    raw_slice.cache_clear()
-    _class_generators.clear()
+    """Raw slices, their generators, bases and matrix entries from an empty memo."""
+    _raw_classes.clear()
     slices = {(g, v): raw_slice(g, v) for g in range(2, max_loops + 1)
               for v in range(2, 2 * g - 1)}
-    generators = dict(_class_generators)
+    generators = dict(_raw_classes)
     matrices = {}
     for parity in Parity:
         for variant in Variant:
@@ -502,15 +527,15 @@ def _fresh_enumeration(max_loops):
 
 @needs_fork
 def test_parallel_and_serial_runs_agree(monkeypatch, forks):
-    saved = dict(_class_generators)
+    saved = dict(_raw_classes)
     try:
         parallel = _fresh_enumeration(6)
         assert forks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = _fresh_enumeration(6)
     finally:
-        raw_slice.cache_clear()
-        _class_generators.update(saved)
+        _raw_classes.clear()
+        _raw_classes.update(saved)
     for got, want in zip(parallel, serial):
         assert got == want
     assert_no_child_left()

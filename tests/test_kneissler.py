@@ -6,15 +6,19 @@ from types import SimpleNamespace
 import pytest
 
 from gchom import complexes, graphs, kneissler
-from gchom.graphs import Parity, automorphism_generators, canonical_data, canonicalize
+from gchom.graphs import (
+    Parity,
+    _is_zero,
+    automorphism_generators,
+    canonical_data,
+    canonicalize,
+)
 from gchom.complexes import (
     ComplexSpec,
     Variant,
-    _class_generators,
     _contract,
     _contraction_sign,
     _is_parallel,
-    _is_zero,
     _split_children,
     enumerate_basis,
     raw_slice,
@@ -227,10 +231,11 @@ def test_family_classes_record_their_automorphism_groups():
             fam = build_families(loops, parity)
             for m in set(fam.b_members) | set(fam.bperp_members) | set(fam.v_members):
                 n = m.num_vertices
-                assert (oracles.permutation_group(_class_generators[m], n)
+                generators = kneissler._family_generators(m)
+                assert (oracles.permutation_group(generators, n)
                         == oracles.permutation_group(automorphism_generators(m), n)), m
                 for p in Parity:
-                    assert _is_zero(m, p) == canonicalize(m, p).is_zero, (m, p)
+                    assert _is_zero(m, p, generators) == canonicalize(m, p).is_zero, (m, p)
 
 
 def test_image_outside_span_detection():
@@ -274,7 +279,7 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
 
 
 def test_bound_path_leaves_the_label_caches_alone():
-    for cached in (build_families, kneissler._family_classes, kneissler._span_classes,
+    for cached in (build_families, kneissler._family_classes, kneissler._family_record,
                    kneissler._split_terms):
         cached.cache_clear()
     before = (canonical_data.cache_info(), canonicalize.cache_info())
@@ -296,7 +301,8 @@ def test_contraction_sign_matches_contract():
         for loops in range(5 if parity is Parity.EVEN else 4, 9):
             for x in build_families(loops, parity).v_members:
                 n = x.num_vertices
-                edges += [(child, child.edges.index((v, n))) for v, child in _split_children(x)]
+                edges += [(child, child.edges.index((v, n)))
+                          for v, child in _split_children(x, kneissler._family_generators(x))]
     for loops in range(2, 6):
         for v in range(2, 2 * loops - 1):
             edges += [(m, i) for m in raw_slice(loops, v)
