@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from gchom.cache import FileCache
-from gchom.complexes import _NONZEROS_PER_ITEM, BasisSlice, ComplexSpec, _split_work
+from gchom.complexes import BasisSlice, ComplexSpec, _split_work
 from gchom.linalg import RANK_METHODS, PrimeField, gauss_ranks, reduce_mod_p
 
 DEFAULT_GENERATOR_CAP = 5_000_000
@@ -88,30 +88,31 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     Ranks of the two differentials adjacent to each slice are computed
     at `prime`; nonexistent differentials beyond the degree range count
     as rank 0.  With method="wiedemann" every h is an upper bound and
-    only zero rows are certified.  With gauss and a `confirm_prime`
+    only zero rows are certified; a `confirm_prime` is then a ValueError,
+    since it would certify nothing.  With gauss and a `confirm_prime`
     (which must differ from `prime`), rows whose ranks agree at both
     primes are certified.  Bases and differentials come from `cache`,
     an in-memory `FileCache` when none is given.  Every differential is
-    fetched once, here and in V order, before any is ranked.  Then the
-    matrices are ranked in `_split_work` shares, one per usable CPU,
-    dealt by `_deal`, and the ranks come back keyed by V, so the table
-    is the one a single process gives.  Gauss with a confirm prime ranks
-    a matrix at both primes in one elimination over Z/pqZ
-    (`gauss_ranks`); otherwise it is ranked at `prime` alone, the
-    Wiedemann rank from ``seed`` in whichever process ranks it.  A slice
-    with more than `DEFAULT_GENERATOR_CAP` generators raises
-    GeneratorCapExceeded.
+    fetched once, here and in V order, before any is ranked.  Then
+    `_split_work` ranks the matrices on every usable CPU, weighted by
+    their nonzeros, and the ranks come back in V order, so the table is
+    the one a single process gives.  Gauss ranks a matrix at every prime
+    in one elimination (`gauss_ranks`, over Z/pqZ with a confirm prime);
+    Wiedemann ranks it at `prime`, from ``seed`` in whichever process
+    ranks it.  A slice with more than `DEFAULT_GENERATOR_CAP` generators
+    raises GeneratorCapExceeded.
     """
     if method not in RANK_METHODS:
         raise ValueError(f"unknown method {method!r}")
     fp = PrimeField(prime)
     primes = (prime,)
     if confirm_prime is not None:
+        if method != "gauss":
+            raise ValueError(f"a confirm prime certifies gauss ranks only, not {method}")
         if confirm_prime == prime:
             raise ValueError(f"confirm prime must differ from the prime {prime}")
         PrimeField(confirm_prime)
-        if method == "gauss":
-            primes = (prime, confirm_prime)
+        primes = (prime, confirm_prime)
     if cache is None:
         cache = FileCache()
     slices: dict[int, BasisSlice] = {}
@@ -123,30 +124,18 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
             )
         slices[v] = s
 
-    # V -> the differential leaving the slice at V
-    mats = {}
-    for v in _slice_range(spec):
-        if v - 1 in slices and len(slices[v]) and len(slices[v - 1]):
-            mats[v] = cache.matrix(spec, v)
-    nonzeros = {v: len(mat.entries) for v, mat in mats.items()}
+    # the V whose slice has a differential leaving it
+    order = [v for v in _slice_range(spec)
+             if v - 1 in slices and len(slices[v]) and len(slices[v - 1])]
+    mats = [cache.matrix(spec, v) for v in order]
 
     def rank(mat) -> tuple[int, ...]:
-        if len(primes) > 1:
+        if method == "gauss":
             return gauss_ranks(mat, primes)
         return (RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank,)
 
-    def share(k, jobs):
-        mine = _deal(nonzeros, jobs)[k]
-        if k == 0:
-            # the children rank the rest; drop them before the first elimination
-            for v in [v for v in mats if v not in mine]:
-                del mats[v]
-        # lightest first: each matrix is dropped once ranked, so the
-        # heaviest elimination runs after the share's others are freed
-        return [(v, rank(mats.pop(v))) for v in reversed(mine)]
-
-    got = dict(_split_work(share, len(mats),
-                           sum(nonzeros.values()) // _NONZEROS_PER_ITEM))
+    # _split_work drops each matrix from mats once it is ranked
+    got = dict(zip(order, _split_work(rank, mats, [len(mat.entries) for mat in mats])))
     # per prime: V -> rank of the differential leaving the slice at V
     ranks, *confirm = ({v: r[i] for v, r in got.items()} for i in range(len(primes)))
     rows = []
@@ -163,22 +152,6 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
         rows.append(CohomologyRow(spec.degree_of(v), dim, rank_out, rank_in,
                                   h, certified))
     return CohomologyTable(spec, prime, method, tuple(rows))
-
-
-def _deal(weights: dict[int, int], jobs: int) -> list[list[int]]:
-    """The keys of ``weights`` dealt to ``jobs`` shares, heaviest first.
-
-    Each key, in order of decreasing weight and then increasing key, goes
-    to the share with the least weight so far (the first, on a tie), so
-    the deal depends only on the weights and ``jobs``.
-    """
-    shares: list[list[int]] = [[] for _ in range(jobs)]
-    loads = [0] * jobs
-    for key in sorted(weights, key=lambda key: (-weights[key], key)):
-        k = loads.index(min(loads))
-        shares[k].append(key)
-        loads[k] += weights[key]
-    return shares
 
 
 def euler_characteristic(table: CohomologyTable) -> tuple[int, int]:

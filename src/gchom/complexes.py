@@ -31,12 +31,14 @@ looked up about once each.
 The loops that dominate a table run on every CPU this process may use
 (`os.sched_getaffinity`): here, splitting the parents of a raw slice and
 contracting the sources of a differential, and in `gchom.cohomology`,
-ranking the differentials of a table.  `_split_work` forks one worker
-per extra CPU, gives each a share of the items, and merges the shares in
-a fixed order, so the slices, their generators, the matrices and the
-ranks are the same as in one process.  Calls with less work than
-`_FORK_FLOOR`, hosts with one usable CPU, platforms without `os.fork`
-and processes with other live threads run in one process.
+ranking the differentials of a table.  Each is one call of
+`_split_work(fn, items, weights)`, a map: it deals the items by weight
+(`_deal`), runs one share here and the others in one forked worker per
+extra CPU, and returns ``fn``'s results in item order, so the slices,
+their generators, the matrices and the ranks are the same as in one
+process.  Calls with less work than `_FORK_FLOOR`, hosts with one usable
+CPU, platforms without `os.fork` and processes with other live threads
+run in one process.
 """
 
 from __future__ import annotations
@@ -56,13 +58,11 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _edge_codes,
-    _find,
     _form_generators,
     _generators,
     _is_zero,
-    _join,
     _neighbors,
-    _orbit_sizes,
+    _orbit_roots,
     is_triconnected,
     orientation_sign,
     perm_sign,
@@ -100,23 +100,6 @@ class ComplexSpec:
         if self.parity is Parity.EVEN:
             return num_vertices - self.loops - 1
         return num_vertices - 2 * self.loops - 1
-
-
-def vertex_count(parity: Parity, loops: int, degree: int) -> int | None:
-    """Vertex count of the slice in the given degree, or None if empty.
-
-    Inverts the degree formula; the structural range is 2 <= V <= 2(g-1),
-    the upper bound being the trivalent case (2E >= 3V with E = V+g-1).
-    """
-    if loops < 2:
-        raise ValueError("loop order must be >= 2")
-    if parity is Parity.EVEN:
-        v = degree + loops + 1
-    else:
-        v = degree + 2 * loops + 1
-    if 2 <= v <= 2 * (loops - 1):
-        return v
-    return None
 
 
 @dataclass(frozen=True)
@@ -262,8 +245,8 @@ def _split_orbit_reps(graph: Multigraph, generators, keep=None, nbrs=None):
             if keep is None or keep(v, row, take):
                 splits.append((v, take))
     if len(splits) > 1 and generators:
-        splits = [splits[i] for i in _orbit_sizes(
-            len(splits), _split_images(splits, incident, generators))]
+        roots = _orbit_roots(len(splits), _split_images(splits, incident, generators))
+        splits = [split for i, split in enumerate(splits) if roots[i] == i]
     return incident, splits
 
 
@@ -367,7 +350,7 @@ def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]):
     split descriptor.  Stages 2 and 2b run on the rows and return None as
     soon as an edge beats ``fresh``; the child is built and labeled only
     when ``fresh`` survives them.  None also when ``fresh`` is not in the
-    Aut(child) orbit of m(child) (union-find over the generators).  An
+    Aut(child) orbit of m(child) (`_orbit_roots` over the generators).  An
     accepted child gives its canonical form and, from its labelings, the
     generators of Aut(form).
     """
@@ -393,10 +376,10 @@ def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]):
         best = min(tied, key=lambda e: _sorted_pair(lab[e[0]], lab[e[1]]))
         if best != fresh:
             index = {e: i for i, e in enumerate(tied)}
-            orbits = list(range(len(tied)))
-            for gamma in _generators(labelings):
-                _join(orbits, [index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied])
-            if _find(orbits, index[best]) != _find(orbits, index[fresh]):
+            perms = ([index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied]
+                     for gamma in _generators(labelings))
+            roots = _orbit_roots(len(tied), perms)
+            if roots[index[best]] != roots[index[fresh]]:
                 return None
     return canon, _form_generators(labelings)
 
@@ -446,47 +429,72 @@ def _accepted_children(parent: Multigraph, generators):
             yield accepted
 
 
-# A call with less work than this runs in one process: a fork, its pipe
-# and its exit cost a few milliseconds, more than that much work.  The
-# unit, for every caller, is one item: one parent split or one source
-# contracted, about 0.1-0.5 ms each on a 2-core Xeon.  Ranking
-# `_NONZEROS_PER_ITEM` matrix nonzeros counts as one item; a nonzero costs
-# about 4 us in a two-prime Gauss elimination and 17 us in a Wiedemann
-# rank.  So the odd g=5 ranks (227 nonzeros, 2-8 ms) run in one process,
-# and the odd g=6 ranks (5,319 nonzeros, 30-100 ms) are split.
+# A call with less work than this many items runs in one process: a
+# fork, its pipe and its exit cost a few milliseconds, more than that much
+# work.  An item is one parent split or one source contracted, about
+# 0.1-0.5 ms each on a 2-core Xeon.  Ranking `_NONZEROS_PER_ITEM` matrix
+# nonzeros counts as one item; a nonzero costs about 4 us in a two-prime
+# Gauss elimination and 17 us in a Wiedemann rank.  So the odd g=5 ranks
+# (227 nonzeros, 2-8 ms) run in one process, and the odd g=6 ranks (5,319
+# nonzeros, 30-100 ms) are split.  `_split_work` weighs work in nonzeros,
+# so that every weight is an integer and the floor test and the deal are
+# exact.
 _FORK_FLOOR = 100
 _NONZEROS_PER_ITEM = 20
 
 
-def _split_work(share, size: int, work: int | None = None) -> list:
-    """``share(k, jobs)`` for each k < jobs, concatenated in k order.
+def _deal(weights, jobs: int) -> list[list[int]]:
+    """The indices of ``weights`` dealt to ``jobs`` shares, heaviest first.
 
-    jobs is the number of CPUs this process may run on, but at most
-    ``size``, the number of items the shares divide.  ``work`` is what
-    they cost in the unit of `_FORK_FLOOR`, ``size`` when not given.
-    Share 0 runs here; every other share runs in a forked child, which
-    pickles its result, or the exception it raised, into a pipe and
-    leaves with `os._exit`.  A child's exception is raised again here,
-    with its type and message.  Every child is reaped before this returns
-    or raises; when anything fails, the children still running are killed
-    first.  A child sees this process as it was at the fork, so a share
-    must return, not store, what it finds.
-
-    It runs ``share(0, 1)`` here instead when only one CPU is usable, when
-    ``work`` is below `_FORK_FLOOR`, when ``os.fork`` is missing, or when
-    another thread is alive, since a forked child gets only the calling
-    thread and may inherit a lock some other thread held.
+    Each index, in order of decreasing weight and then increasing index,
+    goes to the share with the least weight so far (the first, on a tie),
+    so the deal depends only on the weights and ``jobs``.  Equal weights
+    are dealt round robin: share k gets k, k + jobs, k + 2 jobs, ...
     """
+    shares: list[list[int]] = [[] for _ in range(jobs)]
+    loads = [0] * jobs
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += weights[i]
+    return shares
+
+
+def _split_work(fn, items: list, weights=None) -> list:
+    """``[fn(item) for item in items]``, computed on every CPU this process may use.
+
+    `_deal` deals the item indices by ``weights``, in matrix nonzeros
+    (`_NONZEROS_PER_ITEM` each when not given), to jobs shares, jobs being
+    the number of usable CPUs but at most ``len(items)``.  Share 0 runs
+    here; every other share runs in a forked child, which pickles its
+    results, or the exception it raised, into a pipe and leaves with
+    `os._exit`.  A child's exception is raised again here, with its type
+    and message.  Every child is reaped before this returns or raises;
+    when anything fails, the children still running are killed first.  A
+    child sees this process as it was at the fork, so ``fn`` must return,
+    not store, what it finds.
+
+    A share runs its items lightest first and sets each one's slot in
+    ``items`` to None once done, and this process clears the other
+    shares' slots after the fork: an item held nowhere else is freed once
+    done, and a share's heaviest item runs after its others are gone.
+
+    Everything runs here, as one share, when only one CPU is usable, when
+    the weights sum below `_FORK_FLOOR` items, when ``os.fork`` is
+    missing, or when another thread is alive, since a forked child gets
+    only the calling thread and may inherit a lock some other thread held.
+    """
+    if weights is None:
+        weights = [_NONZEROS_PER_ITEM] * len(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    jobs = min(cpus, size)
-    if work is None:
-        work = size
-    if (jobs < 2 or work < _FORK_FLOOR or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return share(0, 1)
+    jobs = min(cpus, len(items))
+    if (jobs < 2 or sum(weights) < _FORK_FLOOR * _NONZEROS_PER_ITEM
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        jobs = 1
+    shares = [share[::-1] for share in _deal(weights, jobs)]  # lightest first
     children = []  # (pid, read end of its pipe)
     try:
-        for k in range(1, jobs):
+        for share in shares[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -500,21 +508,28 @@ def _split_work(share, size: int, work: int | None = None) -> list:
                     os.close(read)
                     for _, pipe in children:
                         pipe.close()
-                    _send_share(share, k, jobs, write)
+                    _send_share(fn, items, share, write)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        out = share(0, jobs)
+        for share in shares[1:]:
+            for i in share:
+                items[i] = None
+        got = [_run_share(fn, items, shares[0])]
         for k, (_, pipe) in enumerate(children, 1):
             try:
-                ok, value = pickle.load(pipe)
+                ok, values = pickle.load(pipe)
             except EOFError:
                 raise RuntimeError(f"worker {k} of {jobs} exited without a result") from None
             if not ok:
-                raise value
-            out.extend(value)
+                raise values
+            got.append(values)
+        out = [None] * len(items)
+        for share, values in zip(shares, got):
+            for i, value in zip(share, values):
+                out[i] = value
         return out
     except BaseException:
         import signal
@@ -528,10 +543,19 @@ def _split_work(share, size: int, work: int | None = None) -> list:
             os.waitpid(pid, 0)
 
 
-def _send_share(share, k: int, jobs: int, fd: int) -> None:
-    """Pickle ``(True, share(k, jobs))``, or ``(False, exception)``, into fd."""
+def _run_share(fn, items: list, share: list[int]) -> list:
+    """``fn(items[i])`` for each i of ``share``, in order, clearing each slot once done."""
+    out = []
+    for i in share:
+        out.append(fn(items[i]))
+        items[i] = None
+    return out
+
+
+def _send_share(fn, items: list, share: list[int], fd: int) -> None:
+    """Pickle ``(True, results)`` of `_run_share`, or ``(False, exception)``, into fd."""
     try:
-        reply = (True, share(k, jobs))
+        reply = (True, _run_share(fn, items, share))
     except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
         reply = (False, exc)
     with os.fdopen(fd, "wb") as pipe:
@@ -590,10 +614,9 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
     `_raw_classes` with them, so the class is not labeled again when it
     becomes a parent, is filtered or is contracted.
 
-    The parents are split in `_split_work` shares (every jobs-th parent,
-    from parent k), one per usable CPU; each share returns its classes
-    with their generators, and the final sort merges the shares into the
-    order of a run in one process.
+    The parents are split by `_split_work`, on every usable CPU; each
+    parent's children come back with their generators, and the final sort
+    gives the slice the order of a run in one process.
     """
     g, v = loops, num_vertices
     if g < 2:
@@ -604,12 +627,8 @@ def raw_slice(loops: int, num_vertices: int) -> tuple[Multigraph, ...]:
         found = _all_parallel_graphs(v, v + g - 1)
         if v > 2:
             parents = list(_slice_classes(g, v - 1).items())
-
-            def share(k, jobs):
-                return [child for parent, generators in parents[k::jobs]
-                        for child in _accepted_children(parent, generators)]
-
-            found.update(_split_work(share, len(parents)))
+            for children in _split_work(lambda p: list(_accepted_children(*p)), parents):
+                found.update(children)
         _raw_classes[(g, v)] = dict(sorted(found.items(), key=lambda item: item[0].edges))
     return tuple(_raw_classes[(g, v)])
 
@@ -721,14 +740,15 @@ def _edge_orbit_roots(graph: Multigraph, generators) -> dict[int, int]:
     if not generators:
         return {i: i for i in simple}
     index = {edges[i]: k for k, i in enumerate(simple)}
-    orbits = list(range(len(simple)))
+    perms = []
     for gamma in generators:
         perm = []
         for i in simple:
             a, b = gamma[edges[i][0]], gamma[edges[i][1]]
             perm.append(index[(a, b) if a < b else (b, a)])
-        _join(orbits, perm)
-    return {i: simple[_find(orbits, k)] for k, i in enumerate(simple)}
+        perms.append(perm)
+    roots = _orbit_roots(len(simple), perms)
+    return {i: simple[roots[k]] for k, i in enumerate(simple)}
 
 
 def _edge_orbits(graph: Multigraph, generators) -> dict[int, int]:
@@ -755,7 +775,7 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     ``targets``, and only a missing class is tested for zero, in strict
     mode.
 
-    Each distinct image is labeled once per share, with the uncached
+    Each distinct image is labeled once per process, with the uncached
     `_canonical_data`, so images never enter the `canonical_data` or
     `canonicalize` caches: an image is rarely met again outside the
     matrix that contracts to it.  The search is given the edge codes of
@@ -764,16 +784,17 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
     onto the target, whose sign is the first canonical labeling's.  Only
     an image in no target class, zero or missing, is searched to the end.
 
-    The sources are contracted in `_split_work` shares (every jobs-th
-    source, from source k), one per usable CPU, each with its own image
-    memo.  A share returns one ``(source index, {target index: coefficient})``
-    row per nonzero source; the shares hold disjoint sources, so their rows
-    are merged by sorting on the source index, which gives the entries the
-    order of a run in one process.  A missing image's RuntimeError raised
-    in a worker reaches the caller unchanged.
+    The sources are contracted by `_split_work`, on every usable CPU,
+    each process with its own image memo; their rows come back in source
+    order, so the entries have the order of a run in one process.  A
+    missing image's RuntimeError raised in a worker reaches the caller
+    unchanged.
     """
 
     known = {_edge_codes(target): i for target, i in targets.items()}
+    # keyed by the image's vertex count and edge codes, not by the image:
+    # a tuple per edge of every image would live as long as the memo
+    terms: dict[tuple[int, ...], tuple[int, int] | None] = {}
 
     def term(image: Multigraph) -> tuple[int, int] | None:
         # (target index, sign) of a contracted image; None if it is dropped
@@ -787,33 +808,26 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
             raise RuntimeError(f"contraction image missing from target slice: {data[0]}")
         return None
 
-    def share(k, jobs):
-        # keyed by the image's vertex count and edge codes, not by the image:
-        # a tuple per edge of every image would live until the share returns
-        terms: dict[tuple[int, ...], tuple[int, int] | None] = {}
-        rows = []
-        for j in range(k, len(sources), jobs):
-            graph = sources[j]
-            generators = _generators_of(graph)
-            if _is_zero(graph, parity, generators):
-                continue
-            row: dict[int, int] = {}
-            for e, weight in _edge_orbits(graph, generators).items():
-                image, sign = _contract(graph, e, parity)
-                n = image.num_vertices
-                code = tuple([n] + [u * n + v for u, v in image.edges])
-                if code not in terms:
-                    terms[code] = term(image)
-                found = terms[code]
-                if found is not None:
-                    i = found[0]
-                    row[i] = row.get(i, 0) + weight * sign * found[1]
-            rows.append((j, row))
-        return rows
+    def row(graph: Multigraph) -> dict[int, int]:
+        # target index -> coefficient, for one source
+        generators = _generators_of(graph)
+        out: dict[int, int] = {}
+        if _is_zero(graph, parity, generators):
+            return out
+        for e, weight in _edge_orbits(graph, generators).items():
+            image, sign = _contract(graph, e, parity)
+            n = image.num_vertices
+            code = tuple([n] + [u * n + v for u, v in image.edges])
+            if code not in terms:
+                terms[code] = term(image)
+            found = terms[code]
+            if found is not None:
+                i = found[0]
+                out[i] = out.get(i, 0) + weight * sign * found[1]
+        return out
 
-    rows = _split_work(share, len(sources))
-    rows.sort(key=lambda row: row[0])
-    return {(j, i): val for j, row in rows for i, val in row.items() if val}
+    rows = _split_work(row, list(sources))
+    return {(j, i): val for j, terms_j in enumerate(rows) for i, val in terms_j.items() if val}
 
 
 def differential_matrix(src: BasisSlice, dst: BasisSlice) -> IntSparseMatrix:

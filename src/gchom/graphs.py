@@ -430,19 +430,15 @@ def _join(orbits, perm) -> None:
             orbits[max(a, b)] = min(a, b)
 
 
-def _orbit_sizes(size: int, perms) -> dict[int, int]:
-    """First point of each orbit of ``perms`` on range(size) -> orbit size.
-
-    The keys come in increasing order.
-    """
+def _orbit_roots(size: int, perms) -> list[int]:
+    """The least point of each point's orbit under ``perms``, on range(size)."""
     orbits = list(range(size))
     for perm in perms:
         _join(orbits, perm)
-    sizes: dict[int, int] = {}
+    # a point's parent is below it, so its parent's root is already final
     for v in range(size):
-        root = _find(orbits, v)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sizes
+        orbits[v] = orbits[orbits[v]]
+    return orbits
 
 
 def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
@@ -674,28 +670,10 @@ def automorphism_group_size(graph: Multigraph) -> int:
 
 
 def is_connected(graph: Multigraph) -> bool:
-    n = graph.num_vertices
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in set(graph.edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+    return _connected_after_deleting(graph, ())
 
 
-def _connected_after_deleting(graph: Multigraph, removed: tuple[int, int]) -> bool:
+def _connected_after_deleting(graph: Multigraph, removed: tuple[int, ...]) -> bool:
     n = graph.num_vertices
     alive = [v for v in range(n) if v not in removed]
     if not alive:

@@ -58,10 +58,9 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _edge_codes,
-    _find,
     _form_generators,
     _is_zero,
-    _join,
+    _orbit_roots,
     orientation_sign,
 )
 from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, reduce_mod_p
@@ -247,7 +246,7 @@ def _frame_symmetries(kind: str, n: int):
     return (lambda p: _compose(s, p), lambda p: _compose(p, s))
 
 
-def _orbit_roots(kind: str, n: int) -> tuple[int, ...]:
+def _frame_orbit_roots(kind: str, n: int) -> list[int]:
     """Orbit roots of the permutations of range(n) under `_frame_symmetries`.
 
     Entry i belongs to the i-th permutation in `itertools.permutations`
@@ -256,10 +255,8 @@ def _orbit_roots(kind: str, n: int) -> tuple[int, ...]:
     """
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    orbits = list(range(len(perms)))
-    for move in _frame_symmetries(kind, n):
-        _join(orbits, [index[move(p)] for p in perms])
-    return tuple(_find(orbits, i) for i in range(len(perms)))
+    moved = ([index[move(p)] for p in perms] for move in _frame_symmetries(kind, n))
+    return _orbit_roots(len(perms), moved)
 
 
 def _by_edges(classes) -> tuple[Multigraph, ...]:
@@ -292,7 +289,7 @@ def _family_classes(kind: str, loops: int) -> dict[Multigraph, tuple]:
     simple_only = kind in ("Y", "Aprime")
     classes = {}
     perms = itertools.permutations(range(degree))
-    for i, (perm, root) in enumerate(zip(perms, _orbit_roots(kind, degree))):
+    for i, (perm, root) in enumerate(zip(perms, _frame_orbit_roots(kind, degree))):
         if i != root:  # isomorphic to its orbit's root, built earlier
             continue
         g = build(perm)

@@ -89,6 +89,13 @@ def test_confirm_prime_equal_to_prime_is_an_error(capsys):
     assert err.startswith("gchom: error:")
 
 
+def test_confirm_prime_with_wiedemann_is_an_error(capsys):
+    code, out, err = run(capsys, "cohomology", "--parity", "odd", "--variant", "full",
+                         "--loops", "4", "--method", "wiedemann", "--confirm-prime", "10007")
+    assert code == 1 and not out
+    assert err.startswith("gchom: error:") and "wiedemann" in err
+
+
 def test_kneissler_report(capsys):
     code, out, _ = run(capsys, "kneissler", "--parity", "even", "--loops", "6",
                        "--prime", "3323")

@@ -61,6 +61,13 @@ def test_confirm_prime_is_validated_before_any_fetch():
         cohomology_dims(spec, confirm_prime=10, cache=_NoFetch())
 
 
+def test_confirm_prime_with_wiedemann_is_an_error_before_any_fetch():
+    # Wiedemann ranks are lower bounds, which a second prime cannot certify
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 4)
+    with pytest.raises(ValueError, match="wiedemann"):
+        cohomology_dims(spec, method="wiedemann", confirm_prime=10007, cache=_NoFetch())
+
+
 def test_odd_small_tables():
     assert table(Parity.ODD, Variant.FULL, 2).dims() == {-3: 1}
     t3 = table(Parity.ODD, Variant.FULL, 3)
@@ -205,10 +212,10 @@ def test_forked_ranks_give_the_tables_of_one_process(monkeypatch, forks, filled_
 
 
 def test_deal_gives_the_heaviest_to_the_least_loaded_share():
-    weights = {3: 2, 4: 18, 5: 222, 6: 967, 7: 1646, 8: 1402, 9: 787, 10: 275}
-    assert cohomology._deal(weights, 1) == [[7, 8, 6, 9, 10, 5, 4, 3]]
-    assert cohomology._deal(weights, 2) == [[7, 9, 5, 3], [8, 6, 10, 4]]
-    assert cohomology._deal({4: 1, 3: 1, 5: 0}, 3) == [[3], [4], [5]]
+    weights = [2, 18, 222, 967, 1646, 1402, 787, 275]
+    assert complexes._deal(weights, 1) == [[4, 5, 3, 6, 7, 2, 1, 0]]
+    assert complexes._deal(weights, 2) == [[4, 6, 2, 0], [5, 3, 7, 1]]
+    assert complexes._deal([1, 1, 0], 3) == [[0], [1], [2]]
 
 
 @needs_fork
@@ -216,7 +223,7 @@ def test_a_rank_error_in_a_worker_reaches_the_caller(monkeypatch, forks, filled_
     spec = ComplexSpec(Parity.ODD, Variant.FULL, 5)
     mats = _matrices(spec, filled_cache)
     # the first matrix of the last share, which a forked worker ranks
-    v = cohomology._deal({v: len(m.entries) for v, m in mats.items()}, 3)[2][0]
+    v = list(mats)[complexes._deal([len(m.entries) for m in mats.values()], 3)[2][0]]
     real = cohomology.gauss_ranks
 
     def gauss_ranks(mat, primes):

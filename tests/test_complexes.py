@@ -41,7 +41,6 @@ from gchom.complexes import (
     enumerate_basis,
     load_basis,
     raw_slice,
-    vertex_count,
 )
 
 import oracles
@@ -78,22 +77,6 @@ PINNED_RAW_SLICES = {
     (7, 11): (2065, "3943e764d731604e7dd5db6b1e3b973fe721330019966f800f46b91853f447e0"),
     (7, 12): (509, "c3c086478e41e7ad88b915556bed15381a52095e2aa33f21109d88a32909c30f"),
 }
-
-
-def test_vertex_count_examples():
-    assert vertex_count(Parity.EVEN, 3, 0) == 4  # the tetrahedron slice
-    assert vertex_count(Parity.EVEN, 3, 1) is None  # beyond top degree
-    assert vertex_count(Parity.ODD, 2, -3) == 2  # the theta slice
-    with pytest.raises(ValueError):
-        vertex_count(Parity.EVEN, 1, 0)
-
-
-def test_vertex_count_inverts_degree():
-    for parity in Parity:
-        for g in (2, 3, 4, 5):
-            spec = ComplexSpec(parity, Variant.FULL, g)
-            for v in range(2, 2 * (g - 1) + 1):
-                assert vertex_count(parity, g, spec.degree_of(v)) == v
 
 
 def test_enumerate_tetrahedron_slice():
@@ -556,61 +539,105 @@ def test_missing_image_error_in_a_worker_reaches_the_caller(monkeypatch, forks):
     assert_no_child_left()
 
 
+def test_deal_gives_equal_weights_round_robin():
+    for n in range(10):
+        for jobs in range(1, 5):
+            assert complexes._deal([1] * n, jobs) == [list(range(k, n, jobs))
+                                                      for k in range(jobs)]
+
+
 @needs_fork
-def test_split_work_concatenates_uneven_shares_in_order(forks):
-    out = _split_work(lambda k, jobs: [(k, jobs, i) for i in range(k, 7, jobs)], 7)
-    assert out == [(0, 3, 0), (0, 3, 3), (0, 3, 6), (1, 3, 1), (1, 3, 4), (2, 3, 2),
-                   (2, 3, 5)]
+def test_split_work_maps_uneven_shares_in_item_order(forks):
+    items = list(range(7))
+    out = _split_work(lambda i: (i, os.getpid()), items)
+    assert [i for i, _ in out] == list(range(7))
+    # dealt round robin: item i ran in share i % 3, and share 0 here
+    pids = [pid for _, pid in out]
+    assert pids[0::3] == [os.getpid()] * 3
+    assert pids[1::3] == [forks[0]] * 2 and pids[2::3] == [forks[1]] * 2
+    assert items == [None] * 7
+    assert_no_child_left()
+
+
+@needs_fork
+def test_split_work_runs_each_share_lightest_first_and_drops_what_it_has_done(forks):
+    items = list("abcdef")
+
+    def seen(item):
+        return item, "".join(x or "." for x in items)
+
+    # dealt heaviest first to the least-loaded share: [5, 1], [0, 3], [2, 4]
+    out = _split_work(seen, items, [5, 1, 4, 2, 3, 6])
+    # this process drops the workers' items after the fork; a worker sees
+    # every item but those it has done
+    assert out == [("a", "abc.ef"), ("b", ".b...f"), ("c", "abcd.f"),
+                   ("d", "abcdef"), ("e", "abcdef"), ("f", ".....f")]
+    assert items == [None] * 6
     assert len(forks) == 2
     assert_no_child_left()
 
 
 @needs_fork
 def test_split_work_reraises_a_worker_exception_and_reaps_every_worker(forks):
-    def share(k, jobs):
-        if k == 1:
-            raise ValueError(f"share {k} of {jobs} failed")
-        return [k]
+    def fn(item):
+        if item == 1:
+            raise ValueError(f"item {item} failed")
+        return item
 
-    with pytest.raises(ValueError, match="^share 1 of 3 failed$"):
-        _split_work(share, 3)
+    with pytest.raises(ValueError, match="^item 1 failed$"):
+        _split_work(fn, [0, 1, 2])
     assert len(forks) == 2
     assert_no_child_left()
 
 
 @needs_fork
 def test_split_work_kills_the_workers_when_the_parent_share_raises(forks):
-    def share(k, jobs):
-        if k == 0:
-            raise KeyError("share 0")
+    def fn(item):
+        if item == 0:
+            raise KeyError("item 0")
         time.sleep(60)  # killed long before this returns
-        return [k]
+        return item
 
     t0 = time.monotonic()
-    with pytest.raises(KeyError, match="share 0"):
-        _split_work(share, 3)
+    with pytest.raises(KeyError, match="item 0"):
+        _split_work(fn, [0, 1, 2])
     assert time.monotonic() - t0 < 30
     assert len(forks) == 2
     assert_no_child_left()
+
+
+def _negated(n):
+    return [-i for i in range(n)]
 
 
 def test_split_work_does_not_fork_on_one_usable_cpu(monkeypatch):
     monkeypatch.setattr(complexes, "_FORK_FLOOR", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    assert _split_work(lambda k, jobs: [(k, jobs)], 1000) == [(0, 1)]
+    items = list(range(1000))
+    assert _split_work(lambda i: -i, items) == _negated(1000)
+    assert items == [None] * 1000
 
 
 def test_split_work_does_not_fork_below_the_floor_or_beside_a_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    share = lambda k, jobs: [(k, jobs)]  # noqa: E731
-    assert _split_work(share, complexes._FORK_FLOOR - 1) == [(0, 1)]
+    floor = complexes._FORK_FLOOR
+    assert _split_work(lambda i: -i, list(range(floor - 1))) == _negated(floor - 1)
+    # weights in nonzeros: one nonzero short of the floor
+    nonzeros = floor * complexes._NONZEROS_PER_ITEM - 1
+    assert _split_work(lambda i: -i, [0, 1], [nonzeros, 0]) == [0, -1]
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert _split_work(share, 1000) == [(0, 1)]
+        assert _split_work(lambda i: -i, list(range(1000))) == _negated(1000)
     finally:
         release.set()
         thread.join()
+
+
+def test_split_work_does_not_fork_without_os_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _split_work(lambda i: -i, list(range(1000))) == _negated(1000)
