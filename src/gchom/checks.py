@@ -238,6 +238,9 @@ def suite_linalg(seed: int = 0, num_random: int = 200) -> list[CheckResult]:
     return out
 
 
+# the least max_loops at which each suite that takes one runs a check
+FIRST_LOOPS = {"d2": 2, "tables": 2, "kneissler": min(g for _, g in BOUND_ROWS)}
+
 SUITES = {
     "d2": suite_d2,
     "tables": suite_tables,

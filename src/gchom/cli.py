@@ -13,12 +13,12 @@ import sys
 from pathlib import Path
 
 from gchom.cache import resolve_cache
-from gchom.checks import SUITES
+from gchom.checks import FIRST_LOOPS, SUITES
 from gchom.cohomology import cohomology_dims, render_text
 from gchom.complexes import ComplexSpec, Variant, dump_basis
 from gchom.graphs import Parity
 from gchom.kneissler import upper_bound
-from gchom.linalg import RANK_METHODS, PrimeField, reduce_mod_p
+from gchom.linalg import RANK_METHODS, PrimeField, rank_field, reduce_mod_p
 from gchom.sparse import dump_sms, load_sms
 
 
@@ -108,7 +108,7 @@ def cmd_diff(args) -> int:
 
 def cmd_rank(args) -> int:
     matrix = load_sms(Path(args.matrix).read_text())
-    fp = PrimeField(args.prime)
+    fp = rank_field(args.method, args.prime)
     result = RANK_METHODS[args.method](reduce_mod_p(matrix, fp), seed=_pick_seed(args.seed))
     print(result.report_line())
     return 0
@@ -139,27 +139,23 @@ def cmd_kneissler(args) -> int:
 
 
 def cmd_check(args) -> int:
-    suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite == "d2":
-        if args.max_loops:
-            kwargs["max_loops"] = args.max_loops
-        kwargs["cache"] = resolve_cache(args.cache)
-    elif args.suite == "tables":
-        if args.max_loops:
-            kwargs["max_even"] = args.max_loops
-            kwargs["max_odd"] = min(args.max_loops, 7)
-        if args.prime:
-            kwargs["primes"] = (args.prime, 10007 if args.prime != 10007 else 3323)
-        kwargs["cache"] = resolve_cache(args.cache)
-    elif args.suite == "kneissler":
-        if args.max_loops:
-            kwargs["max_loops"] = args.max_loops
-        if args.prime:
-            kwargs["prime"] = args.prime
-    elif args.suite == "linalg":
-        kwargs["seed"] = args.seed
-    results = suite(**kwargs)
+    loops, prime = args.max_loops, args.prime
+    first = FIRST_LOOPS.get(args.suite)
+    if loops is not None and first is not None and loops < first:
+        raise ValueError(f"--max-loops below {first} selects no {args.suite} check")
+    if prime is not None:
+        PrimeField(prime)
+    cache = resolve_cache(args.cache) if args.suite in ("d2", "tables") else None
+    kwargs = {
+        "d2": {"max_loops": loops, "cache": cache},
+        "tables": {"max_even": loops, "max_odd": None if loops is None else min(loops, 7),
+                   "primes": None if prime is None else (prime, 3323 if prime == 10007 else 10007),
+                   "cache": cache},
+        "kneissler": {"max_loops": loops, "prime": prime},
+        "linalg": {"seed": args.seed},
+    }[args.suite]
+    # a flag that is not given leaves the suite's default
+    results = SUITES[args.suite](**{k: v for k, v in kwargs.items() if v is not None})
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

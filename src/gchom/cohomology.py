@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from gchom.cache import FileCache
 from gchom.complexes import BasisSlice, ComplexSpec, _split_work
-from gchom.linalg import RANK_METHODS, PrimeField, gauss_ranks, reduce_mod_p
+from gchom.linalg import RANK_METHODS, PrimeField, gauss_ranks, rank_field, reduce_mod_p
 
 DEFAULT_GENERATOR_CAP = 5_000_000
 
@@ -102,9 +102,7 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     ranks it.  A slice with more than `DEFAULT_GENERATOR_CAP` generators
     raises GeneratorCapExceeded.
     """
-    if method not in RANK_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    fp = PrimeField(prime)
+    fp = rank_field(method, prime)
     primes = (prime,)
     if confirm_prime is not None:
         if method != "gauss":

@@ -30,13 +30,15 @@ symmetries, which are relabelings of the fixed frame (reflecting or
 rotating a rim, swapping the two barrel rims) that map the graph of p
 onto the graph of another permutation p'.  The orbits come from
 union-find over the permutations in `itertools.permutations` order, so
-each orbit's root is its first permutation.  Only the root's graph is
-built and labeled, and its class is returned with the Aut generators
-read off that labeling; a root in a class already found, or in a barrel
-class for the complement, is skipped at the first leaf that spells it.
-Each parity then keeps the nonzero classes, tested on those generators,
-so the second parity builds and labels nothing.  One record per loop
-order holds every class with its generators, keyed by its edge codes.
+each orbit's root is its first permutation.  A and A' are the vertex-0
+splits of X and Y, which the symmetries fix, so one pass over S_{g-2}
+builds X and A, and one Y and A'.  Only the root's graph is built and
+labeled, and its class is returned with the Aut generators read off
+that labeling; a root in a class already found, or in a barrel class
+for the complement, is skipped at the first leaf that spells it.  Each
+parity then keeps the nonzero classes, tested on those generators, so
+the second parity builds and labels nothing.  One record per loop order
+holds every class with its generators, keyed by its edge codes.
 """
 
 from __future__ import annotations
@@ -44,13 +46,15 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from gchom.complexes import (
     _contraction_sign,
     _edge_orbit_roots,
+    _rows_graph,
     _sorted_pair,
+    _split_child,
     _split_children,
 )
 from gchom.graphs import (
@@ -60,10 +64,11 @@ from gchom.graphs import (
     _edge_codes,
     _form_generators,
     _is_zero,
+    _neighbors,
     _orbit_roots,
     orientation_sign,
 )
-from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, reduce_mod_p
+from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, rank_field, reduce_mod_p
 from gchom.sparse import IntSparseMatrix
 
 FAMILY_KINDS = ("B", "X", "Y", "A", "Aprime")
@@ -150,6 +155,22 @@ def y_graph(perm) -> Multigraph:
     return _family_graph(2 * m + 1, edges)
 
 
+def _vertex_0_split(g: Multigraph, perm, hub: bool) -> Multigraph:
+    """Split vertex 0 of g, which is y_graph(perm) if ``hub`` and x_graph(perm) if not.
+
+    One half-edge to each of two neighbors of 0 moves onto the new vertex
+    2m+1, which a fresh edge joins to 0.  For X these are the fixed
+    partner m and 0's strand end m+1+i, for Y the hub 2m and the source
+    of 0's strand, the hub again when i = 0, where perm[i] = 0.
+    """
+    m = len(perm)
+    i = perm.index(0)
+    moved = (2 * m, m + i if i else 2 * m) if hub else (m, m + 1 + i)
+    nbrs = _neighbors(g)
+    take = tuple([moved.count(x) for x, _ in nbrs[0]])
+    return _rows_graph(_split_child(nbrs, list(g.degrees()), 0, take)[0])
+
+
 def a_graph(perm) -> Multigraph:
     """Trivalent coboundary partner of x_graph: its vertical-pair split.
 
@@ -158,19 +179,7 @@ def a_graph(perm) -> Multigraph:
     vertices (adjacent ones only for special perms).
     """
     perm = _check_perm(perm)
-    m = len(perm)
-    q = 2 * m + 1
-    edges = []
-    for i in range(m):
-        edges.append((i, (i + 1) % m))
-    for j in range(m + 1):
-        edges.append((m + j, m + (j + 1) % (m + 1)))
-    edges.append((q, m))
-    edges.append((0, q))
-    for i in range(m):
-        target = perm[i] if perm[i] != 0 else q
-        edges.append((target, m + 1 + i))
-    return _family_graph(2 * m + 2, edges)
+    return _vertex_0_split(x_graph(perm), perm, hub=False)
 
 
 def a_prime_graph(perm) -> Multigraph:
@@ -181,18 +190,7 @@ def a_prime_graph(perm) -> Multigraph:
     the strand comes from the hub.
     """
     perm = _check_perm(perm)
-    m = len(perm)
-    hub = 2 * m
-    q = 2 * m + 1
-    edges = [(m, hub), (q, hub), (0, q)]
-    for i in range(m):
-        edges.append((i, (i + 1) % m))
-        edges.append((m + i, m + (i + 1) % m))
-    sources = [hub] + [m + i for i in range(1, m)]
-    for i in range(m):
-        target = perm[i] if perm[i] != 0 else q
-        edges.append((target, sources[i]))
-    return _family_graph(2 * m + 2, edges)
+    return _vertex_0_split(y_graph(perm), perm, hub=True)
 
 
 _BUILDERS = {
@@ -229,34 +227,35 @@ def _frame_symmetries(kind: str, n: int):
 
     For barrels (n = g-1), p∘r and p∘s rotate and reflect the upper rim,
     r∘p and s∘p the lower rim, and p⁻¹ swaps the rims, where r(i) = i+1
-    and s(i) = -i mod n.  For X and A (n = g-2), s∘p reflects the short
-    rim about vertex 0, and p∘rev reflects the long rim about vertex n,
-    which swaps slot i with slot n-1-i.  For Y and A', s∘p reflects the
-    upper rim about vertex 0, and p∘s reflects the lower rim about vertex
-    n, fixing the hub and swapping source i with source -i mod n.
+    and s(i) = -i mod n.  For X (n = g-2), s∘p reflects the short rim
+    about vertex 0, and p∘rev reflects the long rim about vertex n, which
+    swaps slot i with slot n-1-i.  For Y, s∘p reflects the upper rim
+    about vertex 0, and p∘s reflects the lower rim about vertex n, fixing
+    the hub and swapping source i with source -i mod n.  These fix vertex
+    0, so A and A', the vertex-0 splits of X and Y, share them.
     """
     s = tuple(-i % n for i in range(n))
     if kind == "B":
         r = tuple((i + 1) % n for i in range(n))
         return (lambda p: _compose(p, r), lambda p: _compose(p, s),
                 lambda p: _compose(r, p), lambda p: _compose(s, p), _inverse)
-    if kind in ("X", "A"):
+    if kind == "X":
         rev = tuple(reversed(range(n)))
         return (lambda p: _compose(s, p), lambda p: _compose(p, rev))
     return (lambda p: _compose(s, p), lambda p: _compose(p, s))
 
 
-def _frame_orbit_roots(kind: str, n: int) -> list[int]:
-    """Orbit roots of the permutations of range(n) under `_frame_symmetries`.
+def _frame_orbit_roots(kind: str, n: int) -> list[tuple[int, ...]]:
+    """The first permutation of each orbit of `_frame_symmetries` on range(n).
 
-    Entry i belongs to the i-th permutation in `itertools.permutations`
-    order and is the index of the first permutation in its orbit, so a
-    root comes before every other member of its orbit.
+    First and in order as `itertools.permutations` lists them, so a root
+    comes before every other member of its orbit.
     """
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     moved = ([index[move(p)] for p in perms] for move in _frame_symmetries(kind, n))
-    return _orbit_roots(len(perms), moved)
+    roots = _orbit_roots(len(perms), moved)
+    return [p for i, p in enumerate(perms) if roots[i] == i]
 
 
 def _by_edges(classes) -> tuple[Multigraph, ...]:
@@ -264,44 +263,45 @@ def _by_edges(classes) -> tuple[Multigraph, ...]:
 
 
 @lru_cache(maxsize=None)
-def _family_classes(kind: str, loops: int) -> dict[Multigraph, tuple]:
-    """Canonical forms of one family's classes, zero or not, sorted by edges.
+def _family_classes(loops: int) -> dict[str, dict[Multigraph, tuple]]:
+    """Each kind -> canonical forms of its classes, zero or not, sorted by edges.
 
-    The defining permutations are S_{g-1} for barrels and S_{g-2}
-    otherwise.  Only the first permutation of each frame-symmetry orbit
-    is built and labeled, once per loop order and for both parities, and
-    each class comes with the generators of its automorphism group, read
-    off that labeling, as in `raw_slice`.  Hub families (Y, A') keep only
-    their simple graphs: routing the hub strand back onto its own anchor
-    doubles an edge, and those degenerate graphs are not part of the
-    relation span.  The complement kinds (A, A') drop graphs isomorphic
-    to a barrel.
+    One pass per permutation group, for both parities: barrels over the
+    frame-orbit roots of S_{g-1}, then X and Y over those of S_{g-2},
+    each root's graph also split at vertex 0 into its A or A' graph.
+    Each class comes with the generators of its automorphism group, read
+    off the labeling of its first root, as in `raw_slice`.  Hub families
+    (Y, A') keep only their simple graphs: routing the hub strand back
+    onto its own anchor doubles an edge, and those degenerate graphs are
+    not part of the relation span.  The complement kinds (A, A') drop
+    graphs isomorphic to a barrel.
 
-    A root is labeled against the classes found so far, and the barrels
-    for A and A', so a root in one of those classes stops at the first
-    leaf that spells it and is skipped; only a root of a new class is
-    searched to the end, and it gives the class.
+    A root's graph is labeled against the classes of its kind found so
+    far, and the barrels for A and A', so a graph in one of those classes
+    stops at the first leaf that spells it and is skipped; only a graph
+    of a new class is searched to the end, and it gives the class.
     """
-    degree = loops - 1 if kind == "B" else loops - 2
-    build = _BUILDERS[kind]
-    barrels = _family_classes("B", loops) if kind in ("A", "Aprime") else ()
-    known = {_edge_codes(m): m for m in barrels}
-    simple_only = kind in ("Y", "Aprime")
-    classes = {}
-    perms = itertools.permutations(range(degree))
-    for i, (perm, root) in enumerate(zip(perms, _frame_orbit_roots(kind, degree))):
-        if i != root:  # isomorphic to its orbit's root, built earlier
-            continue
-        g = build(perm)
-        if simple_only and not g.is_simple():
-            continue
-        data = _canonical_data(g, known=known)
-        if len(data) == 2:  # a barrel, or a class found at an earlier root
-            continue
-        form, labelings, _ = data
-        known[_edge_codes(form)] = form
-        classes[form] = _form_generators(labelings)
-    return {m: classes[m] for m in _by_edges(classes)}
+    known = {kind: {} for kind in FAMILY_KINDS}
+    classes = {kind: {} for kind in FAMILY_KINDS}
+
+    def label(kind: str, g: Multigraph) -> None:
+        if kind in ("Y", "Aprime") and not g.is_simple():
+            return
+        data = _canonical_data(g, known=known[kind])
+        if len(data) == 3:  # else a barrel, or a class found at an earlier root
+            form, labelings, _ = data
+            known[kind][_edge_codes(form)] = form
+            classes[kind][form] = _form_generators(labelings)
+
+    for perm in _frame_orbit_roots("B", loops - 1):
+        label("B", _BUILDERS["B"](perm))
+    for kind, complement in (("X", "A"), ("Y", "Aprime")):
+        known[complement].update(known["B"])
+        for perm in _frame_orbit_roots(kind, loops - 2):
+            g = _BUILDERS[kind](perm)
+            label(kind, g)
+            label(complement, _vertex_0_split(g, perm, hub=kind == "Y"))
+    return {kind: {m: found[m] for m in _by_edges(found)} for kind, found in classes.items()}
 
 
 def build_family(kind: str, loops: int, parity: Parity) -> tuple[Multigraph, ...]:
@@ -314,7 +314,7 @@ def build_family(kind: str, loops: int, parity: Parity) -> tuple[Multigraph, ...
     if kind not in _BUILDERS:
         raise ValueError(f"unknown family kind {kind!r}")
     _supported(loops, parity)
-    return tuple(m for m, generators in _family_classes(kind, loops).items()
+    return tuple(m for m, generators in _family_classes(loops)[kind].items()
                  if not _is_zero(m, parity, generators))
 
 
@@ -359,8 +359,8 @@ def _family_record(loops: int) -> dict[tuple[int, ...], tuple[Multigraph, tuple]
 
     X and Y classes have an edge fewer than B, A and A' ones, so no graph spells both.
     """
-    return {_edge_codes(m): (m, generators) for kind in FAMILY_KINDS
-            for m, generators in _family_classes(kind, loops).items()}
+    return {_edge_codes(m): (m, generators) for classes in _family_classes(loops).values()
+            for m, generators in classes.items()}
 
 
 def _family_generators(m: Multigraph) -> tuple:
@@ -471,15 +471,15 @@ def dperp_rank(loops: int, parity: Parity, prime: int = 3323) -> tuple[int, int]
     """(rank of the complement block, dim of the complement).
 
     Equality is the surjectivity of the coboundary onto the complement.
+    A bad prime raises ValueError before the families are built.
     """
+    fp = PrimeField(prime)
     fam = build_families(loops, parity)
     matrix = restricted_differential(loops, parity)
     nb = fam.dim_b
-    block = {
-        (i - nb, j): v for (i, j), v in matrix.entries.items() if i >= nb
-    }
+    block = {(i - nb, j): v for (i, j), v in matrix.entries.items() if i >= nb}
     sub = IntSparseMatrix(fam.dim_bperp, matrix.ncols, block)
-    rank = gauss_rank(reduce_mod_p(sub, PrimeField(prime))).rank
+    rank = gauss_rank(reduce_mod_p(sub, fp)).rank
     return rank, fam.dim_bperp
 
 
@@ -497,18 +497,7 @@ class KneisslerReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "g": self.g,
-            "parity": str(self.parity),
-            "dim_B": self.dim_B,
-            "dim_Bperp": self.dim_Bperp,
-            "dim_V": self.dim_V,
-            "rank_d": self.rank_d,
-            "upper_bound": self.upper_bound,
-            "prime": self.prime,
-            "method": self.method,
-            "seed": self.seed,
-        }, indent=2)
+        return json.dumps({**asdict(self), "parity": str(self.parity)}, indent=2)
 
     def columns(self) -> tuple[int, int, int, int, int]:
         return (self.dim_B, self.dim_Bperp, self.dim_V, self.rank_d,
@@ -521,11 +510,10 @@ def upper_bound(loops: int, parity: Parity, prime: int = 3323,
 
     rank(d) is the rank of `restricted_differential` at `prime`, by the
     engine `method` names in `RANK_METHODS`; an unknown name raises
-    ValueError before the families are built, as does a bad prime.
+    ValueError before the families are built, as does a prime that
+    `rank_field` rejects for the method.
     """
-    if method not in RANK_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    fp = PrimeField(prime)
+    fp = rank_field(method, prime)
     fam = build_families(loops, parity)
     mp = reduce_mod_p(restricted_differential(loops, parity), fp)
     rank = RANK_METHODS[method](mp, seed=seed).rank

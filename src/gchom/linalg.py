@@ -24,9 +24,9 @@ The Gram operator B = D1 A^T D2 A D1 is symmetric, so the Krylov
 sequence u^T B^k u is read off w_j = B^j u as w_j.w_j and
 w_j.w_{j+1}: one application of B per two terms.  The random diagonals
 are folded into the stored values of A once, so an application is two
-sparse passes.  Arithmetic is exact for any odd prime; the vectorized
-fast path kicks in for p < 2**25 where int64 products cannot overflow,
-and long sums of them are reduced in chunks.
+sparse passes.  Wiedemann takes only primes below 2**25 (`rank_field`
+checks), so a product of two residues fits in int64; long sums of such
+products are reduced in chunks, so the arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class FpSparseMatrix:
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.nrows < 0 or self.ncols < 0:
+            raise ValueError(f"negative dimension {self.nrows} x {self.ncols}")
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.nrows and 0 <= j < self.ncols):
                 raise ValueError(f"entry ({i},{j}) out of range")
@@ -587,3 +589,13 @@ def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
 
 # The rank engines by name; every caller that takes a ``method`` looks it up here.
 RANK_METHODS = {"gauss": gauss_rank, "wiedemann": wiedemann_rank}
+
+
+def rank_field(method: str, prime: int) -> PrimeField:
+    """``PrimeField(prime)``; ValueError if ``method`` is no engine or cannot rank over it."""
+    if method not in RANK_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    fp = PrimeField(prime)
+    if method == "wiedemann" and prime >= _FAST_PRIME_LIMIT:
+        raise ValueError(f"wiedemann needs a prime below 2**25, got {prime}")
+    return fp

@@ -14,6 +14,8 @@ class IntSparseMatrix:
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.nrows < 0 or self.ncols < 0:
+            raise ValueError(f"negative dimension {self.nrows} x {self.ncols}")
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.nrows and 0 <= j < self.ncols):
                 raise ValueError(f"entry ({i},{j}) out of range")

@@ -584,6 +584,28 @@ def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
     return {k: tuple(v) for k, v in reps.items()}
 
 
+def complement_graph(kind: str, perm) -> Multigraph:
+    """The A or A' graph of ``perm``, its edges written out one by one.
+
+    The new vertex q = 2m+1 joins vertex 0, takes the edge to m (A) or
+    to the hub 2m (A'), and becomes the end of the strand that the X or
+    Y graph routes to vertex 0.
+    """
+    m = len(perm)
+    q = 2 * m + 1
+    edges = [(0, q)] + [(i, (i + 1) % m) for i in range(m)]
+    if kind == "A":
+        edges += [(m + j, m + (j + 1) % (m + 1)) for j in range(m + 1)]
+        edges.append((q, m))
+        sources = [m + 1 + i for i in range(m)]
+    else:
+        hub = 2 * m
+        edges += [(m + i, m + (i + 1) % m) for i in range(m)] + [(m, hub), (q, hub)]
+        sources = [hub] + [m + i for i in range(1, m)]
+    edges += [(q if target == 0 else target, source) for target, source in zip(perm, sources)]
+    return Multigraph.from_edges(q + 1, edges)
+
+
 def dense(matrix):
     """The dense int64 array of a sparse matrix's `entries`."""
     out = np.zeros((matrix.nrows, matrix.ncols), dtype=np.int64)

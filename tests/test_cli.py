@@ -205,6 +205,24 @@ def test_check_kneissler_reaches_the_g10_rows(capsys, monkeypatch):
     assert max(g for _, g in asked) == 9
 
 
+def test_check_rejects_a_zero_flag_before_running_the_suite(capsys, monkeypatch):
+    for name in ("d2", "tables", "kneissler"):
+        calls = recording_suite(monkeypatch, name)
+        code, _, err = run(capsys, "check", "--suite", name, "--max-loops", "0")
+        assert code == 1 and "selects no" in err, name
+        code, _, err = run(capsys, "check", "--suite", name, "--max-loops", "5",
+                           "--prime", "0")
+        assert code == 1 and "prime" in err, name
+        assert calls == [], name
+    # the bound rows start at g=5
+    calls = recording_suite(monkeypatch, "kneissler")
+    code, _, _ = run(capsys, "check", "--suite", "kneissler", "--max-loops", "4")
+    assert code == 1 and calls == []
+    code, _, _ = run(capsys, "check", "--suite", "kneissler", "--max-loops", "5",
+                     "--prime", "10007")
+    assert code == 0 and calls == [{"max_loops": 5, "prime": 10007}]
+
+
 def test_errors_exit_nonzero(capsys, tmp_path):
     code, _, err = run(capsys, "rank", "--matrix", str(tmp_path / "nope.sms"))
     assert code == 1 and "error" in err
@@ -216,6 +234,17 @@ def test_errors_exit_nonzero(capsys, tmp_path):
 
     code, _, err = run(capsys, "rank", "--matrix", str(bad), "--prime", "4")
     assert code == 1
+
+    negative = tmp_path / "negative.sms"
+    negative.write_text("-1 5 M\n0 0 0\n")
+    code, out, err = run(capsys, "rank", "--matrix", str(negative))
+    assert code == 1 and "negative" in err and out == ""
+
+    sms = tmp_path / "empty.sms"
+    sms.write_text("2 2 M\n0 0 0\n")
+    code, _, err = run(capsys, "rank", "--matrix", str(sms), "--method", "wiedemann",
+                       "--prime", "33554467")
+    assert code == 1 and "2**25" in err
 
     code, _, err = run(capsys, "gen", "--parity", "even", "--variant", "full",
                        "--loops", "1", "--vertices", "3")

@@ -68,6 +68,15 @@ def test_confirm_prime_with_wiedemann_is_an_error_before_any_fetch():
         cohomology_dims(spec, method="wiedemann", confirm_prime=10007, cache=_NoFetch())
 
 
+def test_wiedemann_prime_is_validated_before_any_fetch():
+    # 33554467 is the least prime above 2**25, too large for the Wiedemann operator
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 6)
+    with pytest.raises(ValueError, match="2\\*\\*25"):
+        cohomology_dims(spec, method="wiedemann", prime=33554467, cache=_NoFetch())
+    with pytest.raises(ValueError, match="unknown method"):
+        cohomology_dims(spec, method="lu", cache=_NoFetch())
+
+
 def test_odd_small_tables():
     assert table(Parity.ODD, Variant.FULL, 2).dims() == {-3: 1}
     t3 = table(Parity.ODD, Variant.FULL, 3)

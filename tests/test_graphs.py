@@ -185,7 +185,7 @@ def test_known_classes_stop_the_search_on_an_isomorphism():
 
 def test_span_check_children_stop_on_their_row_class():
     for loops in range(4, 9):
-        children = [child for kind in ("X", "Y") for x in _family_classes(kind, loops)
+        children = [child for kind in ("X", "Y") for x in _family_classes(loops)[kind]
                     for _, child in _split_children(x, _family_generators(x))]
         # the B, A and A' classes: X and Y have an edge fewer than the children
         rows = {code: m for code, (m, _) in _family_record(loops).items()

@@ -60,6 +60,8 @@ PINNED_RESTRICTED_DIFFERENTIALS = {
     (Parity.ODD, 7): (72, "accba39509b1f403e2a7a022cd0043f4d200810a85a0d07fb17f62be637d1de6"),
     (Parity.EVEN, 8): (245, "d51d5457e5f2284abb21fafbb2ea8b948a9b1050dc55bd8977c74ace5d589362"),
     (Parity.ODD, 8): (460, "c103b9424850bc89e3ac9f949aa872ba2dca0bf3a1d7e5c791b04fafe1184e62"),
+    (Parity.EVEN, 9): (3069, "acafab0c954eb0c13b63b51920dad35158837a788746924a9070d8a4f924d076"),
+    (Parity.ODD, 9): (3743, "ec5466ac9dbd6188aa877332d72427e7c0196a4bc9493b549f24f3db025dcb04"),
 }
 
 
@@ -108,6 +110,14 @@ def test_family_graph_shapes():
             assert ap.loop_order == m + 2
 
 
+def test_complement_graphs_are_the_vertex_0_splits():
+    # the same labeled graph as the edge lists written out, not just the same class
+    for m in range(2, 7):
+        for perm in itertools.permutations(range(m)):
+            assert a_graph(perm) == oracles.complement_graph("A", perm), perm
+            assert a_prime_graph(perm) == oracles.complement_graph("Aprime", perm), perm
+
+
 def test_build_family_rejects_unsupported():
     with pytest.raises(ValueError):
         build_family("B", 4, Parity.EVEN)
@@ -149,12 +159,14 @@ def test_second_parity_builds_and_labels_nothing(monkeypatch):
 
 
 def test_frame_symmetries_preserve_the_graph_class():
+    # A and A' are the vertex-0 splits of X and Y, and share their symmetries
+    frames = {"B": "B", "X": "X", "Y": "Y", "A": "X", "Aprime": "Y"}
     for kind in FAMILY_KINDS:
         for n in range(2, 7 if kind == "B" else 6):  # g <= 7
             build = _BUILDERS[kind]
             for perm in itertools.permutations(range(n)):
                 form = canonical_data(build(perm))[0]
-                for move in _frame_symmetries(kind, n):
+                for move in _frame_symmetries(frames[kind], n):
                     assert canonical_data(build(move(perm)))[0] == form, (kind, perm)
 
 
@@ -328,7 +340,14 @@ def test_unknown_method_is_rejected_before_any_family_is_built(monkeypatch):
     monkeypatch.setattr(kneissler, "build_families", spy)
     with pytest.raises(ValueError, match="unknown method"):
         upper_bound(10, Parity.ODD, method="lu")
+    # the least prime above 2**25, too large for the Wiedemann operator
+    with pytest.raises(ValueError, match="2\\*\\*25"):
+        upper_bound(10, Parity.ODD, method="wiedemann", prime=33554467)
+    with pytest.raises(ValueError, match="prime"):
+        dperp_rank(10, Parity.ODD, prime=4)
     assert not built
+    # Gauss takes it
+    assert upper_bound(5, Parity.ODD, prime=33554467).columns() == BOUND_SMALL[(Parity.ODD, 5)]
 
 
 def test_report_json_keys():

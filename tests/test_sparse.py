@@ -1,5 +1,6 @@
 import pytest
 
+from gchom.linalg import FpSparseMatrix
 from gchom.sparse import IntSparseMatrix, dump_sms, load_sms
 
 
@@ -8,6 +9,17 @@ def test_entry_validation():
         IntSparseMatrix(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
         IntSparseMatrix(2, 2, {(0, 0): 0})
+
+
+def test_negative_dimensions_are_rejected():
+    for nrows, ncols in ((-1, 5), (5, -1), (-2, -2)):
+        with pytest.raises(ValueError, match="negative"):
+            IntSparseMatrix(nrows, ncols)
+        with pytest.raises(ValueError, match="negative"):
+            FpSparseMatrix(nrows, ncols, 3323)
+    with pytest.raises(ValueError, match="negative"):
+        load_sms("-1 5 M\n0 0 0\n")
+    assert IntSparseMatrix(0, 0).is_zero()
 
 
 def test_matmul():
