@@ -23,10 +23,12 @@ from gchom.complexes import ComplexSpec, Variant
 from gchom.graphs import Parity
 from gchom.kneissler import dperp_rank, upper_bound
 from gchom.linalg import (
+    DEFAULT_PRIME,
     FpSparseMatrix,
     PrimeField,
     berlekamp_massey,
     gauss_rank,
+    rank_field,
     rational_rank,
     reduce_mod_p,
     wiedemann_rank,
@@ -175,10 +177,14 @@ def _table_differentials(max_even: int = 7, max_odd: int = 6):
     return mats
 
 
-def suite_linalg(seed: int = 0, num_random: int = 200) -> list[CheckResult]:
-    """Wiedemann vs Gauss, Q-rank bound, recurrences."""
+def suite_linalg(seed: int = 0, num_random: int = 200, prime: int = DEFAULT_PRIME,
+                 max_loops: int = 7) -> list[CheckResult]:
+    """Wiedemann vs Gauss, Q-rank bound, recurrences, over F_prime.
+
+    The table differentials checked are those up to ``max_loops`` loops.
+    """
     rng = random.Random(seed)
-    fp = PrimeField()
+    fp = rank_field("wiedemann", prime)
     out = []
 
     # (a) wiedemann is a lower bound, usually tight
@@ -192,7 +198,7 @@ def suite_linalg(seed: int = 0, num_random: int = 200) -> list[CheckResult]:
         total += 1
         sound += wr <= gr
         equal += wr == gr
-    for k, m in enumerate(_table_differentials()):
+    for k, m in enumerate(_table_differentials(min(7, max_loops), min(6, max_loops))):
         mp = reduce_mod_p(m, fp)
         gr = gauss_rank(mp).rank
         wr = wiedemann_rank(mp, seed=seed + k).rank
@@ -207,12 +213,12 @@ def suite_linalg(seed: int = 0, num_random: int = 200) -> list[CheckResult]:
 
     # (b) F_p rank never exceeds the rational rank
     ok = True
-    for m in _table_differentials(max_even=6, max_odd=5):
+    for m in _table_differentials(min(6, max_loops), min(5, max_loops)):
         if m.nrows > 200 or m.ncols > 200:
             continue
         rq = rational_rank(m)
-        for prime in (3323, 10007, 32003):
-            rp = gauss_rank(reduce_mod_p(m, PrimeField(prime))).rank
+        for q in sorted({prime, 10007, 32003}):
+            rp = gauss_rank(reduce_mod_p(m, PrimeField(q))).rank
             ok = ok and rp <= rq
     out.append(CheckResult("F_p rank <= rational rank", ok))
 
@@ -238,8 +244,9 @@ def suite_linalg(seed: int = 0, num_random: int = 200) -> list[CheckResult]:
     return out
 
 
-# the least max_loops at which each suite that takes one runs a check
-FIRST_LOOPS = {"d2": 2, "tables": 2, "kneissler": min(g for _, g in BOUND_ROWS)}
+# the least max_loops at which each suite that takes one runs a check (for
+# linalg, a check of a table differential: the first is at g=3)
+FIRST_LOOPS = {"d2": 2, "tables": 2, "kneissler": min(g for _, g in BOUND_ROWS), "linalg": 3}
 
 SUITES = {
     "d2": suite_d2,

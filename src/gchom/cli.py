@@ -143,7 +143,10 @@ def cmd_check(args) -> int:
     first = FIRST_LOOPS.get(args.suite)
     if loops is not None and first is not None and loops < first:
         raise ValueError(f"--max-loops below {first} selects no {args.suite} check")
-    if prime is not None:
+    if prime is not None and args.suite == "linalg":
+        # the suite ranks by Wiedemann too, which takes primes below 2**25 only
+        rank_field("wiedemann", prime)
+    elif prime is not None:
         PrimeField(prime)
     cache = resolve_cache(args.cache) if args.suite in ("d2", "tables") else None
     kwargs = {
@@ -152,7 +155,7 @@ def cmd_check(args) -> int:
                    "primes": None if prime is None else (prime, 3323 if prime == 10007 else 10007),
                    "cache": cache},
         "kneissler": {"max_loops": loops, "prime": prime},
-        "linalg": {"seed": args.seed},
+        "linalg": {"seed": args.seed, "prime": prime, "max_loops": loops},
     }[args.suite]
     # a flag that is not given leaves the suite's default
     results = SUITES[args.suite](**{k: v for k, v in kwargs.items() if v is not None})

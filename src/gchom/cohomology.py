@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from gchom.cache import FileCache
 from gchom.complexes import BasisSlice, ComplexSpec, _split_work
-from gchom.linalg import RANK_METHODS, PrimeField, gauss_ranks, rank_field, reduce_mod_p
+from gchom.linalg import PrimeField, gauss_ranks, rank_field, reduce_mod_p, wiedemann_rank
 
 DEFAULT_GENERATOR_CAP = 5_000_000
 
@@ -93,13 +93,21 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     (which must differ from `prime`), rows whose ranks agree at both
     primes are certified.  Bases and differentials come from `cache`,
     an in-memory `FileCache` when none is given.  Every differential is
-    fetched once, here and in V order, before any is ranked.  Then
+    fetched here, in V order, before any is ranked.  Then
     `_split_work` ranks the matrices on every usable CPU, weighted by
     their nonzeros, and the ranks come back in V order, so the table is
     the one a single process gives.  Gauss ranks a matrix at every prime
-    in one elimination (`gauss_ranks`, over Z/pqZ with a confirm prime);
-    Wiedemann ranks it at `prime`, from ``seed`` in whichever process
-    ranks it.  A slice with more than `DEFAULT_GENERATOR_CAP` generators
+    in one elimination (`gauss_ranks`, over Z/pqZ with a confirm prime).
+    Wiedemann ranks it at `prime` and at ``seed`` alone, in whichever
+    process ranks it.  Each such bound w is at most the rank, and d∘d = 0
+    gives rank d_V + rank d_{V+1} <= dim C_V, so
+    cap_V = min(dim C_V - w_{V+1}, dim C_{V-1} - w_{V-1}) (a missing
+    neighbour counts as 0) bounds rank d_V from above.  A second
+    `_split_work` round fetches again only the differentials whose bound
+    is below their cap and tries ``seed + 1`` and ``seed + 2`` on them,
+    stopping at the cap.  A bound that meets its cap is the rank, so the
+    table is the one that ranking every differential at all three seeds
+    gives.  A slice with more than `DEFAULT_GENERATOR_CAP` generators
     raises GeneratorCapExceeded.
     """
     fp = rank_field(method, prime)
@@ -130,15 +138,31 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     def rank(mat) -> tuple[int, ...]:
         if method == "gauss":
             return gauss_ranks(mat, primes)
-        return (RANK_METHODS[method](reduce_mod_p(mat, fp), seed=seed).rank,)
+        return (wiedemann_rank(reduce_mod_p(mat, fp), seed, seeds=1).rank,)
 
     # _split_work drops each matrix from mats once it is ranked
     got = dict(zip(order, _split_work(rank, mats, [len(mat.entries) for mat in mats])))
     # per prime: V -> rank of the differential leaving the slice at V
     ranks, *confirm = ({v: r[i] for v, r in got.items()} for i in range(len(primes)))
+    dims = {v: len(s) for v, s in slices.items()}
+    if method == "wiedemann":
+        # d∘d = 0: rank d_V <= dim C_V - rank d_{V+1} and <= dim C_{V-1} - rank d_{V-1}
+        caps = {v: min(dims[v] - ranks.get(v + 1, 0), dims[v - 1] - ranks.get(v - 1, 0))
+                for v in order}
+        low = [v for v in order if ranks[v] < caps[v]]
+        # fetched again, since round one dropped each matrix once it was ranked
+        items = [(cache.matrix(spec, v), caps[v]) for v in low]
+
+        def retry(item) -> int:
+            mat, cap = item
+            return wiedemann_rank(reduce_mod_p(mat, fp), seed + 1, cap, seeds=2).rank
+
+        weights = [len(mat.entries) for mat, _ in items]
+        for v, r in zip(low, _split_work(retry, items, weights)):
+            ranks[v] = max(ranks[v], r)
     rows = []
     for v in sorted(slices):
-        dim = len(slices[v])
+        dim = dims[v]
         rank_out = ranks.get(v, 0)
         rank_in = ranks.get(v + 1, 0)
         h = dim - rank_out - rank_in

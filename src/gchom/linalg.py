@@ -27,6 +27,16 @@ are folded into the stored values of A once, so an application is two
 sparse passes.  Wiedemann takes only primes below 2**25 (`rank_field`
 checks), so a product of two residues fits in int64; long sums of such
 products are reduced in chunks, so the arithmetic is exact.
+
+Each seed's bound is a lower bound on the rank, so `wiedemann_rank`
+tries a further seed only while its best bound is below a cap, an
+upper bound on the rank.  The cap defaults to the smaller count of
+nonempty rows or columns.  A table passes a tighter one: since
+d∘d = 0, rank d_V + rank d_{V+1} <= dim C_V, so each neighbour's bound
+caps a differential.  `cohomology.cohomology_dims` therefore ranks
+every differential at one seed, then retries at the next seeds only
+those whose bound is below that cap.  A bound that meets the cap is
+the rank, and the table is the one that trying every seed gives.
 """
 
 from __future__ import annotations
@@ -568,22 +578,33 @@ def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int, arrays=None) -> i
     return deg - (1 if g[0] == 0 else 0)
 
 
-def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0) -> RankResult:
+def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0, cap: int | None = None,
+                   seeds: int = 3) -> RankResult:
     """Probabilistic lower bound on the F_p rank.
 
     The degree of the Berlekamp-Massey minimal generator of u^T B^k u,
-    minus one when divisible by x.  Three seeds are tried and the best
-    bound reported; the result is never above the true rank, so
+    minus one when divisible by x, is never above the true rank.  The
+    seeds ``seed``, ``seed + 1``, ... (``seeds`` of them) are tried in
+    turn while the best bound is below ``cap``, and the best is
+    reported.  ``cap`` is an upper bound on the rank that the caller has
+    proved.  The smaller of the counts of nonempty rows and of nonempty
+    columns is always one: it is the default, and a larger cap is
+    lowered to it.  A bound that meets a proved cap is the rank, so no
+    further seed can raise it, and stopping there reports what trying
+    every seed would.  The result may still lie below the rank, so
     certified stays False.
     """
-    if not matrix.entries:
-        return RankResult(0, "wiedemann", False, matrix.p, seed)
     # only the diagonals depend on the seed
     arrays = matrix.to_arrays()
+    ri, ci, _ = arrays
+    nonempty = min(np.count_nonzero(np.bincount(ri, minlength=1)),
+                   np.count_nonzero(np.bincount(ci, minlength=1)))
+    cap = nonempty if cap is None else min(cap, nonempty)
     best = 0
-    for s in (seed, seed + 1, seed + 2):
+    for s in range(seed, seed + seeds):
+        if best >= cap:
+            break
         best = max(best, _scalar_wiedemann_bound(matrix, s, arrays))
-    best = min(best, matrix.nrows, matrix.ncols)
     return RankResult(best, "wiedemann", False, matrix.p, seed)
 
 

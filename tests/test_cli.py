@@ -223,6 +223,22 @@ def test_check_rejects_a_zero_flag_before_running_the_suite(capsys, monkeypatch)
     assert code == 0 and calls == [{"max_loops": 5, "prime": 10007}]
 
 
+def test_check_linalg_takes_the_prime_and_max_loops(capsys, monkeypatch):
+    calls = recording_suite(monkeypatch, "linalg")
+    code, _, _ = run(capsys, "check", "--suite", "linalg", "--prime", "10007",
+                     "--max-loops", "5", "--seed", "3")
+    assert code == 0 and calls.pop() == {"seed": 3, "prime": 10007, "max_loops": 5}
+    code, _, _ = run(capsys, "check", "--suite", "linalg")
+    assert code == 0 and calls.pop() == {"seed": 0}
+    # the suite ranks by Wiedemann, which takes primes below 2**25 only
+    code, _, err = run(capsys, "check", "--suite", "linalg", "--prime", "33554467")
+    assert code == 1 and "2**25" in err
+    # its first table differential is at g=3
+    code, _, err = run(capsys, "check", "--suite", "linalg", "--max-loops", "2")
+    assert code == 1 and "selects no" in err
+    assert calls == []
+
+
 def test_errors_exit_nonzero(capsys, tmp_path):
     code, _, err = run(capsys, "rank", "--matrix", str(tmp_path / "nope.sms"))
     assert code == 1 and "error" in err

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+import oracles
 from conftest import assert_no_child_left, needs_fork, no_fork
-from gchom import cohomology, complexes
+from gchom import cohomology, complexes, linalg
 from gchom.cache import FileCache
 from gchom.graphs import Parity
 from gchom.complexes import _FORK_FLOOR, _NONZEROS_PER_ITEM, ComplexSpec, Variant
@@ -14,6 +15,8 @@ from gchom.cohomology import (
     KNOWN_VALUES,
     UNCERTAIN,
     UPPER_BOUND,
+    CohomologyRow,
+    CohomologyTable,
     GeneratorCapExceeded,
     cohomology_dims,
     compare_with_registry,
@@ -262,3 +265,102 @@ def test_ranks_stay_in_one_process_on_one_cpu_or_below_the_floor(monkeypatch, fi
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for run in RUNS:
         cohomology_dims(large, cache=filled_cache, **run)
+
+
+# ---------------------------------------------------------------------------
+# Wiedemann tables: one seed, then the next seeds below the d∘d = 0 cap.
+# ---------------------------------------------------------------------------
+
+
+def _reference_table(spec, cache, seed):
+    """The Wiedemann table whose ranks are the best reference bounds at
+    seed, seed + 1 and seed + 2, with no cap."""
+    fp = linalg.PrimeField(3323)
+    ranks = {v: max(oracles.reference_wiedemann_bound(linalg.reduce_mod_p(m, fp), s)[0]
+                    for s in (seed, seed + 1, seed + 2))
+             for v, m in _matrices(spec, cache).items()}
+    rows = []
+    for v in cohomology._slice_range(spec):
+        dim = len(cache.basis(spec, v))
+        rank_out, rank_in = ranks.get(v, 0), ranks.get(v + 1, 0)
+        h = dim - rank_out - rank_in
+        rows.append(CohomologyRow(spec.degree_of(v), dim, rank_out, rank_in, h, h == 0))
+    return CohomologyTable(spec, 3323, "wiedemann", tuple(rows))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 21])
+def test_wiedemann_tables_are_the_best_of_three_reference_seeds(filled_cache, seed):
+    for spec in SPECS:
+        got = cohomology_dims(spec, method="wiedemann", seed=seed, cache=filled_cache)
+        assert got == _reference_table(spec, filled_cache, seed), spec
+
+
+class _CountingCache(FileCache):
+    """A `FileCache` that records the V of every matrix fetch."""
+
+    def __init__(self, root=None):
+        super().__init__(root)
+        self.fetched = []
+
+    def matrix(self, spec, vertices):
+        self.fetched.append(vertices)
+        return super().matrix(spec, vertices)
+
+
+@needs_fork
+@pytest.mark.parametrize("rooted", [True, False])
+def test_a_bound_below_its_cap_is_ranked_again_at_the_next_seeds(monkeypatch, forks,
+                                                                 filled_cache, rooted):
+    spec, seed = ComplexSpec(Parity.ODD, Variant.FULL, 6), 21
+    mats = _matrices(spec, filled_cache)
+    want = cohomology_dims(spec, method="wiedemann", seed=seed, cache=filled_cache)
+    # the largest differential comes back one short at the first seed
+    v = max(mats, key=lambda v: len(mats[v].entries))
+    shape = (mats[v].nrows, mats[v].ncols)
+    assert [(m.nrows, m.ncols) for m in mats.values()].count(shape) == 1
+    real = linalg._scalar_wiedemann_bound
+
+    def one_short(matrix, s, arrays=None):
+        bound = real(matrix, s, arrays)
+        return bound - 1 if (matrix.nrows, matrix.ncols) == shape and s == seed else bound
+
+    def run():
+        cache = _CountingCache(filled_cache.root.parent if rooted else None)
+        got = cohomology_dims(spec, method="wiedemann", seed=seed, cache=cache)
+        return got, cache.fetched
+
+    # unpatched, every first bound meets its cap, so nothing is fetched twice
+    got, fetched = run()
+    assert got == want and fetched == list(mats)
+    monkeypatch.setattr(linalg, "_scalar_wiedemann_bound", one_short)
+    for pinned in (False, True):
+        if pinned:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "fork", no_fork)
+        forks.clear()
+        got, fetched = run()
+        assert got == want, pinned
+        # the second round fetches v again, and at most its neighbours, whose caps rose
+        again = fetched[len(mats):]
+        assert fetched[:len(mats)] == list(mats) and v in again, pinned
+        assert set(again) <= {v - 1, v, v + 1}, pinned
+        assert bool(forks) != pinned
+    assert_no_child_left()
+
+
+def test_the_odd_g6_wiedemann_table_takes_one_seed_per_differential(monkeypatch,
+                                                                     filled_cache):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    calls = [0]
+    apply = linalg.PreconditionedOperator.apply
+
+    def counting_apply(self, x):
+        calls[0] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(linalg.PreconditionedOperator, "apply", counting_apply)
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 6)
+    cohomology_dims(spec, method="wiedemann", seed=21, cache=filled_cache)
+    # a third of the 1,704 applications that three seeds per differential take
+    assert calls[0] == 568

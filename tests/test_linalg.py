@@ -580,6 +580,54 @@ def test_wiedemann_rank_builds_the_matrix_arrays_once():
     assert got == min(ref, 20)
 
 
+def counted_wiedemann_rank(m, seed, **kwargs):
+    """(`wiedemann_rank` result, seeds its `_scalar_wiedemann_bound` calls ran)."""
+    from gchom import linalg
+
+    seeds = []
+    real = linalg._scalar_wiedemann_bound
+
+    def counting(matrix, s, arrays=None):
+        seeds.append(s)
+        return real(matrix, s, arrays)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_scalar_wiedemann_bound", counting)
+        return wiedemann_rank(m, seed, **kwargs), seeds
+
+
+def test_wiedemann_rank_stops_once_its_bound_meets_the_cap():
+    # full rank: the first bound meets the default cap, the nonempty row count
+    ident = FpSparseMatrix(9, 9, 1000003, {(i, i): 1 for i in range(9)})
+    got, seeds = counted_wiedemann_rank(ident, 4)
+    assert (got.rank, seeds) == (9, [4])
+    # rank 1 below two nonempty rows and columns: every seed is tried ...
+    ones = FpSparseMatrix(3, 4, P, {(i, j): 1 for i in (0, 2) for j in (1, 3)})
+    got, seeds = counted_wiedemann_rank(ones, 7)
+    assert (got.rank, seeds) == (1, [7, 8, 9])
+    # ... unless a cap proves the rank, and a cap never adds seeds
+    assert counted_wiedemann_rank(ones, 7, cap=1) == (got, [7])
+    assert counted_wiedemann_rank(ones, 7, cap=50) == (got, [7, 8, 9])
+    assert counted_wiedemann_rank(ones, 7, seeds=2) == (got, [7, 8])
+    empty = FpSparseMatrix(3, 3, P, {})
+    assert counted_wiedemann_rank(empty, 0, cap=3) == (RankResult(0, "wiedemann", False, P, 0), [])
+
+
+def test_wiedemann_rank_with_a_cap_reports_the_best_of_its_seeds():
+    rng = random.Random(67)
+    for i in range(30):
+        m = random_fp(rng, rng.randint(2, 25), rng.randint(2, 25), rng.uniform(0.03, 0.3))
+        bounds = [oracles.reference_wiedemann_bound(m, s)[0] for s in (i, i + 1, i + 2)]
+        best = max(bounds)
+        # the true rank caps every bound; a cap at the rank stops at the first seed meeting it
+        rank = gauss_rank(m).rank
+        got, seeds = counted_wiedemann_rank(m, i, cap=rank)
+        assert got.rank == best
+        tried = 0 if rank == 0 else bounds.index(rank) + 1 if rank in bounds else 3
+        assert len(seeds) == tried
+        assert wiedemann_rank(m, i).rank == best
+
+
 def test_berlekamp_massey_state_matches_reference_state():
     # long enough for the term buffer to grow several times
     rng = random.Random(53)
@@ -646,3 +694,23 @@ def test_report_line_format():
     assert r.report_line() == "rank=17 method=gauss prime=3323 seed=42 certified=true"
     w = RankResult(3, "wiedemann", False, 10007, 7)
     assert w.report_line() == "rank=3 method=wiedemann prime=10007 seed=7 certified=false"
+
+
+def test_linalg_suite_ranks_at_its_prime_up_to_its_loop_order(monkeypatch):
+    from gchom import checks
+
+    seen = []
+    real = checks.wiedemann_rank
+
+    def recording(m, seed):
+        seen.append((m.p, m.nrows, m.ncols))
+        return real(m, seed)
+
+    monkeypatch.setattr(checks, "wiedemann_rank", recording)
+    results = checks.suite_linalg(num_random=10, prime=10007, max_loops=4)
+    assert all(r.passed for r in results)
+    tables = [(10007, m.nrows, m.ncols) for m in checks._table_differentials(4, 4)]
+    assert len(seen) == 10 + len(tables) and seen[10:] == tables
+    assert {p for p, _, _ in seen} == {10007}
+    with pytest.raises(ValueError, match="2\\*\\*25"):
+        checks.suite_linalg(prime=33554467)
