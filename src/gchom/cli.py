@@ -85,10 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _pick_seed(given: int | None) -> int:
-    if given is not None:
-        return given
-    return secrets.randbelow(2 ** 31)
+def _pick_seed(args) -> int:
+    """``--seed``, else a fresh seed for Wiedemann and 0 for Gauss, which draws none."""
+    if args.seed is not None:
+        return args.seed
+    return secrets.randbelow(2 ** 31) if args.method == "wiedemann" else 0
 
 
 def cmd_gen(args) -> int:
@@ -109,13 +110,13 @@ def cmd_diff(args) -> int:
 def cmd_rank(args) -> int:
     matrix = load_sms(Path(args.matrix).read_text())
     fp = rank_field(args.method, args.prime)
-    result = RANK_METHODS[args.method](reduce_mod_p(matrix, fp), seed=_pick_seed(args.seed))
+    result = RANK_METHODS[args.method](reduce_mod_p(matrix, fp), seed=_pick_seed(args))
     print(result.report_line())
     return 0
 
 
 def cmd_cohomology(args) -> int:
-    seed = _pick_seed(args.seed)
+    seed = _pick_seed(args)
     table = cohomology_dims(_spec_from(args), prime=args.prime, method=args.method,
                             seed=seed, confirm_prime=args.confirm_prime,
                             cache=resolve_cache(args.cache))
@@ -131,7 +132,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_kneissler(args) -> int:
-    seed = _pick_seed(args.seed)
+    seed = _pick_seed(args)
     report = upper_bound(args.loops, Parity.from_name(args.parity),
                          prime=args.prime, method=args.method, seed=seed)
     print(report.to_json())

@@ -701,34 +701,6 @@ def _contract(graph: Multigraph, edge_index: int, parity: Parity) -> tuple[Multi
     return Multigraph._trusted(n - 1, tuple(sorted(mapped))), sign
 
 
-def _contraction_sign(graph: Multigraph, edge_index: int, parity: Parity) -> int:
-    """The sign `_contract` returns, without building the image.
-
-    For edge (u, v), relabeling v to u and keeping every other label
-    orders the surviving edges as `_contract`'s relabeling does, which is
-    increasing off v.  Odd parity: (-1)^(n-1-v) times -1 for each edge
-    (a, v) with a > u, the moved half-edges whose far end is above u: the
-    only edges whose direction flips.  Even parity: (-1)^index times -1
-    for each inversion that the relabeling introduces among the edges.
-    """
-    edges = graph.edges
-    u, v = edges[edge_index]
-    n = graph.num_vertices
-    if parity is Parity.ODD:
-        flips = sum(1 for a, b in edges if b == v and a > u)
-        return -1 if (n - 1 - v + flips) % 2 else 1
-    codes = []
-    for i, (a, b) in enumerate(edges):
-        if i != edge_index:
-            if b == v:
-                a, b = (a, u) if a < u else (u, a)
-            elif a == v:
-                a = u
-            codes.append(a * n + b)
-    order = sorted(range(len(codes)), key=codes.__getitem__)
-    return (-1 if edge_index % 2 else 1) * perm_sign(order)
-
-
 def _edge_orbit_roots(graph: Multigraph, generators) -> dict[int, int]:
     """Each simple edge index -> the first edge index of its Aut(graph) orbit.
 

@@ -37,8 +37,9 @@ labeled, and its class is returned with the Aut generators read off
 that labeling; a root in a class already found, or in a barrel class
 for the complement, is skipped at the first leaf that spells it.  Each
 parity then keeps the nonzero classes, tested on those generators, so
-the second parity builds and labels nothing.  One record per loop order
-holds every class with its generators, keyed by its edge codes.
+the second parity builds and labels nothing.  One table per loop order,
+`_families`, holds every class with its generators, per kind and keyed
+by its edge codes, and the split terms of each X/Y class once used.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from gchom.complexes import (
-    _contraction_sign,
+    _contract,
     _edge_orbit_roots,
     _rows_graph,
     _sorted_pair,
@@ -171,37 +173,6 @@ def _vertex_0_split(g: Multigraph, perm, hub: bool) -> Multigraph:
     return _rows_graph(_split_child(nbrs, list(g.degrees()), 0, take)[0])
 
 
-def a_graph(perm) -> Multigraph:
-    """Trivalent coboundary partner of x_graph: its vertical-pair split.
-
-    The 4-valent vertex of X splits so the new vertex q keeps both
-    verticals; q hangs off the short rim and reaches two lower-rim
-    vertices (adjacent ones only for special perms).
-    """
-    perm = _check_perm(perm)
-    return _vertex_0_split(x_graph(perm), perm, hub=False)
-
-
-def a_prime_graph(perm) -> Multigraph:
-    """Trivalent coboundary partner of y_graph: its hub-pair split.
-
-    The 4-valent vertex of Y splits so the new vertex q keeps the hub
-    edge and the strand landing there; q's edges double up exactly when
-    the strand comes from the hub.
-    """
-    perm = _check_perm(perm)
-    return _vertex_0_split(y_graph(perm), perm, hub=True)
-
-
-_BUILDERS = {
-    "B": barrel,
-    "X": x_graph,
-    "Y": y_graph,
-    "A": a_graph,
-    "Aprime": a_prime_graph,
-}
-
-
 def _supported(loops: int, parity: Parity) -> None:
     minimum = 5 if parity is Parity.EVEN else 4
     if loops < minimum:
@@ -262,9 +233,23 @@ def _by_edges(classes) -> tuple[Multigraph, ...]:
     return tuple(sorted(classes, key=lambda m: m.edges))
 
 
+class _FamilyTable(NamedTuple):
+    """One loop order's classes, zero or not, for both parities.
+
+    ``classes``: each kind -> its canonical forms, sorted by edges -> Aut generators.
+    ``record``: `_edge_codes` of every class -> (class, generators); X and Y
+    classes have an edge fewer than B, A and A' ones, so no graph spells both.
+    ``split_terms``: each X/Y class used so far -> its `_split_terms`.
+    """
+
+    classes: dict[str, dict[Multigraph, tuple]]
+    record: dict[tuple[int, ...], tuple[Multigraph, tuple]]
+    split_terms: dict[Multigraph, tuple]
+
+
 @lru_cache(maxsize=None)
-def _family_classes(loops: int) -> dict[str, dict[Multigraph, tuple]]:
-    """Each kind -> canonical forms of its classes, zero or not, sorted by edges.
+def _families(loops: int) -> _FamilyTable:
+    """The `_FamilyTable` of one loop order, its record made in the same pass.
 
     One pass per permutation group, for both parities: barrels over the
     frame-orbit roots of S_{g-1}, then X and Y over those of S_{g-2},
@@ -283,6 +268,7 @@ def _family_classes(loops: int) -> dict[str, dict[Multigraph, tuple]]:
     """
     known = {kind: {} for kind in FAMILY_KINDS}
     classes = {kind: {} for kind in FAMILY_KINDS}
+    record = {}
 
     def label(kind: str, g: Multigraph) -> None:
         if kind in ("Y", "Aprime") and not g.is_simple():
@@ -290,32 +276,22 @@ def _family_classes(loops: int) -> dict[str, dict[Multigraph, tuple]]:
         data = _canonical_data(g, known=known[kind])
         if len(data) == 3:  # else a barrel, or a class found at an earlier root
             form, labelings, _ = data
-            known[kind][_edge_codes(form)] = form
+            codes = _edge_codes(form)
+            known[kind][codes] = form
             classes[kind][form] = _form_generators(labelings)
+            record[codes] = form, classes[kind][form]
 
     for perm in _frame_orbit_roots("B", loops - 1):
-        label("B", _BUILDERS["B"](perm))
-    for kind, complement in (("X", "A"), ("Y", "Aprime")):
+        label("B", barrel(perm))
+    for kind, complement, build in (("X", "A", x_graph), ("Y", "Aprime", y_graph)):
         known[complement].update(known["B"])
         for perm in _frame_orbit_roots(kind, loops - 2):
-            g = _BUILDERS[kind](perm)
+            g = build(perm)
             label(kind, g)
             label(complement, _vertex_0_split(g, perm, hub=kind == "Y"))
-    return {kind: {m: found[m] for m in _by_edges(found)} for kind, found in classes.items()}
-
-
-def build_family(kind: str, loops: int, parity: Parity) -> tuple[Multigraph, ...]:
-    """Nonzero isomorphism classes of one graph family, sorted by edges.
-
-    The classes of `_family_classes` that do not vanish under the
-    parity, tested on the generators found with them, so nothing is built
-    or labeled for a parity once the other has found the classes.
-    """
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown family kind {kind!r}")
-    _supported(loops, parity)
-    return tuple(m for m, generators in _family_classes(loops)[kind].items()
-                 if not _is_zero(m, parity, generators))
+    return _FamilyTable(
+        {kind: {m: found[m] for m in _by_edges(found)} for kind, found in classes.items()},
+        record, {})
 
 
 @dataclass(frozen=True)
@@ -347,54 +323,46 @@ class KneisslerFamilies:
 
 @lru_cache(maxsize=8)
 def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
-    _supported(loops, parity)
-    b, x, y, a, aprime = (build_family(kind, loops, parity) for kind in FAMILY_KINDS)
-    return KneisslerFamilies(loops, parity, b, _by_edges({*a, *aprime}),
-                             _by_edges({*x, *y}))
+    """The classes of `_families` that do not vanish under the parity.
 
-
-@lru_cache(maxsize=None)
-def _family_record(loops: int) -> dict[tuple[int, ...], tuple[Multigraph, tuple]]:
-    """`_edge_codes` of every family class, zero or not -> (class, generators).
-
-    X and Y classes have an edge fewer than B, A and A' ones, so no graph spells both.
+    Tested on the generators found with them, so nothing is built or
+    labeled for a parity once the other has built the table.
     """
-    return {_edge_codes(m): (m, generators) for classes in _family_classes(loops).values()
-            for m, generators in classes.items()}
+    _supported(loops, parity)
+    kept = {kind: [m for m, generators in found.items() if not _is_zero(m, parity, generators)]
+            for kind, found in _families(loops).classes.items()}
+    return KneisslerFamilies(loops, parity, tuple(kept["B"]),
+                             _by_edges({*kept["A"], *kept["Aprime"]}),
+                             _by_edges({*kept["X"], *kept["Y"]}))
 
 
-def _family_generators(m: Multigraph) -> tuple:
-    """The generators `_family_classes` found with family class m."""
-    return _family_record(m.loop_order)[_edge_codes(m)][1]
-
-
-def _edge_weights(row: Multigraph) -> dict[tuple[int, int], int]:
-    """Each simple edge of ``row`` -> the size of its Aut(row) orbit."""
-    roots = _edge_orbit_roots(row, _family_generators(row))
+def _edge_weights(row: Multigraph, generators) -> dict[tuple[int, int], int]:
+    """Each simple edge of ``row`` -> the size of its orbit under Aut(row) = <generators>."""
+    roots = _edge_orbit_roots(row, generators)
     sizes = Counter(roots.values())
     return {row.edges[i]: sizes[root] for i, root in roots.items()}
 
 
-@lru_cache(maxsize=None)
-def _split_terms(x: Multigraph) -> tuple[tuple[Multigraph, tuple[int, int], int, int], ...]:
+def _split_terms(x: Multigraph, families: _FamilyTable
+                 ) -> tuple[tuple[Multigraph, tuple[int, int], int, int], ...]:
     """``(class, edge, even sign, odd sign)`` per split child of X/Y class x.
 
-    Each child is labeled once, with no parity, against `_family_record`
-    of x's loop order, so a child in a B, A or A' class stops at the
-    first leaf that spells it; that leaf's labeling is an isomorphism
-    onto the class, and the record gives the class's generators.  A child
-    in no such class is labeled to the end, and the generators of its form
-    are read off its labelings.  Either way the class is zero or nonzero
-    by those generators.  ``edge`` is the image of the child's fresh edge
-    (v, n) under the labeling, and a parity's sign is the child's
-    orientation sign times the sign of contracting (v, n), or 0 where the
-    child is zero.
+    Each child is labeled once, with no parity, against the record of
+    ``families``, x's loop order's table, so a child in a B, A or A'
+    class stops at the first leaf that spells it; that leaf's labeling
+    is an isomorphism onto the class, and the record gives the class's
+    generators.  A child in no such class is labeled to the end, and the
+    generators of its form are read off its labelings.  Either way the
+    class is zero or nonzero by those generators.  ``edge`` is the image
+    of the child's fresh edge (v, n) under the labeling, and a parity's
+    sign is the child's orientation sign times the sign of contracting
+    (v, n), or 0 where the child is zero.
     """
-    known = _family_record(x.loop_order)
+    record = families.record
     n = x.num_vertices
     terms = []
-    for v, child in _split_children(x, _family_generators(x)):
-        data = _canonical_data(child, known=known)
+    for v, child in _split_children(x, record[_edge_codes(x)][1]):
+        data = _canonical_data(child, known=record)
         if len(data) == 2:
             (form, generators), lab = data
         else:  # in no family class
@@ -404,7 +372,7 @@ def _split_terms(x: Multigraph) -> tuple[tuple[Multigraph, tuple[int, int], int,
                  for p in Parity]
         fresh = child.edges.index((v, n))
         terms.append((form, _sorted_pair(lab[v], lab[n]),
-                      *[s * _contraction_sign(child, fresh, p) if s else 0
+                      *[s * _contract(child, fresh, p)[1] if s else 0
                         for s, p in zip(signs, Parity)]))
     return tuple(terms)
 
@@ -415,17 +383,21 @@ def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
     The same pass checks the span: a nonzero split child whose class is
     no row signals a mis-built complement and raises
     ImageOutsideSpanError.  The children's terms come from `_split_terms`,
-    labeled once per class for both parities and for the rebuild
-    `dperp_rank` makes after `upper_bound`, outside the `canonical_data`
-    and `canonicalize` caches.  Each row's edge orbits are computed once
-    per call, from the generators `_family_classes` found with it.
+    labeled the first time a class is used and kept in its loop order's
+    `_families` table, for both parities and for the rebuild `dperp_rank`
+    makes after `upper_bound`, outside the `canonical_data` and
+    `canonicalize` caches.  Each row's edge orbits are computed once per
+    call, from the generators the table records with it.
     """
+    families = _families(fam.loops)
     odd = fam.parity is Parity.ODD
     rows = {r: i for i, r in enumerate(fam.b_members + fam.bperp_members)}
     weights: dict[Multigraph, dict[tuple[int, int], int]] = {}
     acc: dict[tuple[int, int], int] = {}
     for j, x in enumerate(fam.v_members):
-        for row, edge, even_sign, odd_sign in _split_terms(x):
+        if x not in families.split_terms:
+            families.split_terms[x] = _split_terms(x, families)
+        for row, edge, even_sign, odd_sign in families.split_terms[x]:
             sign = odd_sign if odd else even_sign
             if not sign:
                 continue
@@ -433,7 +405,7 @@ def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
             if i is None:
                 raise ImageOutsideSpanError(f"split of {x} produced {row}")
             if row not in weights:
-                weights[row] = _edge_weights(row)
+                weights[row] = _edge_weights(row, families.record[_edge_codes(row)][1])
             acc[(i, j)] = acc.get((i, j), 0) + weights[row][edge] * sign
     return {k: val for k, val in acc.items() if val}
 

@@ -556,25 +556,34 @@ def rank_mod_p(matrix, p: int) -> int:
     return len(echelon)
 
 
+def family_graph(kind: str, perm) -> Multigraph:
+    """The graph of ``perm`` in family ``kind``, A and A' from `complement_graph`."""
+    from gchom.kneissler import barrel, x_graph, y_graph
+
+    if kind in ("A", "Aprime"):
+        return complement_graph(kind, perm)
+    return {"B": barrel, "X": x_graph, "Y": y_graph}[kind](perm)
+
+
 def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
     """Each nonzero class of a family -> the permutations whose graph is in it.
 
     No frame-symmetry orbits: each defining permutation's graph is built,
     filtered and labeled on its own, in `itertools.permutations` order,
     and the complement kinds exclude the forms of every barrel.  The keys
-    are the classes `kneissler.build_family` returns.
+    are the classes of ``kneissler._families(loops).classes[kind]`` that
+    do not vanish under ``parity``.
     """
     from gchom.graphs import canonical_data, canonicalize
-    from gchom.kneissler import _BUILDERS, barrel
 
     degree = loops - 1 if kind == "B" else loops - 2
     excluded = set()
     if kind in ("A", "Aprime"):
-        excluded = {canonical_data(barrel(p))[0]
+        excluded = {canonical_data(family_graph("B", p))[0]
                     for p in itertools.permutations(range(loops - 1))}
     reps: dict = {}
     for perm in itertools.permutations(range(degree)):
-        g = _BUILDERS[kind](perm)
+        g = family_graph(kind, perm)
         if kind in ("Y", "Aprime") and not g.is_simple():
             continue
         form = canonical_data(g)[0]

@@ -67,6 +67,19 @@ def test_rank_wiedemann_prints_seed_line(capsys, tmp_path):
     assert "method=wiedemann" in out and "seed=3" in out and "certified=false" in out
 
 
+def test_gauss_reports_repeat_without_a_seed(capsys, tmp_path):
+    # Gauss draws no seed, so a report without --seed names seed 0 every time
+    sms = tmp_path / "m.sms"
+    sms.write_text(dump_sms(IntSparseMatrix(2, 2, {(0, 0): 1, (1, 1): 2})))
+    rank = ["rank", "--matrix", str(sms)]
+    kneissler = ["kneissler", "--parity", "odd", "--loops", "5"]
+    for argv in (rank, kneissler):
+        first, second = (run(capsys, *argv) for _ in range(2))
+        assert first == second and first[0] == 0, argv
+    assert run(capsys, *rank)[1] == "rank=2 method=gauss prime=3323 seed=0 certified=true\n"
+    assert json.loads(run(capsys, *kneissler)[1])["seed"] == 0
+
+
 def test_cohomology_table_output(capsys):
     code, out, _ = run(capsys, "cohomology", "--parity", "odd", "--variant",
                        "full", "--loops", "5", "--prime", "3323",

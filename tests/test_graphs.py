@@ -35,16 +35,7 @@ from gchom.graphs import (
     orientation_sign,
 )
 from gchom.complexes import _split_children
-from gchom.kneissler import (
-    _family_classes,
-    _family_generators,
-    _family_record,
-    a_graph,
-    a_prime_graph,
-    barrel,
-    x_graph,
-    y_graph,
-)
+from gchom.kneissler import _families
 
 import oracles
 
@@ -70,9 +61,10 @@ def core_test_graphs() -> list[Multigraph]:
                 graphs.append(parent)
                 graphs.extend(oracles.all_vertex_splits(parent))
     for g in range(4, 7):
-        for build, degree in ((barrel, g - 1), (x_graph, g - 2), (y_graph, g - 2),
-                              (a_graph, g - 2), (a_prime_graph, g - 2)):
-            graphs.extend(build(p) for p in itertools.permutations(range(degree)))
+        for kind, degree in (("B", g - 1), ("X", g - 2), ("Y", g - 2),
+                             ("A", g - 2), ("Aprime", g - 2)):
+            graphs.extend(oracles.family_graph(kind, p)
+                          for p in itertools.permutations(range(degree)))
     return graphs
 
 
@@ -130,7 +122,7 @@ def test_search_matches_reference_search():
         graphs.append(g.relabel(perm))
     # 12-vertex cubic graphs, one initial cell each, which reach the
     # refinement's two-group splits, and the images the differentials label
-    cubic = [build(p) for build, degree in ((barrel, 6), (a_graph, 5), (a_prime_graph, 5))
+    cubic = [oracles.family_graph(kind, p) for kind, degree in (("B", 6), ("A", 5), ("Aprime", 5))
              for p in itertools.permutations(range(degree))]
     graphs += random.Random(71).sample(cubic, 200)
     graphs += contraction_images(5)
@@ -185,11 +177,11 @@ def test_known_classes_stop_the_search_on_an_isomorphism():
 
 def test_span_check_children_stop_on_their_row_class():
     for loops in range(4, 9):
-        children = [child for kind in ("X", "Y") for x in _family_classes(loops)[kind]
-                    for _, child in _split_children(x, _family_generators(x))]
+        table = _families(loops)
+        children = [child for kind in ("X", "Y") for x, generators in table.classes[kind].items()
+                    for _, child in _split_children(x, generators)]
         # the B, A and A' classes: X and Y have an edge fewer than the children
-        rows = {code: m for code, (m, _) in _family_record(loops).items()
-                if len(code) == 3 * loops - 3}
+        rows = {code: m for code, (m, _) in table.record.items() if len(code) == 3 * loops - 3}
         hits = assert_known_lookups_match_the_plain_search(children, rows)
         assert hits > len(children) // 2, loops
 

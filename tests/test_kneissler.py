@@ -1,40 +1,30 @@
+import dataclasses
 import hashlib
 import itertools
 import json
-from types import SimpleNamespace
 
 import pytest
 
 from gchom import complexes, graphs, kneissler
 from gchom.graphs import (
     Parity,
+    _edge_codes,
     _is_zero,
     automorphism_generators,
     canonical_data,
     canonicalize,
 )
-from gchom.complexes import (
-    ComplexSpec,
-    Variant,
-    _contract,
-    _contraction_sign,
-    _is_parallel,
-    _split_children,
-    enumerate_basis,
-    raw_slice,
-)
+from gchom.complexes import ComplexSpec, Variant, enumerate_basis
 from gchom.cohomology import KNOWN_VALUES
 from gchom.kneissler import (
     FAMILY_KINDS,
     ImageOutsideSpanError,
-    _BUILDERS,
     _coboundary_entries,
+    _families,
     _frame_symmetries,
-    a_graph,
-    a_prime_graph,
+    _vertex_0_split,
     barrel,
     build_families,
-    build_family,
     dperp_rank,
     restricted_differential,
     upper_bound,
@@ -63,6 +53,10 @@ PINNED_RESTRICTED_DIFFERENTIALS = {
     (Parity.EVEN, 9): (3069, "acafab0c954eb0c13b63b51920dad35158837a788746924a9070d8a4f924d076"),
     (Parity.ODD, 9): (3743, "ec5466ac9dbd6188aa877332d72427e7c0196a4bc9493b549f24f3db025dcb04"),
 }
+
+# `_canonical_data` calls of `upper_bound` from an empty family table, for
+# the odd parity, the even one and both; `dperp_rank` after it makes none
+BOUND_LABELINGS = {7: (198, 177, 198), 8: (1175, 1109, 1185)}
 
 
 def test_barrel_counts():
@@ -102,10 +96,10 @@ def test_family_graph_shapes():
             y = y_graph(perm)
             assert y.num_vertices == 2 * m + 1
             assert sorted(y.degrees()) == [3] * (2 * m) + [4]
-            a = a_graph(perm)
+            a = _vertex_0_split(x, perm, hub=False)
             assert set(a.degrees()) == {3}
             assert a.loop_order == m + 2
-            ap = a_prime_graph(perm)
+            ap = _vertex_0_split(y, perm, hub=True)
             assert set(ap.degrees()) == {3}
             assert ap.loop_order == m + 2
 
@@ -114,24 +108,27 @@ def test_complement_graphs_are_the_vertex_0_splits():
     # the same labeled graph as the edge lists written out, not just the same class
     for m in range(2, 7):
         for perm in itertools.permutations(range(m)):
-            assert a_graph(perm) == oracles.complement_graph("A", perm), perm
-            assert a_prime_graph(perm) == oracles.complement_graph("Aprime", perm), perm
+            a = _vertex_0_split(x_graph(perm), perm, hub=False)
+            assert a == oracles.complement_graph("A", perm), perm
+            a_prime = _vertex_0_split(y_graph(perm), perm, hub=True)
+            assert a_prime == oracles.complement_graph("Aprime", perm), perm
 
 
-def test_build_family_rejects_unsupported():
+def test_build_families_rejects_unsupported():
     with pytest.raises(ValueError):
-        build_family("B", 4, Parity.EVEN)
+        build_families(4, Parity.EVEN)
     with pytest.raises(ValueError):
-        build_family("X", 3, Parity.ODD)
-    with pytest.raises(ValueError):
-        build_family("Q", 6, Parity.EVEN)
+        build_families(3, Parity.ODD)
+    # the table has the five kinds and no other
+    assert tuple(_families(6).classes) == FAMILY_KINDS
 
 
-def test_build_family_matches_exhaustive_family():
+def test_family_classes_match_exhaustive_family():
     for parity in Parity:
         for loops in range(5 if parity is Parity.EVEN else 4, 8):
-            for kind in FAMILY_KINDS:
-                got = build_family(kind, loops, parity)
+            for kind, found in _families(loops).classes.items():
+                got = tuple(m for m, generators in found.items()
+                            if not _is_zero(m, parity, generators))
                 want = oracles.exhaustive_family(kind, loops, parity)
                 assert got == tuple(sorted(want, key=lambda m: m.edges)), (kind, loops, parity)
 
@@ -147,8 +144,8 @@ def test_second_parity_builds_and_labels_nothing(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for kind, build in _BUILDERS.items():
-        monkeypatch.setitem(_BUILDERS, kind, spy(kind, build))
+    for name in ("barrel", "x_graph", "y_graph", "_vertex_0_split"):
+        monkeypatch.setattr(kneissler, name, spy(name, getattr(kneissler, name)))
     for module in (graphs, complexes, kneissler):
         monkeypatch.setattr(module, "_canonical_data", spy("label", module._canonical_data))
     before = canonicalize.cache_info()
@@ -163,11 +160,11 @@ def test_frame_symmetries_preserve_the_graph_class():
     frames = {"B": "B", "X": "X", "Y": "Y", "A": "X", "Aprime": "Y"}
     for kind in FAMILY_KINDS:
         for n in range(2, 7 if kind == "B" else 6):  # g <= 7
-            build = _BUILDERS[kind]
             for perm in itertools.permutations(range(n)):
-                form = canonical_data(build(perm))[0]
+                form = canonical_data(oracles.family_graph(kind, perm))[0]
                 for move in _frame_symmetries(frames[kind], n):
-                    assert canonical_data(build(move(perm)))[0] == form, (kind, perm)
+                    moved = oracles.family_graph(kind, move(perm))
+                    assert canonical_data(moved)[0] == form, (kind, perm)
 
 
 def test_complement_excludes_barrel_isomorphic_graphs():
@@ -243,7 +240,7 @@ def test_family_classes_record_their_automorphism_groups():
             fam = build_families(loops, parity)
             for m in set(fam.b_members) | set(fam.bperp_members) | set(fam.v_members):
                 n = m.num_vertices
-                generators = kneissler._family_generators(m)
+                generators = _families(loops).record[_edge_codes(m)][1]
                 assert (oracles.permutation_group(generators, n)
                         == oracles.permutation_group(automorphism_generators(m), n)), m
                 for p in Parity:
@@ -252,12 +249,7 @@ def test_family_classes_record_their_automorphism_groups():
 
 def test_image_outside_span_detection():
     fam = build_families(5, Parity.ODD)
-    broken = SimpleNamespace(
-        v_members=fam.v_members,
-        b_members=(),
-        bperp_members=(),
-        parity=fam.parity,
-    )
+    broken = dataclasses.replace(fam, b_members=(), bperp_members=())
     with pytest.raises(ImageOutsideSpanError):
         _coboundary_entries(broken)
 
@@ -266,7 +258,7 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
     loops = 7
     for parity in Parity:
         build_families(loops, parity)
-    kneissler._split_terms.cache_clear()
+    _families(loops).split_terms.clear()
     labeled = []
 
     def spy(label):
@@ -291,8 +283,7 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
 
 
 def test_bound_path_leaves_the_label_caches_alone():
-    for cached in (build_families, kneissler._family_classes, kneissler._family_record,
-                   kneissler._split_terms):
+    for cached in (build_families, _families):
         cached.cache_clear()
     before = (canonical_data.cache_info(), canonicalize.cache_info())
     for parity in Parity:
@@ -307,21 +298,28 @@ def test_restricted_differentials_are_pinned(parity, loops):
     assert (len(entries), digest) == PINNED_RESTRICTED_DIFFERENTIALS[(parity, loops)]
 
 
-def test_contraction_sign_matches_contract():
-    edges = []  # (graph, index of a simple edge)
-    for parity in Parity:
-        for loops in range(5 if parity is Parity.EVEN else 4, 9):
-            for x in build_families(loops, parity).v_members:
-                n = x.num_vertices
-                edges += [(child, child.edges.index((v, n)))
-                          for v, child in _split_children(x, kneissler._family_generators(x))]
-    for loops in range(2, 6):
-        for v in range(2, 2 * loops - 1):
-            edges += [(m, i) for m in raw_slice(loops, v)
-                      for i in range(m.num_edges) if not _is_parallel(m.edges, i)]
-    for graph, i in edges:
-        for parity in Parity:
-            assert _contraction_sign(graph, i, parity) == _contract(graph, i, parity)[1], (graph, i)
+def test_bound_labelings_are_pinned(monkeypatch):
+    labeled = []
+
+    def spy(label):
+        def wrapper(graph, *args, **kwargs):
+            labeled.append(graph)
+            return label(graph, *args, **kwargs)
+        return wrapper
+
+    for module in (graphs, complexes, kneissler):
+        monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
+    for loops, counts in BOUND_LABELINGS.items():
+        for parities, count in zip(((Parity.ODD,), (Parity.EVEN,), tuple(Parity)), counts):
+            for cached in (build_families, _families):
+                cached.cache_clear()
+            labeled.clear()
+            for parity in parities:
+                upper_bound(loops, parity)
+            assert len(labeled) == count, (loops, parities)
+            for parity in parities:
+                dperp_rank(loops, parity)
+            assert len(labeled) == count, (loops, parities)
 
 
 def test_wiedemann_method_agrees():
