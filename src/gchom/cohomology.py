@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from gchom.cache import FileCache
-from gchom.complexes import BasisSlice, ComplexSpec, _split_work
+from gchom.complexes import ComplexSpec, _split_work
 from gchom.linalg import PrimeField, gauss_ranks, rank_field, reduce_mod_p, wiedemann_rank
 
 DEFAULT_GENERATOR_CAP = 5_000_000
@@ -91,12 +91,13 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     only zero rows are certified; a `confirm_prime` is then a ValueError,
     since it would certify nothing.  With gauss and a `confirm_prime`
     (which must differ from `prime`), rows whose ranks agree at both
-    primes are certified.  Bases and differentials come from `cache`,
-    an in-memory `FileCache` when none is given.  Every differential is
-    fetched here, in V order, before any is ranked.  Then
-    `_split_work` ranks the matrices on every usable CPU, weighted by
-    their nonzeros, and the ranks come back in V order, so the table is
-    the one a single process gives.  Gauss ranks a matrix at every prime
+    primes are certified.  Slice sizes and differentials come from
+    `cache`, an in-memory `FileCache` when none is given; no basis is
+    fetched here, so a cache that holds every file builds no graph.
+    Every differential is fetched here, in V order, before any is
+    ranked.  Then `_split_work` ranks the matrices on every usable CPU,
+    weighted by their nonzeros, and the ranks come back in V order, so
+    the table is the one a single process gives.  Gauss ranks a matrix at every prime
     in one elimination (`gauss_ranks`, over Z/pqZ with a confirm prime).
     Wiedemann ranks it at `prime` and at ``seed`` alone, in whichever
     process ranks it.  Each such bound w is at most the rank, and d∘d = 0
@@ -121,18 +122,16 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
         primes = (prime, confirm_prime)
     if cache is None:
         cache = FileCache()
-    slices: dict[int, BasisSlice] = {}
+    dims: dict[int, int] = {}
     for v in _slice_range(spec):
-        s = cache.basis(spec, v)
-        if len(s) > DEFAULT_GENERATOR_CAP:
+        dims[v] = cache.size(spec, v)
+        if dims[v] > DEFAULT_GENERATOR_CAP:
             raise GeneratorCapExceeded(
-                f"slice V={v} has {len(s)} generators (cap {DEFAULT_GENERATOR_CAP})"
+                f"slice V={v} has {dims[v]} generators (cap {DEFAULT_GENERATOR_CAP})"
             )
-        slices[v] = s
 
     # the V whose slice has a differential leaving it
-    order = [v for v in _slice_range(spec)
-             if v - 1 in slices and len(slices[v]) and len(slices[v - 1])]
+    order = [v for v in _slice_range(spec) if v - 1 in dims and dims[v] and dims[v - 1]]
     mats = [cache.matrix(spec, v) for v in order]
 
     def rank(mat) -> tuple[int, ...]:
@@ -144,7 +143,6 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     got = dict(zip(order, _split_work(rank, mats, [len(mat.entries) for mat in mats])))
     # per prime: V -> rank of the differential leaving the slice at V
     ranks, *confirm = ({v: r[i] for v, r in got.items()} for i in range(len(primes)))
-    dims = {v: len(s) for v, s in slices.items()}
     if method == "wiedemann":
         # d∘d = 0: rank d_V <= dim C_V - rank d_{V+1} and <= dim C_{V-1} - rank d_{V-1}
         caps = {v: min(dims[v] - ranks.get(v + 1, 0), dims[v - 1] - ranks.get(v - 1, 0))
@@ -161,7 +159,7 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
         for v, r in zip(low, _split_work(retry, items, weights)):
             ranks[v] = max(ranks[v], r)
     rows = []
-    for v in sorted(slices):
+    for v in sorted(dims):
         dim = dims[v]
         rank_out = ranks.get(v, 0)
         rank_in = ranks.get(v + 1, 0)

@@ -52,6 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, cached_property
+from typing import TYPE_CHECKING
 
 from gchom.graphs import (
     Multigraph,
@@ -68,6 +69,9 @@ from gchom.graphs import (
     perm_sign,
 )
 from gchom.sparse import IntSparseMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Variant(Enum):
@@ -433,12 +437,13 @@ def _accepted_children(parent: Multigraph, generators):
 # fork, its pipe and its exit cost a few milliseconds, more than that much
 # work.  An item is one parent split or one source contracted, about
 # 0.1-0.5 ms each on a 2-core Xeon.  Ranking `_NONZEROS_PER_ITEM` matrix
-# nonzeros counts as one item; a nonzero costs about 4 us in a two-prime
-# Gauss elimination and 17 us in a Wiedemann rank.  So the odd g=5 ranks
-# (227 nonzeros, 2-8 ms) run in one process, and the odd g=6 ranks (5,319
-# nonzeros, 30-100 ms) are split.  `_split_work` weighs work in nonzeros,
-# so that every weight is an integer and the floor test and the deal are
-# exact.
+# nonzeros counts as one item.  In one process there, the eight odd g=6
+# differentials (5,319 nonzeros) take 16 ms in a two-prime Gauss
+# elimination and 21 ms in a one-seed Wiedemann rank, best of five: 3-4 us
+# a nonzero, so a rank item (60-80 us) is lighter than a split.  The odd
+# g=5 ranks (227 nonzeros, 1-2 ms) run in one process, and the odd g=6
+# ranks are split.  `_split_work` weighs work in nonzeros, so that every
+# weight is an integer and the floor test and the deal are exact.
 _FORK_FLOOR = 100
 _NONZEROS_PER_ITEM = 20
 
@@ -836,11 +841,27 @@ def dump_basis(slice_: BasisSlice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_basis(text: str) -> BasisSlice:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#gls"):
+def basis_rows(text: str) -> tuple[ComplexSpec, int, np.ndarray]:
+    """The spec, vertex count and graph lines of a .gls text, all checked.
+
+    The graph lines come back as a ``(count, 2 + 2E)`` int64 array, one
+    row ``V E u1 v1 ...`` per nonblank line.  The body is checked as a
+    whole: digits and whitespace only, 2 + 2E tokens on each line, the
+    header's V and E on each, 0 <= u < v < V, sorted edges, and `count`
+    lines.  A line that fails gets the error `Multigraph.from_line`
+    raises for it, or else one saying it is not in the header's slice.
+    ``np.fromstring`` saturates values past the int64 range, which
+    fails the range checks, and it never sees a token that is not
+    digits.
+    """
+    # numpy is imported here, not with the module: imported by gchom.cache
+    # ahead of gchom.linalg, it left a process 0.5-0.7 MB larger
+    import numpy as np
+
+    head, _, body = text.lstrip().partition("\n")
+    if not head.startswith("#gls"):
         raise ValueError("missing #gls header")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+    fields = dict(tok.split("=", 1) for tok in head.split()[1:])
     spec = ComplexSpec(
         Parity.from_name(fields["parity"]),
         Variant.from_name(fields["variant"]),
@@ -849,11 +870,37 @@ def load_basis(text: str) -> BasisSlice:
     count = int(fields["count"])
     vertices = int(fields["vertices"])
     edges = vertices + spec.loops - 1
-    gens = tuple(Multigraph.from_line(ln) for ln in lines[1:])
-    if len(gens) != count:
-        raise ValueError(f"header count {count} != {len(gens)} graphs")
-    for graph in gens:
-        if graph.num_vertices != vertices or len(graph.edges) != edges:
-            raise ValueError(f"graph {graph.to_line()!r} is not in the header's slice: "
-                             f"{vertices} vertices, {edges} edges")
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    space = (raw == ord(" ")) | ((raw >= ord("\t")) & (raw <= ord("\r")))
+    line = np.cumsum(raw == ord("\n"))  # the line of each byte
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]  # the first digit of each token
+    nlines = body.count("\n") + 1
+    tokens = np.bincount(line[first], minlength=nlines)
+    junk = np.bincount(line[~(digit | space)], minlength=nlines)
+    used = np.flatnonzero(tokens + junk)  # the nonblank lines
+    bad = (tokens[used] != 2 + 2 * edges) | (junk[used] > 0)
+    rows = np.empty((0, 2 + 2 * edges), dtype=np.int64)
+    if used.size and not bad.any():
+        rows = np.fromstring(body, dtype=np.int64, sep=" ").reshape(used.size, -1)
+        u, v = rows[:, 2::2], rows[:, 3::2]
+        bad = ((rows[:, 0] != vertices) | (rows[:, 1] != edges) | (u >= v).any(axis=1)
+               | (v >= vertices).any(axis=1)
+               | (np.diff(u * vertices + v, axis=1) < 0).any(axis=1))
+    # the first failing line raises its own parse error, else the count or the slice
+    culprit = Multigraph.from_line(body.split("\n")[used[bad.argmax()]]) if bad.any() else None
+    if used.size != count:
+        raise ValueError(f"header count {count} != {used.size} graphs")
+    if culprit is not None:
+        raise ValueError(f"graph {culprit.to_line()!r} is not in the header's slice: "
+                         f"{vertices} vertices, {edges} edges")
+    return spec, vertices, rows
+
+
+def load_basis(text: str) -> BasisSlice:
+    """The slice a .gls text holds, checked by `basis_rows`."""
+    spec, vertices, rows = basis_rows(text)
+    gens = tuple(Multigraph._trusted(vertices, tuple(zip(row[2::2], row[3::2])))
+                 for row in rows.tolist())
     return BasisSlice(spec, vertices, gens)

@@ -54,28 +54,28 @@ def dump_sms(matrix: IntSparseMatrix) -> str:
 
 
 def load_sms(text: str) -> IntSparseMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse SMS text: a three-token header line, then triples up to 0 0 0.
+
+    The triples are read as one stream of Python ints, so entries of any
+    size load exactly; whatever follows the terminator is not read.
+    """
+    head, _, body = text.lstrip().partition("\n")
+    if not head:
         raise ValueError("empty SMS input")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"malformed SMS header: {lines[0]!r}")
-    nrows, ncols = int(head[0]), int(head[1])
+    fields = head.split()
+    if len(fields) != 3:
+        raise ValueError(f"malformed SMS header: {head!r}")
+    nrows, ncols = int(fields[0]), int(fields[1])
     # third header token is conventionally the letter M; a count is tolerated
+    values = map(int, body.split())
     entries: dict[tuple[int, int], int] = {}
-    terminated = False
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        i, j, v = int(i), int(j), int(v)
-        if i == 0 and j == 0 and v == 0:
-            terminated = True
-            break
+    for i, j, v in zip(values, values, values):
         if v == 0:
-            raise ValueError(f"explicit zero entry in SMS: {ln!r}")
+            if i == 0 and j == 0:
+                return IntSparseMatrix(nrows, ncols, entries)
+            raise ValueError(f"explicit zero entry in SMS at {i} {j}")
         key = (i - 1, j - 1)
         if key in entries:
             raise ValueError(f"duplicate SMS entry at {i} {j}")
         entries[key] = v
-    if not terminated:
-        raise ValueError("SMS input missing '0 0 0' terminator")
-    return IntSparseMatrix(nrows, ncols, entries)
+    raise ValueError("SMS input missing '0 0 0' terminator")

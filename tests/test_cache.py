@@ -1,4 +1,7 @@
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 import gchom.cache
 from gchom.cache import FileCache
@@ -32,30 +35,52 @@ def test_truncated_files_are_recomputed(tmp_path):
 def test_each_basis_file_is_parsed_once_per_instance(tmp_path, monkeypatch):
     spec = ComplexSpec(Parity.ODD, Variant.FULL, 5)
     want = cohomology_dims(spec, confirm_prime=10007, cache=FileCache(tmp_path))
-    parsed, parsed_sms = Counter(), Counter()
+    root = tmp_path / f"v{gchom.cache.FORMAT_VERSION}"
+    originals = {p.name: p.read_bytes() for p in root.iterdir()}
+    reads, parsed = Counter(), Counter()
+
+    def counting_read_text(path, *args, **kwargs):
+        reads[path.name] += 1
+        return read_text(path, *args, **kwargs)
 
     def counting_load_basis(text):
         basis = load_basis(text)
         parsed[basis.num_vertices] += 1
         return basis
 
-    def counting_load_sms(text):
-        parsed_sms[text] += 1
-        return load_sms(text)
-
+    read_text = Path.read_text
     load_basis = gchom.cache.load_basis
-    load_sms = gchom.cache.load_sms
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
     monkeypatch.setattr(gchom.cache, "load_basis", counting_load_basis)
-    monkeypatch.setattr(gchom.cache, "load_sms", counting_load_sms)
-    got = cohomology_dims(spec, confirm_prime=10007, cache=FileCache(tmp_path))
-    assert got == want
-    root = tmp_path / f"v{gchom.cache.FORMAT_VERSION}"
-    files = list(root.glob("basis-*.gls"))
-    assert len(parsed) == len(files) > 1
-    assert set(parsed.values()) == {1}
-    # each .sms file once too, though the table ranks it at two primes
-    sms_files = Counter(p.read_text() for p in root.glob("diff-*.sms"))
-    assert parsed_sms == sms_files and sum(sms_files.values()) > 1
+    # a warm table reads each file once, though it ranks each matrix at
+    # two primes, and takes the slice sizes without parsing a basis
+    assert cohomology_dims(spec, confirm_prime=10007, cache=FileCache(tmp_path)) == want
+    assert reads == Counter(originals.keys()) and any(n.endswith(".sms") for n in reads)
+    assert not parsed
+
+    # every matrix() misses: each basis on a side of a differential is
+    # parsed once, from a file read once for its size and once to parse
+    for path in root.glob("diff-*.sms"):
+        path.unlink()
+    reads.clear()
+    assert cohomology_dims(spec, confirm_prime=10007, cache=FileCache(tmp_path)) == want
+    dims = {v: len(enumerate_basis(spec, v)) for v in range(2, 2 * (spec.loops - 1) + 1)}
+    sides = {w for v in dims if dims[v] and dims.get(v - 1) for w in (v, v - 1)}
+    assert set(parsed) == sides and set(parsed.values()) == {1}
+    assert {n for n, count in reads.items() if count > 1} == {
+        FileCache(tmp_path).basis_path(spec, v).name for v in sides}
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == originals
+
+
+@pytest.mark.parametrize("kind", ["basis", "matrix"])
+def test_files_that_are_not_utf8_are_recomputed(tmp_path, kind):
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 4)
+    want = FileCache(tmp_path).matrix(spec, 5)
+    path = getattr(FileCache(tmp_path), f"{kind}_path")(spec, 5)
+    original = path.read_bytes()
+    path.write_bytes(b"\xff\xfe")
+    assert FileCache(tmp_path).matrix(spec, 5) == want
+    assert path.read_bytes() == original
 
 
 def test_two_prime_table_assembles_each_differential_once(monkeypatch):

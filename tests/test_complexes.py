@@ -35,6 +35,7 @@ from gchom.complexes import (
     _split_orbit_reps,
     _split_takes,
     _split_work,
+    basis_rows,
     contraction_entries,
     differential_matrix,
     dump_basis,
@@ -460,15 +461,63 @@ def test_basis_file_round_trip():
         assert loaded == basis
 
 
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_every_basis_file_up_to_g5_round_trips(parity, variant):
+    for loops in range(2, 6):
+        spec = ComplexSpec(parity, variant, loops)
+        for v in range(2, 2 * (loops - 1) + 1):
+            basis = enumerate_basis(spec, v)
+            text = dump_basis(basis)
+            assert load_basis(text) == basis, (spec, v)
+            got_spec, got_v, rows = basis_rows(text)
+            assert (got_spec, got_v) == (spec, v)
+            assert rows.shape == (len(basis), 2 * (v + loops))
+
+
+K4_HEAD = "#gls parity=odd variant=full loops=3 vertices=4 count={}\n"
+K4_LINE = K4.to_line()  # 4 6 0 1 0 2 0 3 1 2 1 3 2 3
+
+
 def test_basis_file_rejects_count_mismatch():
     basis = enumerate_basis(EVEN_FULL_3, 4)
     text = dump_basis(basis).replace("count=1", "count=2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="header count 2 != 1 graphs"):
         load_basis(text)
+    with pytest.raises(ValueError, match="header count 1 != 2 graphs"):
+        load_basis(K4_HEAD.format(1) + K4_LINE + "\n" + K4_LINE + "\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    # the last token of the first line moved onto the second
+    pytest.param(K4_LINE[:-2] + "\n3 " + K4_LINE, "expected 6 edges on line", id="moved"),
+    pytest.param(K4_LINE[:-1] + "x\n" + K4_LINE, "invalid literal for int", id="letter"),
+    pytest.param(K4_LINE + "\n" + K4_LINE.replace("0 1 0 2", "0 0 0 2"),
+                 "self-edge at vertex 0", id="self-edge"),
+    pytest.param(K4_LINE + "\n" + K4_LINE.replace("0 1 0 2", "0 2 0 1"),
+                 "edge list not sorted", id="unsorted"),
+    # np.fromstring saturates these to 2**63 - 1
+    pytest.param(K4_LINE + "\n" + K4_LINE[:-1] + str(2 ** 63), "out of range", id="2**63"),
+    pytest.param(K4_LINE + "\n" + K4_LINE[:-1] + str(2 ** 64 + 3), "out of range",
+                 id="2**64+3"),
+    pytest.param(K4_LINE + "\n" + str(2 ** 63 + 4) + K4_LINE[1:],
+                 "not in the header's slice", id="vertex-count"),
+])
+def test_basis_file_rejects_malformed_lines(body, message):
+    with pytest.raises(ValueError, match=message):
+        load_basis(K4_HEAD.format(2) + body + "\n")
+
+
+def test_basis_file_accepts_blank_lines_and_crlf():
+    text = K4_HEAD.format(2).replace("\n", "\r\n") + "\r\n \r\n" + K4_LINE + "\r\n\r\n" \
+        + K4_LINE + "\n\t\n"
+    assert load_basis(text).generators == (K4, K4)
+    empty = "#gls parity=odd variant=tri loops=3 vertices=4 count=0"
+    assert len(load_basis(empty)) == len(load_basis(empty + "\n\n")) == 0
 
 
 def test_basis_file_rejects_graphs_outside_the_header_slice():
-    head = "#gls parity=odd variant=full loops=3 vertices=4 count=1\n"
+    head = K4_HEAD.format(1)
     # the theta graph: 2 vertices; K4 less an edge: 4 vertices but 5 edges
     for line in ("2 3 0 1 0 1 0 1", "4 5 0 1 0 2 0 3 1 2 1 3"):
         with pytest.raises(ValueError, match="not in the header's slice"):

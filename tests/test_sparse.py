@@ -40,6 +40,14 @@ def test_sms_round_trip():
     assert (b.nrows, b.ncols, b.entries) == (a.nrows, a.ncols, a.entries)
 
 
+def test_sms_entries_beyond_int64_round_trip():
+    a = IntSparseMatrix(2, 2, {(0, 1): 2 ** 70, (1, 0): -(2 ** 70) - 1})
+    text = dump_sms(a)
+    assert f"1 2 {2 ** 70}" in text.splitlines()
+    b = load_sms(text)
+    assert b.entries == a.entries and dump_sms(b) == text
+
+
 def test_sms_zero_matrix():
     z = IntSparseMatrix(3, 3, {})
     assert load_sms(dump_sms(z)).entries == {}
