@@ -184,7 +184,7 @@ def suite_linalg(seed: int = 0, num_random: int = 200, prime: int = DEFAULT_PRIM
     The table differentials checked are those up to ``max_loops`` loops.
     """
     rng = random.Random(seed)
-    fp = rank_field("wiedemann", prime)
+    fp = rank_field("wiedemann", prime, seed)
     out = []
 
     # (a) wiedemann is a lower bound, usually tight

@@ -108,9 +108,10 @@ def cmd_diff(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    seed = _pick_seed(args)
+    fp = rank_field(args.method, args.prime, seed)
     matrix = load_sms(Path(args.matrix).read_text())
-    fp = rank_field(args.method, args.prime)
-    result = RANK_METHODS[args.method](reduce_mod_p(matrix, fp), seed=_pick_seed(args))
+    result = RANK_METHODS[args.method](reduce_mod_p(matrix, fp), seed=seed)
     print(result.report_line())
     return 0
 

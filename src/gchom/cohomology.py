@@ -108,10 +108,11 @@ def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
     is below their cap and tries ``seed + 1`` and ``seed + 2`` on them,
     stopping at the cap.  A bound that meets its cap is the rank, so the
     table is the one that ranking every differential at all three seeds
-    gives.  A slice with more than `DEFAULT_GENERATOR_CAP` generators
-    raises GeneratorCapExceeded.
+    gives.  A prime or seed that `rank_field` rejects for the method is
+    a ValueError before any fetch.  A slice with more than
+    `DEFAULT_GENERATOR_CAP` generators raises GeneratorCapExceeded.
     """
-    fp = rank_field(method, prime)
+    fp = rank_field(method, prime, seed)
     primes = (prime,)
     if confirm_prime is not None:
         if method != "gauss":

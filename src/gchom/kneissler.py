@@ -482,10 +482,10 @@ def upper_bound(loops: int, parity: Parity, prime: int = 3323,
 
     rank(d) is the rank of `restricted_differential` at `prime`, by the
     engine `method` names in `RANK_METHODS`; an unknown name raises
-    ValueError before the families are built, as does a prime that
-    `rank_field` rejects for the method.
+    ValueError before the families are built, as does a prime or seed
+    that `rank_field` rejects for the method.
     """
-    fp = rank_field(method, prime)
+    fp = rank_field(method, prime, seed)
     fam = build_families(loops, parity)
     mp = reduce_mod_p(restricted_differential(loops, parity), fp)
     rank = RANK_METHODS[method](mp, seed=seed).rank

@@ -28,6 +28,18 @@ sparse passes.  Wiedemann takes only primes below 2**25 (`rank_field`
 checks), so a product of two residues fits in int64; long sums of such
 products are reduced in chunks, so the arithmetic is exact.
 
+The random diagonals D1, D2 and the start vector u are drawn by
+`_draw`, a counter hash rather than a stateful generator: entry i of a
+draw is low + splitmix64(seed*G + stream*H + i mod 2**64) mod
+(high - low), where splitmix64 is the finalizer of Steele, Lea and
+Flood ("Fast splittable pseudorandom number generators", OOPSLA 2014),
+G its Weyl increment and H a second odd constant.  D1, D2 and u are
+streams 1, 2 and 3.  The modulo bias is below (high - low) / 2**64.
+The draws are fixed uint64 arithmetic, so a seed gives the same bound
+on every numpy version, and `numpy.random` is never imported.  A seed
+must lie in [0, 2**62), which leaves room for the next seeds a rank
+tries.
+
 Each seed's bound is a lower bound on the rank, so `wiedemann_rank`
 tries a further seed only while its best bound is below a cap, an
 upper bound on the rank.  The cap defaults to the smaller count of
@@ -514,18 +526,51 @@ class PreconditionedOperator:
         return self._half(self._back, self.ri, self.ci, self.n, self._reduce_cols, y)
 
 
+_SEED_LIMIT = 1 << 62
+_MASK64 = (1 << 64) - 1
+# splitmix64's Weyl increment (the golden ratio), an odd constant that
+# separates the streams, and the finalizer's shifts and multipliers
+_SEED_GAMMA = 0x9E3779B97F4A7C15
+_STREAM_GAMMA = 0xD1B54A32D192ED03
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+# the draws of one Wiedemann run
+_D1_STREAM, _D2_STREAM, _U_STREAM = 1, 2, 3
+
+
+def _check_seed(seed: int):
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"wiedemann seed {seed} is outside [0, 2**62)")
+
+
+def _draw(seed: int, stream: int, size: int, low: int, high: int) -> np.ndarray:
+    """``size`` int64 values in [low, high), entry i a hash of (seed, stream, i).
+
+    Entry i is low + splitmix64(z) mod (high - low), z = seed*G +
+    stream*H + i mod 2**64, with splitmix64's finalizer.  The modulo
+    bias is below (high - low) / 2**64.  The hash is uint64 array
+    arithmetic, which wraps mod 2**64 without the warnings numpy gives
+    on scalar overflow.
+    """
+    base = (seed * _SEED_GAMMA + stream * _STREAM_GAMMA) & _MASK64
+    z = np.arange(size, dtype=np.uint64) + np.uint64(base)
+    for shift, mult in _MIX:
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return (z % np.uint64(high - low)).astype(np.int64) + low
+
+
 def precondition(matrix: FpSparseMatrix, seed: int, arrays=None) -> PreconditionedOperator:
     """Random diagonal preconditioning of the Gram operator A^T A.
 
-    D1 and D2 are uniform invertible diagonals drawn from the seed; with
+    D1 and D2 are uniform invertible diagonals, streams 1 and 2 of
+    `_draw` at the seed, the same on every numpy version; with
     probability 1 - O(n/p) the operator keeps the rank of A and has
     squarefree-away-from-zero minimal polynomial, which is what the
     Wiedemann rank extraction needs.  ``arrays`` is passed on to
     `PreconditionedOperator`.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    d1 = rng.integers(1, matrix.p, size=matrix.ncols, dtype=np.int64)
-    d2 = rng.integers(1, matrix.p, size=matrix.nrows, dtype=np.int64)
+    d1 = _draw(seed, _D1_STREAM, matrix.ncols, 1, matrix.p)
+    d2 = _draw(seed, _D2_STREAM, matrix.nrows, 1, matrix.p)
     return PreconditionedOperator(matrix, d1, d2, arrays)
 
 
@@ -559,12 +604,12 @@ def _scalar_wiedemann_bound(matrix: FpSparseMatrix, seed: int, arrays=None) -> i
     are those of applying B once per term.  The run stops after 2L +
     `_MARGIN_TERMS` terms: Berlekamp-Massey keeps the last nonzero
     discrepancy within the first 2L, so the generator has then held for
-    at least the margin.  ``arrays`` is passed on to `precondition`.
+    at least the margin.  The start vector u is stream 3 of `_draw`.
+    ``arrays`` is passed on to `precondition`.
     """
     p = matrix.p
     op = precondition(matrix, seed, arrays)
-    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
-    u = rng.integers(0, p, size=matrix.ncols, dtype=np.int64)
+    u = _draw(seed, _U_STREAM, matrix.ncols, 0, p)
     limit = 2 * min(matrix.nrows, matrix.ncols) + _EXTRA_TERMS
     state = _BMState(p)
     for processed, a in enumerate(itertools.islice(_krylov_terms(op, u), limit), 1):
@@ -592,8 +637,10 @@ def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0, cap: int | None = None
     lowered to it.  A bound that meets a proved cap is the rank, so no
     further seed can raise it, and stopping there reports what trying
     every seed would.  The result may still lie below the rank, so
-    certified stays False.
+    certified stays False.  A seed outside [0, 2**62) is a ValueError,
+    raised before any work.
     """
+    _check_seed(seed)
     # only the diagonals depend on the seed
     arrays = matrix.to_arrays()
     ri, ci, _ = arrays
@@ -612,11 +659,14 @@ def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0, cap: int | None = None
 RANK_METHODS = {"gauss": gauss_rank, "wiedemann": wiedemann_rank}
 
 
-def rank_field(method: str, prime: int) -> PrimeField:
-    """``PrimeField(prime)``; ValueError if ``method`` is no engine or cannot rank over it."""
+def rank_field(method: str, prime: int, seed: int = 0) -> PrimeField:
+    """``PrimeField(prime)``; ValueError if ``method`` is no engine or
+    cannot rank over it, or is Wiedemann and ``seed`` is outside [0, 2**62)."""
     if method not in RANK_METHODS:
         raise ValueError(f"unknown method {method!r}")
     fp = PrimeField(prime)
-    if method == "wiedemann" and prime >= _FAST_PRIME_LIMIT:
-        raise ValueError(f"wiedemann needs a prime below 2**25, got {prime}")
+    if method == "wiedemann":
+        if prime >= _FAST_PRIME_LIMIT:
+            raise ValueError(f"wiedemann needs a prime below 2**25, got {prime}")
+        _check_seed(seed)
     return fp

@@ -626,8 +626,32 @@ def dense(matrix):
 # ---------------------------------------------------------------------------
 # Reference Wiedemann: one operator application per sequence term, the
 # diagonals applied as separate passes, the Berlekamp-Massey window rebuilt
-# from a list.  Shares `_matmul_mod` with gchom.
+# from a list.  Shares `_matmul_mod` with gchom.  The random draws are
+# computed here in Python ints, one entry at a time.
 # ---------------------------------------------------------------------------
+
+
+def splitmix64(z: int) -> int:
+    """The splitmix64 finalizer of a 64-bit integer (Steele, Lea & Flood 2014)."""
+    mask = (1 << 64) - 1
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
+def reference_draw(seed: int, stream: int, size: int, low: int, high: int) -> np.ndarray:
+    """Entry i: low + splitmix64(seed*G + stream*H + i mod 2**64) mod (high - low)."""
+    start = seed * 0x9E3779B97F4A7C15 + stream * 0xD1B54A32D192ED03
+    return np.array([low + splitmix64((start + i) % (1 << 64)) % (high - low)
+                     for i in range(size)], dtype=np.int64)
+
+
+def reference_draws(matrix, seed: int):
+    """(d1, d2, u) of one Wiedemann run at ``seed``: streams 1, 2 and 3."""
+    p = matrix.p
+    return (reference_draw(seed, 1, matrix.ncols, 1, p),
+            reference_draw(seed, 2, matrix.nrows, 1, p),
+            reference_draw(seed, 3, matrix.ncols, 0, p))
 
 
 class _ReferenceOperator:
@@ -637,9 +661,7 @@ class _ReferenceOperator:
         self.p = matrix.p
         self.nrows = matrix.nrows
         self.n = matrix.ncols
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.d1 = rng.integers(1, matrix.p, size=matrix.ncols, dtype=np.int64)
-        self.d2 = rng.integers(1, matrix.p, size=matrix.nrows, dtype=np.int64)
+        self.d1, self.d2, _ = reference_draws(matrix, seed)
         items = sorted(matrix.entries.items())
         self.ri = np.array([k[0] for k, _ in items], dtype=np.int64)
         self.ci = np.array([k[1] for k, _ in items], dtype=np.int64)
@@ -726,8 +748,7 @@ def reference_wiedemann_bound(matrix, seed: int):
     extra_terms, stall_terms = 16, 8
     p = matrix.p
     op = _ReferenceOperator(matrix, seed)
-    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
-    u = rng.integers(0, p, size=matrix.ncols, dtype=np.int64)
+    _, _, u = reference_draws(matrix, seed)
     limit = 2 * min(matrix.nrows, matrix.ncols) + extra_terms
     state = _ReferenceBMState(p)
     w = u.copy()

@@ -280,6 +280,25 @@ def test_errors_exit_nonzero(capsys, tmp_path):
     assert code == 1 and "loop order" in err
 
 
+def test_a_bad_wiedemann_seed_is_rejected_before_any_work(capsys, tmp_path):
+    # the matrix file does not exist, so an error naming the seed means it was never read
+    missing = str(tmp_path / "nope.sms")
+    code, out, err = run(capsys, "rank", "--matrix", missing, "--method", "wiedemann",
+                         "--seed", "-5")
+    assert code == 1 and out == "" and err.startswith("gchom: error:") and "seed -5" in err
+    # Gauss draws no seed, so only the missing file is an error
+    code, _, err = run(capsys, "rank", "--matrix", missing, "--seed", "-5")
+    assert code == 1 and "2**62" not in err
+    cache = tmp_path / "cache"
+    for argv in (("cohomology", "--variant", "full", "--cache", str(cache)), ("kneissler",),
+                 ("check", "--suite", "linalg")):
+        if argv[0] != "check":
+            argv += ("--parity", "odd", "--loops", "5", "--method", "wiedemann")
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == "" and "seed -1" in err, argv
+    assert not [path for path in cache.rglob("*") if path.is_file()]
+
+
 def test_method_choices_are_the_rank_engines():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -293,6 +312,34 @@ def test_bad_flags_exit_two(tmp_path):
         main(["gen", "--parity", "sideways", "--variant", "full",
               "--loops", "3", "--vertices", "4"])
     assert exc.value.code == 2
+
+
+def test_a_wiedemann_table_imports_no_numpy_random():
+    # -X importtime lists on stderr every module a process imports, and the
+    # workers forked here (as on a 3-CPU host, at any size) inherit stderr
+    script = (
+        "import os, sys\n"
+        "from gchom import complexes\n"
+        "from gchom.cli import main\n"
+        "complexes._FORK_FLOOR = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "forks, fork = [], os.fork\n"
+        "def counting_fork():\n"
+        "    pid = fork()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counting_fork\n"
+        "code = main(['cohomology', '--parity', 'odd', '--variant', 'full', '--loops', '5',\n"
+        "             '--method', 'wiedemann', '--seed', '1'])\n"
+        "print('forks', len(forks))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "seed=1" in proc.stdout and int(proc.stdout.split("forks ")[1]) >= 2
+    assert "gchom.linalg" in proc.stderr
+    assert "numpy.random" not in proc.stderr
 
 
 def test_console_entry_point():

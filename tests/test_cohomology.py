@@ -80,6 +80,14 @@ def test_wiedemann_prime_is_validated_before_any_fetch():
         cohomology_dims(spec, method="lu", cache=_NoFetch())
 
 
+def test_wiedemann_seed_is_validated_before_any_fetch():
+    # the no-fetch cache has no slice sizes either
+    spec = ComplexSpec(Parity.ODD, Variant.FULL, 4)
+    for seed in (-1, 2 ** 62):
+        with pytest.raises(ValueError, match=f"seed .*{seed}"):
+            cohomology_dims(spec, method="wiedemann", seed=seed, cache=_NoFetch())
+
+
 def test_odd_small_tables():
     assert table(Parity.ODD, Variant.FULL, 2).dims() == {-3: 1}
     t3 = table(Parity.ODD, Variant.FULL, 3)

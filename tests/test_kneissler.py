@@ -341,6 +341,8 @@ def test_unknown_method_is_rejected_before_any_family_is_built(monkeypatch):
     # the least prime above 2**25, too large for the Wiedemann operator
     with pytest.raises(ValueError, match="2\\*\\*25"):
         upper_bound(10, Parity.ODD, method="wiedemann", prime=33554467)
+    with pytest.raises(ValueError, match="seed -3"):
+        upper_bound(5, Parity.ODD, method="wiedemann", seed=-3)
     with pytest.raises(ValueError, match="prime"):
         dperp_rank(10, Parity.ODD, prime=4)
     assert not built

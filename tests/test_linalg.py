@@ -15,6 +15,7 @@ from gchom.linalg import (
     PrimeField,
     RankResult,
     _BMState,
+    _draw,
     _matmul_mod,
     _scalar_wiedemann_bound,
     _dense_ranks,
@@ -22,6 +23,7 @@ from gchom.linalg import (
     gauss_rank,
     gauss_ranks,
     precondition,
+    rank_field,
     rational_rank,
     reduce_mod_p,
     wiedemann_rank,
@@ -382,7 +384,7 @@ def test_long_sums_stay_exact_near_the_prime_limit():
     # n = 50,000 a plain int64 sum wraps around many times
     p = 33554393  # the largest prime below 2**25
     n = 50_000
-    rng = np.random.Generator(np.random.PCG64(2025))
+    rng = np.random.default_rng(2025)
     u = rng.integers(0, p, size=(n, 3), dtype=np.int64)
     w = rng.integers(0, p, size=(n, 3), dtype=np.int64)
     cols_u = [u[:, i].tolist() for i in range(3)]
@@ -455,14 +457,63 @@ def test_precondition_preserves_rank():
 
 def test_wiedemann_trivial_cases():
     assert wiedemann_rank(FpSparseMatrix(3, 3, P, {}), seed=0).rank == 0
-    # the identity's preconditioned spectrum is uniform random, so single
-    # seeds can lose one degree to an eigenvalue collision in a field this
-    # small; the default seed triple is collision-free
+    # for the identity B = D1^2 D2 is diagonal, so u^T B^k u is the sum over
+    # its distinct eigenvalues l of w_l l^k, w_l the sum of u_i^2 over the i
+    # with d1_i^2 d2_i = l: the bound is the number of l with w_l != 0, and
+    # in a field this small some of the 100 eigenvalues often collide
     ident = FpSparseMatrix(100, 100, P, {(i, i): 1 for i in range(100)})
-    assert wiedemann_rank(ident, seed=0).rank == 100
+    bounds = []
+    for seed in range(10):
+        d1, d2, u = oracles.reference_draws(ident, seed)
+        weights = {}
+        for a, b, c in zip(d1.tolist(), d2.tolist(), u.tolist()):
+            eigenvalue = a * a * b % P
+            weights[eigenvalue] = (weights.get(eigenvalue, 0) + c * c) % P
+        bounds.append(_scalar_wiedemann_bound(ident, seed))
+        assert bounds[-1] == sum(1 for w in weights.values() if w)
+    assert wiedemann_rank(ident, seed=0).rank == max(bounds[:3])
     big = FpSparseMatrix(100, 100, 1000003, {(i, i): 1 for i in range(100)})
     for seed in range(5):
         assert wiedemann_rank(big, seed=seed).rank == 100
+
+
+def test_draw_golden_values():
+    # the first entries of stream 3 (the start vector) at seed 1, and of
+    # stream 2 (D2) at the largest seed
+    assert _draw(1, 3, 8, 0, 3323).tolist() == [545, 2760, 2482, 3274, 2780, 2905, 859, 878]
+    assert _draw(2 ** 62 - 1, 2, 4, 1, 10007).tolist() == [3653, 8061, 7409, 867]
+
+
+def test_reference_splitmix64_matches_the_published_outputs():
+    # splitmix64 started at state 0 outputs the finalizer of k * 0x9E3779B97F4A7C15
+    gamma = 0x9E3779B97F4A7C15
+    assert [oracles.splitmix64(k * gamma % 2 ** 64) for k in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_draw_matches_the_reference_draw():
+    cases = [(0, 1, 50, 1, P), (7, 3, 200, 0, 1000003), (2 ** 62 - 1, 2, 30, 1, 33554393),
+             (12345, 1, 0, 1, P), (3, 2, 1, 0, 2)]
+    for seed, stream, size, low, high in cases:
+        got = _draw(seed, stream, size, low, high)
+        assert got.dtype == np.int64
+        assert got.tolist() == oracles.reference_draw(seed, stream, size, low, high).tolist()
+        assert all(low <= x < high for x in got.tolist())
+    # the three streams of one seed differ, as do the same stream at two seeds
+    d1, d2, u = (_draw(5, stream, 64, 0, P).tolist() for stream in (1, 2, 3))
+    assert len({tuple(d1), tuple(d2), tuple(u), tuple(_draw(6, 1, 64, 0, P).tolist())}) == 4
+
+
+def test_wiedemann_rejects_a_seed_out_of_range():
+    m = FpSparseMatrix(3, 3, P, {(0, 0): 1})
+    for seed in (-1, 2 ** 62):
+        with pytest.raises(ValueError, match=f"seed .*{seed}"):
+            wiedemann_rank(m, seed=seed)
+        with pytest.raises(ValueError, match=f"seed .*{seed}"):
+            rank_field("wiedemann", P, seed)
+        # Gauss draws no seed
+        assert rank_field("gauss", P, seed) == FP
+    assert wiedemann_rank(m, seed=2 ** 62 - 1).rank == 1
 
 
 def test_wiedemann_matches_gauss_on_g5_differentials():
