@@ -43,8 +43,6 @@ class FileCache:
 
     def __init__(self, root: str | Path | None = None):
         self.root = None if root is None else Path(root) / f"v{FORMAT_VERSION}"
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
         self._bases: dict[tuple[ComplexSpec, int], BasisSlice] = {}
         self._sizes: dict[tuple[ComplexSpec, int], int] = {}
 
@@ -124,9 +122,10 @@ def _read(path: Path | None, parse):
 
 
 def _write(path: Path | None, dump, value) -> None:
-    """Write `dump(value)` through a temporary file, then rename; no path, no write."""
+    """Make the directory, write `dump(value)` to a temporary file, rename; no path, no write."""
     if path is None:
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(dump(value))

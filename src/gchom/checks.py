@@ -182,9 +182,13 @@ def suite_linalg(seed: int = 0, num_random: int = 200, prime: int = DEFAULT_PRIM
     """Wiedemann vs Gauss, Q-rank bound, recurrences, over F_prime.
 
     The table differentials checked are those up to ``max_loops`` loops.
+    Matrix k of each kind is ranked at seed + k, so the last of those
+    seeds is checked too, before anything is ranked.
     """
     rng = random.Random(seed)
     fp = rank_field("wiedemann", prime, seed)
+    tables = _table_differentials(min(7, max_loops), min(6, max_loops))
+    rank_field("wiedemann", prime, seed + max(num_random, len(tables), 1) - 1)
     out = []
 
     # (a) wiedemann is a lower bound, usually tight
@@ -198,7 +202,7 @@ def suite_linalg(seed: int = 0, num_random: int = 200, prime: int = DEFAULT_PRIM
         total += 1
         sound += wr <= gr
         equal += wr == gr
-    for k, m in enumerate(_table_differentials(min(7, max_loops), min(6, max_loops))):
+    for k, m in enumerate(tables):
         mp = reduce_mod_p(m, fp)
         gr = gauss_rank(mp).rank
         wr = wiedemann_rank(mp, seed=seed + k).rank

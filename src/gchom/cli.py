@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["d2", "tables", "kneissler", "linalg"])
     p.add_argument("--max-loops", type=int)
     p.add_argument("--prime", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--cache")
     return top
 
@@ -140,8 +140,16 @@ def cmd_kneissler(args) -> int:
     return 0
 
 
+# the flags besides --max-loops that each check suite reads
+_CHECK_FLAGS = {"d2": ("cache",), "tables": ("prime", "cache"), "kneissler": ("prime",),
+                "linalg": ("prime", "seed")}
+
+
 def cmd_check(args) -> int:
     loops, prime = args.max_loops, args.prime
+    for flag in ("prime", "seed", "cache"):
+        if getattr(args, flag) is not None and flag not in _CHECK_FLAGS[args.suite]:
+            raise ValueError(f"--{flag} is not read by the {args.suite} suite")
     first = FIRST_LOOPS.get(args.suite)
     if loops is not None and first is not None and loops < first:
         raise ValueError(f"--max-loops below {first} selects no {args.suite} check")
@@ -157,7 +165,7 @@ def cmd_check(args) -> int:
                    "primes": None if prime is None else (prime, 3323 if prime == 10007 else 10007),
                    "cache": cache},
         "kneissler": {"max_loops": loops, "prime": prime},
-        "linalg": {"seed": args.seed, "prime": prime, "max_loops": loops},
+        "linalg": {"seed": args.seed or 0, "prime": prime, "max_loops": loops},
     }[args.suite]
     # a flag that is not given leaves the suite's default
     results = SUITES[args.suite](**{k: v for k, v in kwargs.items() if v is not None})

@@ -19,8 +19,7 @@ global dedup is needed, and the astronomically larger labeled search
 space is never touched.
 
 Each class is labeled once, as the child that finds it, and returned
-with the generators of its automorphism group, conjugated from that
-labeling onto its canonical vertex labels.  Splitting it, the zero test
+with the generators of its automorphism group.  Splitting it, the zero test
 and the edge orbits of the differential take them as an argument instead
 of labeling the canonical form again; a graph read from a file gets them
 from one uncached labeling.  The contracted images of the differential
@@ -59,8 +58,6 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _edge_codes,
-    _form_generators,
-    _generators,
     _is_zero,
     _neighbors,
     _orbit_roots,
@@ -172,9 +169,9 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, 
             edges = []
             for (u, v), m in zip(sup_edges, mults):
                 edges.extend([(u, v)] * m)
-            canon, labelings, _ = _canonical_data(
+            canon, _, generators, _ = _canonical_data(
                 Multigraph._trusted(num_vertices, tuple(sorted(edges))))
-            out.setdefault(canon, _form_generators(labelings))
+            out.setdefault(canon, generators)
     return out
 
 
@@ -198,9 +195,9 @@ def _split_children(graph: Multigraph, generators):
     ``generators`` generate Aut(graph).  v is the split vertex, so the
     child's fresh edge is ``(v, n)`` for ``n = graph.num_vertices``.
     """
-    nbrs, splits = _split_orbit_reps(graph, generators)
+    nbrs = _neighbors(graph)
     deg = [sum(m for _, m in row) for row in nbrs]
-    for v, take in splits:
+    for v, take in _split_orbit_reps(nbrs, generators):
         yield v, _rows_graph(_split_child(nbrs, deg, v, take)[0])
 
 
@@ -220,7 +217,7 @@ def _split_takes(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  and take <= tuple([m - k for m, k in zip(counts, take)]))
 
 
-def _split_orbit_reps(graph: Multigraph, generators, keep=None, nbrs=None):
+def _split_orbit_reps(nbrs, generators, keep=None):
     """One-vertex splits keeping minimum degree 3, one per Aut(graph) orbit.
 
     Splitting vertex v distributes its half-edges over two vertices
@@ -233,25 +230,21 @@ def _split_orbit_reps(graph: Multigraph, generators, keep=None, nbrs=None):
     orbit (in the order of v, then of the takes) is kept; the orbits come
     from ``generators``, which generate Aut(graph).
 
-    Returns ``(incident, splits)``: ``incident[v]`` lists v's (neighbor,
-    multiplicity) pairs in neighbor order, and ``splits`` the first
-    ``(v, take)`` of each Aut(graph) orbit, where ``take`` gives the
-    half-edges to each neighbor in ``incident[v]`` that move.  ``keep``,
-    if given, is a predicate ``keep(v, incident[v], take)`` that must be
-    invariant under Aut(graph); it drops whole orbits before any pruning.
-    ``nbrs``, if given, is ``_neighbors(graph)``, built by the caller, and
-    becomes ``incident``.
+    ``nbrs`` is ``_neighbors(graph)``.  Returns the first ``(v, take)`` of
+    each Aut(graph) orbit, where ``take`` gives the half-edges to each
+    neighbor in ``nbrs[v]`` that move.  ``keep``, if given, is a predicate
+    ``keep(v, nbrs[v], take)`` that must be invariant under Aut(graph); it
+    drops whole orbits before any pruning.
     """
-    incident = _neighbors(graph) if nbrs is None else nbrs
-    splits = []  # (v, moved counts in the order of incident[v])
-    for v, row in enumerate(incident):
+    splits = []  # (v, moved counts in the order of nbrs[v])
+    for v, row in enumerate(nbrs):
         for take in _split_takes(tuple([m for _, m in row])):
             if keep is None or keep(v, row, take):
                 splits.append((v, take))
     if len(splits) > 1 and generators:
-        roots = _orbit_roots(len(splits), _split_images(splits, incident, generators))
+        roots = _orbit_roots(len(splits), _split_images(splits, nbrs, generators))
         splits = [split for i, split in enumerate(splits) if roots[i] == i]
-    return incident, splits
+    return splits
 
 
 def _split_child(nbrs, deg, v: int, take):
@@ -296,17 +289,17 @@ def _rows_graph(rows) -> Multigraph:
     return Multigraph._trusted(len(rows), tuple(edges))
 
 
-def _split_images(splits, incident, generators):
+def _split_images(splits, nbrs, generators):
     """Per generator, the index of each split's image."""
     index = {split: i for i, split in enumerate(splits)}
-    slot = [{x: i for i, (x, _) in enumerate(row)} for row in incident]
+    slot = [{x: i for i, (x, _) in enumerate(row)} for row in nbrs]
     for gamma in generators:
         perm = []
         for v, take in splits:
             w = gamma[v]
             moved = [0] * len(take)
             kept = [0] * len(take)
-            for (x, m), k in zip(incident[v], take):
+            for (x, m), k in zip(nbrs[v], take):
                 i = slot[w][gamma[x]]
                 moved[i] = k
                 kept[i] = m - k
@@ -354,9 +347,8 @@ def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]):
     split descriptor.  Stages 2 and 2b run on the rows and return None as
     soon as an edge beats ``fresh``; the child is built and labeled only
     when ``fresh`` survives them.  None also when ``fresh`` is not in the
-    Aut(child) orbit of m(child) (`_orbit_roots` over the generators).  An
-    accepted child gives its canonical form and, from its labelings, the
-    generators of Aut(form).
+    Aut(child) orbit of m(child), compared on their images in the form.
+    An accepted child gives its canonical form and the generators of Aut(form).
     """
     a, b = fresh
     # an edge at a vertex of one of fresh's degrees ties when its degrees sum as fresh's do
@@ -374,18 +366,16 @@ def _canonical_parent_form(nbrs, deg, fresh: tuple[int, int]):
             if tied is None:
                 return None
     child = _rows_graph(nbrs)
-    canon, labelings, _ = _canonical_data(child, nbrs)
+    canon, lab, generators, _ = _canonical_data(child, nbrs)
     if len(tied) > 1:
-        lab = labelings[0]
-        best = min(tied, key=lambda e: _sorted_pair(lab[e[0]], lab[e[1]]))
-        if best != fresh:
-            index = {e: i for i, e in enumerate(tied)}
-            perms = ([index[_sorted_pair(gamma[u], gamma[v])] for u, v in tied]
-                     for gamma in _generators(labelings))
-            roots = _orbit_roots(len(tied), perms)
-            if roots[index[best]] != roots[index[fresh]]:
+        # the tied edges are simple, so each image is one edge of the form
+        best = min(_sorted_pair(lab[u], lab[x]) for u, x in tied)
+        mine = _sorted_pair(lab[a], lab[b])
+        if best != mine:
+            roots = _edge_orbit_roots(canon, generators)
+            if roots[canon.edges.index(best)] != roots[canon.edges.index(mine)]:
                 return None
-    return canon, _form_generators(labelings)
+    return canon, generators
 
 
 def _accepted_children(parent: Multigraph, generators):
@@ -425,8 +415,7 @@ def _accepted_children(parent: Multigraph, generators):
             or (k == 1 and _sorted_pair(dn, deg[x]) > fresh)
             for (x, m), k in zip(row, take)))
 
-    _, splits = _split_orbit_reps(parent, generators, fresh_may_win, nbrs)
-    for v, take in splits:
+    for v, take in _split_orbit_reps(nbrs, generators, fresh_may_win):
         rows, child_deg = _split_child(nbrs, deg, v, take)
         accepted = _canonical_parent_form(rows, child_deg, (v, n))
         if accepted is not None:
@@ -583,11 +572,16 @@ def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
     """Generators of Aut(graph), found with its class by `raw_slice`.
 
     A graph in no enumerated slice, read from a file, say, is labeled by
-    the uncached `_canonical_data`.
+    the uncached `_canonical_data`, and its generators of Aut(form) are
+    conjugated back through the labeling.
     """
     generators = _raw_classes.get((graph.loop_order, graph.num_vertices), {}).get(graph)
     if generators is None:
-        generators = _generators(_canonical_data(graph)[1])
+        _, lab, generators, _ = _canonical_data(graph)
+        inv = [0] * len(lab)
+        for v, i in enumerate(lab):
+            inv[i] = v
+        generators = tuple(tuple([inv[sigma[i]] for i in lab]) for sigma in generators)
     return generators
 
 
@@ -781,7 +775,7 @@ def contraction_entries(sources, targets: dict[Multigraph, int], parity: Parity,
         if len(data) == 2:
             i, labeling = data
             return i, orientation_sign(image, labeling, parity)
-        if strict and not _is_zero(image, parity, _generators(data[1])):
+        if strict and not _is_zero(data[0], parity, data[2]):
             raise RuntimeError(f"contraction image missing from target slice: {data[0]}")
         return None
 

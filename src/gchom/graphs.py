@@ -11,8 +11,9 @@ This module owns the graph type, the canonical-form search with sign
 tracking, and the structural predicates (connectivity, triconnectivity)
 used downstream.  The search refines partitions sparsely, pass by pass,
 and backtracks over individualizations, pruned by the automorphisms it
-finds.  The zero test takes generators of the automorphism group as an
-argument, which the enumeration code returns with each class it labels.
+finds.  Every labeled class carries the generators of Aut(form), on the
+form's own vertex labels, as `_canonical_data` returns them; the zero
+test takes them as an argument.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # image is the same under each.  The canonical leaf is always reached, so a
 # graph in a known class always stops early; a graph in no known class is
 # searched to the end, with a lookup per new leaf edge list, and gives the
-# same form, labelings and order as a search without the map.
+# same form, labeling, generators and order as a search without the map.
 # ---------------------------------------------------------------------------
 
 
@@ -551,7 +552,11 @@ def _edge_codes(graph: Multigraph) -> tuple[int, ...]:
 
 
 def _canonical_data(graph: Multigraph, nbrs=None, known=None):
-    """Uncached `canonical_data`, for graphs labeled only once.
+    """Uncached canonical search: ``(form, labeling, generators, order)``.
+
+    The first canonical labeling relabels ``graph`` onto ``form``; each
+    automorphism gamma of ``graph`` the search finds is returned as the
+    generator labeling∘gamma∘labeling⁻¹ of Aut(form), on the form's labels.
 
     ``nbrs``, if given, is ``_neighbors(graph)``, built by the caller.
     ``known``, if given, maps the `_edge_codes` of canonical forms with
@@ -559,13 +564,9 @@ def _canonical_data(graph: Multigraph, nbrs=None, known=None):
     classes, the search stops at the first leaf that spells its form and
     returns ``(value, labeling)``, the labeling an isomorphism onto the
     form that need not be the first canonical one.  Otherwise it returns
-    the triple it returns without ``known``.
+    the quadruple it returns without ``known``.
     """
     n = graph.num_vertices
-    if n == 1:
-        if known is not None and () in known:
-            return known[()], (0,)
-        return graph, ((0,),), 1
     if nbrs is None:
         nbrs = _neighbors(graph)
     cells = _initial_cells(nbrs)
@@ -575,11 +576,12 @@ def _canonical_data(graph: Multigraph, nbrs=None, known=None):
     if _search(cells, cells[:-1], 0, 0, st) < 0:
         return st.hit
     best = st.best
+    inv = [0] * n
+    for v, i in enumerate(best):
+        inv[i] = v
     canon = Multigraph._trusted(n, tuple(divmod(code, n) for code in st.best_key))
-    labelings = (tuple(best),) + tuple(
-        tuple([best[w] for w in gamma]) for gamma in st.generators
-    )
-    return canon, labelings, st.order
+    generators = tuple(tuple([best[gamma[v]] for v in inv]) for gamma in st.generators)
+    return canon, tuple(best), generators, st.order
 
 
 @lru_cache(maxsize=1 << 18)
@@ -593,7 +595,8 @@ def canonical_data(graph: Multigraph) -> tuple[Multigraph, tuple[tuple[int, ...]
     of the vertex automorphism group, and the generators generate it.
     ``order`` is the order of that group.
     """
-    return _canonical_data(graph)
+    canon, lab, generators, order = _canonical_data(graph)
+    return canon, (lab,) + tuple(tuple([sigma[i] for i in lab]) for sigma in generators), order
 
 
 def automorphism_generators(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
@@ -607,14 +610,6 @@ def _generators(labelings) -> tuple[tuple[int, ...], ...]:
     for v, i in enumerate(labelings[0]):
         inv[i] = v
     return tuple(tuple([inv[i] for i in lab]) for lab in labelings[1:])
-
-
-def _form_generators(labelings) -> tuple[tuple[int, ...], ...]:
-    """`_generators` conjugated onto the canonical form: the ``lab_i ∘ lab_0⁻¹``."""
-    inv = [0] * len(labelings[0])
-    for v, i in enumerate(labelings[0]):
-        inv[i] = v
-    return tuple(tuple([lab[v] for v in inv]) for lab in labelings[1:])
 
 
 @lru_cache(maxsize=1 << 18)

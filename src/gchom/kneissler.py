@@ -33,9 +33,9 @@ union-find over the permutations in `itertools.permutations` order, so
 each orbit's root is its first permutation.  A and A' are the vertex-0
 splits of X and Y, which the symmetries fix, so one pass over S_{g-2}
 builds X and A, and one Y and A'.  Only the root's graph is built and
-labeled, and its class is returned with the Aut generators read off
-that labeling; a root in a class already found, or in a barrel class
-for the complement, is skipped at the first leaf that spells it.  Each
+labeled, and its class is kept with the generators the search returns;
+a root in a class already found, or in a barrel class for the
+complement, is skipped at the first leaf that spells it.  Each
 parity then keeps the nonzero classes, tested on those generators, so
 the second parity builds and labels nothing.  One table per loop order,
 `_families`, holds every class with its generators, per kind and keyed
@@ -64,7 +64,6 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _edge_codes,
-    _form_generators,
     _is_zero,
     _neighbors,
     _orbit_roots,
@@ -254,8 +253,8 @@ def _families(loops: int) -> _FamilyTable:
     One pass per permutation group, for both parities: barrels over the
     frame-orbit roots of S_{g-1}, then X and Y over those of S_{g-2},
     each root's graph also split at vertex 0 into its A or A' graph.
-    Each class comes with the generators of its automorphism group, read
-    off the labeling of its first root, as in `raw_slice`.  Hub families
+    Each class comes with the generators of its automorphism group that
+    the search of its first root returns, as in `raw_slice`.  Hub families
     (Y, A') keep only their simple graphs: routing the hub strand back
     onto its own anchor doubles an edge, and those degenerate graphs are
     not part of the relation span.  The complement kinds (A, A') drop
@@ -274,12 +273,12 @@ def _families(loops: int) -> _FamilyTable:
         if kind in ("Y", "Aprime") and not g.is_simple():
             return
         data = _canonical_data(g, known=known[kind])
-        if len(data) == 3:  # else a barrel, or a class found at an earlier root
-            form, labelings, _ = data
+        if len(data) == 4:  # else a barrel, or a class found at an earlier root
+            form, _, generators, _ = data
             codes = _edge_codes(form)
             known[kind][codes] = form
-            classes[kind][form] = _form_generators(labelings)
-            record[codes] = form, classes[kind][form]
+            classes[kind][form] = generators
+            record[codes] = form, generators
 
     for perm in _frame_orbit_roots("B", loops - 1):
         label("B", barrel(perm))
@@ -352,7 +351,7 @@ def _split_terms(x: Multigraph, families: _FamilyTable
     class stops at the first leaf that spells it; that leaf's labeling
     is an isomorphism onto the class, and the record gives the class's
     generators.  A child in no such class is labeled to the end, and the
-    generators of its form are read off its labelings.  Either way the
+    search returns the generators of its form.  Either way the
     class is zero or nonzero by those generators.  ``edge`` is the image
     of the child's fresh edge (v, n) under the labeling, and a parity's
     sign is the child's orientation sign times the sign of contracting
@@ -366,8 +365,7 @@ def _split_terms(x: Multigraph, families: _FamilyTable
         if len(data) == 2:
             (form, generators), lab = data
         else:  # in no family class
-            form, labelings, _ = data
-            generators, lab = _form_generators(labelings), labelings[0]
+            form, lab, generators, _ = data
         signs = [0 if _is_zero(form, p, generators) else orientation_sign(child, lab, p)
                  for p in Parity]
         fresh = child.edges.index((v, n))

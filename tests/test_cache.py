@@ -104,6 +104,7 @@ def test_basis_lines_outside_the_header_slice_are_recomputed(tmp_path):
     spec = ComplexSpec(Parity.ODD, Variant.FULL, 3)
     cache = FileCache(tmp_path)
     path = cache.basis_path(spec, 4)
+    path.parent.mkdir(parents=True)
     # a theta graph under a V=4 header: parses as a graph, but not of this slice
     path.write_text("#gls parity=odd variant=full loops=3 vertices=4 count=1\n"
                     "2 3 0 1 0 1 0 1\n")

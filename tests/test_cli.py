@@ -252,6 +252,37 @@ def test_check_linalg_takes_the_prime_and_max_loops(capsys, monkeypatch):
     assert calls == []
 
 
+def test_check_linalg_rejects_its_last_seed_before_any_rank(capsys, monkeypatch):
+    from gchom import checks
+
+    ranked = []
+    for name in ("gauss_rank", "wiedemann_rank"):
+        monkeypatch.setattr(checks, name, lambda *args, **kwargs: ranked.append(args))
+    # the first seed is in range; the suite's later matrices would rank past 2**62
+    code, out, err = run(capsys, "check", "--suite", "linalg", "--seed", str(2 ** 62 - 1),
+                         "--max-loops", "3")
+    assert code == 1 and out == "" and "is outside [0, 2**62)" in err
+    assert ranked == []
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("d2", "--prime", "10007"),
+    ("d2", "--seed", "5"),
+    ("tables", "--seed", "5"),
+    ("kneissler", "--seed", "5"),
+    ("kneissler", "--cache", None),
+    ("linalg", "--cache", None),
+])
+def test_check_rejects_a_flag_its_suite_never_reads(capsys, monkeypatch, tmp_path,
+                                                    suite, flag, value):
+    calls = recording_suite(monkeypatch, suite)
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "check", "--suite", suite, "--max-loops", "5",
+                         flag, value or str(cache))
+    assert code == 1 and out == "" and flag in err and suite in err
+    assert calls == [] and not cache.exists()
+
+
 def test_errors_exit_nonzero(capsys, tmp_path):
     code, _, err = run(capsys, "rank", "--matrix", str(tmp_path / "nope.sms"))
     assert code == 1 and "error" in err
@@ -296,7 +327,7 @@ def test_a_bad_wiedemann_seed_is_rejected_before_any_work(capsys, tmp_path):
             argv += ("--parity", "odd", "--loops", "5", "--method", "wiedemann")
         code, out, err = run(capsys, *argv, "--seed", "-1")
         assert code == 1 and out == "" and "seed -1" in err, argv
-    assert not [path for path in cache.rglob("*") if path.is_file()]
+    assert not cache.exists()
 
 
 def test_method_choices_are_the_rank_engines():

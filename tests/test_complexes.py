@@ -257,9 +257,9 @@ def _built_child(parent, v, row, take):
 
 def _split_children(parent):
     """Every orbit-representative split child of parent, with its fresh edge."""
-    incident, splits = _split_orbit_reps(parent, _generators_of(parent))
-    for v, take in splits:
-        yield _built_child(parent, v, incident[v], take), (v, parent.num_vertices)
+    nbrs = _neighbors(parent)
+    for v, take in _split_orbit_reps(nbrs, _generators_of(parent)):
+        yield _built_child(parent, v, nbrs[v], take), (v, parent.num_vertices)
 
 
 def test_split_takes_match_the_product_filter():
@@ -283,9 +283,9 @@ def test_split_child_rows_match_the_built_child():
     for g in range(2, 7):
         for v in range(2, 2 * g - 2):
             for parent in raw_slice(g, v):
-                nbrs, splits = _split_orbit_reps(parent, _generators_of(parent))
+                nbrs = _neighbors(parent)
                 deg = list(parent.degrees())
-                for x, take in splits:
+                for x, take in _split_orbit_reps(nbrs, _generators_of(parent)):
                     rows, child_deg = _split_child(nbrs, deg, x, take)
                     child = _built_child(parent, x, nbrs[x], take)
                     assert rows == _neighbors(child), (parent, x, take)

@@ -21,7 +21,6 @@ from gchom.graphs import (
     SelfEdgeError,
     _canonical_data,
     _edge_codes,
-    _generators,
     _initial_cells,
     _is_zero,
     _neighbors,
@@ -136,15 +135,22 @@ def test_search_matches_reference_search():
         group = oracles.permutation_group(automorphism_generators(g), g.num_vertices)
         first = labelings[0]
         assert {tuple(first[h[v]] for v in range(g.num_vertices)) for h in group} == set(reference)
+        # the uncached search's generators of Aut(form), conjugated back through its labeling
+        _, lab, generators, _ = _canonical_data(g)
+        inv = {i: v for v, i in enumerate(lab)}
+        back = [tuple(inv[sigma[lab[v]]] for v in range(g.num_vertices)) for sigma in generators]
+        assert {tuple(lab[h[v]] for v in range(g.num_vertices))
+                for h in oracles.permutation_group(back, g.num_vertices)} == set(reference)
 
 
 def assert_known_lookups_match_the_plain_search(graphs, known):
     """Each graph in a class of ``known`` hits it on an isomorphism; any other misses.
 
     A hit must give the class ``_canonical_data`` finds, through a labeling
-    that relabels the graph onto it and has the sign of ``labelings[0]`` in
-    each parity where the class is nonzero.  A miss must give the plain
-    search's exact triple.  Returns the number of hits.
+    that relabels the graph onto it and has the sign of the first canonical
+    labeling in each parity where the class is nonzero, zero-tested on the
+    form with its generators.  A miss must give the plain search's exact
+    quadruple.  Returns the number of hits.
     """
     classes = set(known.values())
     hits = 0
@@ -159,9 +165,9 @@ def assert_known_lookups_match_the_plain_search(graphs, known):
         assert form == plain[0], g
         assert g.relabel(labeling) == form, g
         for parity in Parity:
-            if not _is_zero(g, parity, _generators(plain[1])):
+            if not _is_zero(plain[0], parity, plain[2]):
                 assert (orientation_sign(g, labeling, parity)
-                        == orientation_sign(g, plain[1][0], parity)), (g, parity)
+                        == orientation_sign(g, plain[1], parity)), (g, parity)
     return hits
 
 
