@@ -127,8 +127,9 @@ def _connected_simple_graphs(num_vertices: int, max_edges: int) -> set[Multigrap
 
     Grown one vertex at a time: the new vertex is joined to a nonempty
     subset of the old ones, and each level is collapsed to canonical
-    forms.  Deleting a vertex that is not a cut vertex (a leaf of a
-    spanning tree) removes at least one edge and leaves a connected
+    forms, each grown graph labeled against the level's classes found so
+    far (`_new_class`).  Deleting a vertex that is not a cut vertex (a leaf
+    of a spanning tree) removes at least one edge and leaves a connected
     graph, so every such graph is reached through smaller ones that
     leave an edge for each vertex still to come.
     """
@@ -136,13 +137,31 @@ def _connected_simple_graphs(num_vertices: int, max_edges: int) -> set[Multigrap
     for k in range(1, num_vertices):
         budget = max_edges - (num_vertices - 1 - k)
         grown: set[Multigraph] = set()
+        known: dict[tuple[int, ...], None] = {}
         for graph in level:
             for size in range(1, min(k, budget - len(graph.edges)) + 1):
                 for subset in itertools.combinations(range(k), size):
                     edges = tuple(sorted(graph.edges + tuple((u, k) for u in subset)))
-                    grown.add(_canonical_data(Multigraph._trusted(k + 1, edges))[0])
+                    data = _new_class(Multigraph._trusted(k + 1, edges), known)
+                    if data is not None:
+                        grown.add(data[0])
         level = grown
     return level
+
+
+def _new_class(graph: Multigraph, known: dict):
+    """``graph``'s `_canonical_data` quadruple if its class is not in ``known``, else None.
+
+    ``known`` is keyed by every edge list that the searches of the classes
+    found so far reached (`_canonical_data`'s ``leaves``); a new class adds
+    its own, so a later graph of it stops at its first leaf.
+    """
+    leaves: dict[tuple[int, ...], tuple[int, ...]] = {}
+    data = _canonical_data(graph, known=known, leaves=leaves)
+    if len(data) == 2:
+        return None
+    known.update(dict.fromkeys(leaves))
+    return data
 
 
 def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, tuple]:
@@ -150,12 +169,15 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, 
 
     These are the graphs with no contractible edge; they only exist when
     a connected simple support with at most E/2 edges fits, i.e. for
-    V <= g + 1.  Enumerated as support graphs plus multiplicities >= 2.
-    Returns each canonical form with the generators of its automorphism group.
+    V <= g + 1.  Enumerated as support graphs plus multiplicities >= 2,
+    each labeled against the classes found so far (`_new_class`).  Returns
+    each canonical form with the generators of its automorphism group,
+    from the first graph of its class.
     """
     out: dict[Multigraph, tuple] = {}
     if num_vertices == 1 or 2 * (num_vertices - 1) > num_edges:
         return out
+    known: dict[tuple[int, ...], None] = {}
     for support in _connected_simple_graphs(num_vertices, num_edges // 2):
         sup_edges = support.edges
         for comp in _compositions(num_edges - 2 * len(sup_edges), len(sup_edges)):
@@ -169,9 +191,9 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, 
             edges = []
             for (u, v), m in zip(sup_edges, mults):
                 edges.extend([(u, v)] * m)
-            canon, _, generators, _ = _canonical_data(
-                Multigraph._trusted(num_vertices, tuple(sorted(edges))))
-            out.setdefault(canon, generators)
+            data = _new_class(Multigraph._trusted(num_vertices, tuple(sorted(edges))), known)
+            if data is not None:
+                out[data[0]] = data[2]
     return out
 
 

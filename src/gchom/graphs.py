@@ -252,7 +252,7 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # trivial group holds no more than the unpruned search did.
 #
 # A caller that expects the graph to be in one of a set of classes it has
-# labeled already passes their canonical edge codes as ``known``, and the
+# labeled already passes edge codes of their forms as ``known``, and the
 # search stops at the first leaf whose edge list is one of them.  A leaf's
 # labeling relabels the graph onto the edge list the leaf spells, so it is
 # an isomorphism onto that class, which is all such a caller reads: for a
@@ -262,6 +262,19 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # graph in a known class always stops early; a graph in no known class is
 # searched to the end, with a lookup per new leaf edge list, and gives the
 # same form, labeling, generators and order as a search without the map.
+#
+# A caller that will look a class up again passes a dict as ``leaves``, and
+# a search run to the end fills it with every distinct edge list it reached,
+# each with the labeling of the first leaf that spelled it; keying ``known``
+# by all of them, not only by the canonical list, makes every later graph
+# of the class stop at its first leaf.  The refined, individualized
+# partitions are invariant, so the leaf of an isomorphic copy at the image
+# path spells what the class's leaf at the path spells, and a leaf the
+# class's search pruned is an Aut-image of one it reached, spelling the same
+# list.  The first leaf of a copy therefore spells a recorded list L; its
+# labeling ``pos`` composed with ``best∘pos_L⁻¹`` (L's recorded labeling
+# ``pos_L`` and the class's canonical one ``best``) is an isomorphism onto
+# the form, with the sign and edge orbits any isomorphism gives.
 # ---------------------------------------------------------------------------
 
 
@@ -397,16 +410,19 @@ class _Search:
     is the union-find forest of the generators, made with the first one.
     ``known`` maps edge lists, as tuples, to the values a leaf spelling one
     of them stops the search with; ``hit`` is then ``(value, labeling)``.
+    ``leaves``, if not None, collects each new edge list with its leaf's
+    labeling.
     """
 
-    __slots__ = ("nbrs", "base", "edges", "known", "hit", "path", "first", "first_key",
-                 "best", "best_key", "best_path", "generators", "orbits", "order")
+    __slots__ = ("nbrs", "base", "edges", "known", "leaves", "hit", "path", "first",
+                 "first_key", "best", "best_key", "best_path", "generators", "orbits", "order")
 
-    def __init__(self, nbrs, base, edges, known):
+    def __init__(self, nbrs, base, edges, known, leaves):
         self.nbrs = nbrs
         self.base = base
         self.edges = edges
         self.known = known
+        self.leaves = leaves
         self.hit = None
         self.path = []
         self.first = self.first_key = None
@@ -447,7 +463,8 @@ def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
 
     A leaf whose edge list is a key of ``st.known`` returns -1 and sets
     ``st.hit``; only a leaf matching neither kept leaf is looked up, since
-    those two were looked up when they were reached.
+    those two were looked up when they were reached.  Such a leaf's edge
+    list, if new, goes into ``st.leaves`` with its labeling.
     """
     n = len(cells)
     pos = [0] * n
@@ -469,11 +486,14 @@ def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
                     break
                 back += 1
             return back
-    if st.known is not None:
+    known, leaves = st.known, st.leaves
+    if known is not None or leaves is not None:
         code = tuple(key)
-        if code in st.known:
-            st.hit = st.known[code], tuple(pos)
+        if known is not None and code in known:
+            st.hit = known[code], tuple(pos)
             return -1
+        if leaves is not None and code not in leaves:
+            leaves[code] = tuple(pos)
     if st.first is None:
         st.first = st.best = pos
         st.first_key = st.best_key = key
@@ -551,7 +571,7 @@ def _edge_codes(graph: Multigraph) -> tuple[int, ...]:
     return tuple([u * n + v for u, v in graph.edges])
 
 
-def _canonical_data(graph: Multigraph, nbrs=None, known=None):
+def _canonical_data(graph: Multigraph, nbrs=None, known=None, leaves=None):
     """Uncached canonical search: ``(form, labeling, generators, order)``.
 
     The first canonical labeling relabels ``graph`` onto ``form``; each
@@ -565,12 +585,20 @@ def _canonical_data(graph: Multigraph, nbrs=None, known=None):
     returns ``(value, labeling)``, the labeling an isomorphism onto the
     form that need not be the first canonical one.  Otherwise it returns
     the quadruple it returns without ``known``.
+
+    ``leaves``, if given, is a dict that the search fills: each distinct
+    edge list (as `_edge_codes` packs it) that a leaf reached spells ->
+    the labeling of the first leaf that spelled it, which relabels
+    ``graph`` onto that list.  After a search run to the end these are all
+    the lists the leaves of any isomorphic graph's search tree spell (see
+    the comment above `_neighbors`), the canonical one with the returned
+    labeling among them; after a hit they are only those reached before it.
     """
     n = graph.num_vertices
     if nbrs is None:
         nbrs = _neighbors(graph)
     cells = _initial_cells(nbrs)
-    st = _Search(nbrs, len(graph.edges) + 1, graph.edges, known)
+    st = _Search(nbrs, len(graph.edges) + 1, graph.edges, known, leaves)
     # the initial cells are the parts of one split of the vertex set, and
     # the degree is constant on each; the radix exceeds every degree
     if _search(cells, cells[:-1], 0, 0, st) < 0:

@@ -18,11 +18,14 @@ members, which the check that their images stay in the row span labels
 anyway: each split orbit of a column graph is one edge orbit of the row
 graph its child is isomorphic to, so no contracted image is labeled.
 Each column class's children are labeled once, for both parities, with
-the uncached `_canonical_data` given the barrel and complement classes:
-the search stops at the first leaf that spells one of them, whose
-labeling is an isomorphism onto it and gives the edge orbit, and for a
-nonzero class the sign, that the first canonical labeling gives.  So
-neither the `canonical_data` nor the `canonicalize` cache is used.
+the uncached `_canonical_data` given the barrel and complement classes,
+each keyed by every edge list its own search reached: the search tree is
+isomorphism-invariant, so a child in one of them spells such a list at
+its first leaf and stops there.  That leaf's labeling, followed by the
+list's map onto the form, is an isomorphism onto the class and gives the
+edge orbit, and for a nonzero class the sign, that the first canonical
+labeling gives.  So neither the `canonical_data` nor the `canonicalize`
+cache is used.
 
 Each family is built once per loop order, with no parity, as `raw_slice`
 builds a slice: one defining permutation per orbit of its frame
@@ -33,13 +36,14 @@ union-find over the permutations in `itertools.permutations` order, so
 each orbit's root is its first permutation.  A and A' are the vertex-0
 splits of X and Y, which the symmetries fix, so one pass over S_{g-2}
 builds X and A, and one Y and A'.  Only the root's graph is built and
-labeled, and its class is kept with the generators the search returns;
-a root in a class already found, or in a barrel class for the
-complement, is skipped at the first leaf that spells it.  Each
+labeled, and its class is kept with the generators the search returns
+and every edge list it reached; a root in a class already found, or in
+a barrel class for the complement, is skipped at its first leaf.  Each
 parity then keeps the nonzero classes, tested on those generators, so
 the second parity builds and labels nothing.  One table per loop order,
 `_families`, holds every class with its generators, per kind and keyed
-by its edge codes, and the split terms of each X/Y class once used.
+by its edge codes (a B, A or A' class by every list its search reached),
+and the split terms of each X/Y class once used.
 """
 
 from __future__ import annotations
@@ -236,13 +240,21 @@ class _FamilyTable(NamedTuple):
     """One loop order's classes, zero or not, for both parities.
 
     ``classes``: each kind -> its canonical forms, sorted by edges -> Aut generators.
-    ``record``: `_edge_codes` of every class -> (class, generators); X and Y
-    classes have an edge fewer than B, A and A' ones, so no graph spells both.
+    ``record``: edge codes -> (class, generators, to_form).  It holds the
+    `_edge_codes` of every class's form, with to_form None, and every other
+    edge list the search of a B, A or A' class reached, with
+    ``to_form[i] = best[v]`` where the first leaf spelling it put v at i
+    and the class's canonical labeling ``best`` puts v at ``best[v]``: the
+    relabeling of that list onto the form.  It is kept as bytes, a third
+    of a tuple's size (a family graph has far fewer than 256 vertices, and
+    g=10 keeps about 69k of them).  X and Y classes have an edge fewer than
+    B, A and A' ones, so no graph spells both, and their other lists are
+    left out, as no split child can spell them.
     ``split_terms``: each X/Y class used so far -> its `_split_terms`.
     """
 
     classes: dict[str, dict[Multigraph, tuple]]
-    record: dict[tuple[int, ...], tuple[Multigraph, tuple]]
+    record: dict[tuple[int, ...], tuple[Multigraph, tuple, bytes | None]]
     split_terms: dict[Multigraph, tuple]
 
 
@@ -262,8 +274,10 @@ def _families(loops: int) -> _FamilyTable:
 
     A root's graph is labeled against the classes of its kind found so
     far, and the barrels for A and A', so a graph in one of those classes
-    stops at the first leaf that spells it and is skipped; only a graph
-    of a new class is searched to the end, and it gives the class.
+    is skipped; only a graph of a new class is searched to the end, and it
+    gives the class.  That search's `leaves` key the class in ``known`` by
+    every edge list it reached, so a later graph of the class stops at its
+    first leaf, whatever list that leaf spells.
     """
     known = {kind: {} for kind in FAMILY_KINDS}
     classes = {kind: {} for kind in FAMILY_KINDS}
@@ -272,13 +286,18 @@ def _families(loops: int) -> _FamilyTable:
     def label(kind: str, g: Multigraph) -> None:
         if kind in ("Y", "Aprime") and not g.is_simple():
             return
-        data = _canonical_data(g, known=known[kind])
-        if len(data) == 4:  # else a barrel, or a class found at an earlier root
-            form, _, generators, _ = data
-            codes = _edge_codes(form)
-            known[kind][codes] = form
-            classes[kind][form] = generators
-            record[codes] = form, generators
+        leaves = {}
+        data = _canonical_data(g, known=known[kind], leaves=leaves)
+        if len(data) == 2:  # a barrel, or a class found at an earlier root
+            return
+        form, best, generators, _ = data
+        classes[kind][form] = generators
+        codes = _edge_codes(form)
+        record[codes] = form, generators, None
+        for code, pos in leaves.items():
+            known[kind][code] = form
+            if kind not in ("X", "Y") and code != codes:
+                record[code] = form, generators, bytes(_compose(best, _inverse(pos)))
 
     for perm in _frame_orbit_roots("B", loops - 1):
         label("B", barrel(perm))
@@ -347,11 +366,13 @@ def _split_terms(x: Multigraph, families: _FamilyTable
     """``(class, edge, even sign, odd sign)`` per split child of X/Y class x.
 
     Each child is labeled once, with no parity, against the record of
-    ``families``, x's loop order's table, so a child in a B, A or A'
-    class stops at the first leaf that spells it; that leaf's labeling
-    is an isomorphism onto the class, and the record gives the class's
-    generators.  A child in no such class is labeled to the end, and the
-    search returns the generators of its form.  Either way the
+    ``families``, x's loop order's table.  The record holds every edge
+    list the search of a B, A or A' class reached, so a child in one of
+    those classes stops at its first leaf, whose labeling ``pos`` relabels
+    it onto such a list; the record gives the list's ``to_form``, and
+    ``lab = to_form∘pos`` is an isomorphism onto the class, with the
+    class's generators.  A child in no such class is labeled to the end,
+    and the search returns the generators of its form.  Either way the
     class is zero or nonzero by those generators.  ``edge`` is the image
     of the child's fresh edge (v, n) under the labeling, and a parity's
     sign is the child's orientation sign times the sign of contracting
@@ -363,7 +384,9 @@ def _split_terms(x: Multigraph, families: _FamilyTable
     for v, child in _split_children(x, record[_edge_codes(x)][1]):
         data = _canonical_data(child, known=record)
         if len(data) == 2:
-            (form, generators), lab = data
+            (form, generators, to_form), lab = data
+            if to_form is not None:
+                lab = _compose(to_form, lab)
         else:  # in no family class
             form, lab, generators, _ = data
         signs = [0 if _is_zero(form, p, generators) else orientation_sign(child, lab, p)

@@ -17,7 +17,7 @@ from gchom.graphs import (
     canonical_data,
     canonicalize,
 )
-from gchom import complexes
+from gchom import complexes, graphs
 from gchom.complexes import (
     BasisSlice,
     ComplexSpec,
@@ -179,6 +179,38 @@ def test_connected_simple_supports_match_edge_addition_oracle():
                     v, s, max_multiplicity=1, min_degree=1 if v > 1 else 0,
                     connected=True))
             assert _connected_simple_graphs(v, max_edges) == expected, (v, max_edges)
+
+
+def test_all_parallel_graphs_search_each_class_to_the_end_once(monkeypatch):
+    """A support or all-parallel graph of a class found before stops at its first leaf."""
+    reached = [0]
+    leaf, label = graphs._leaf, complexes._canonical_data
+    searches = []  # (form or None for a hit, leaves reached)
+
+    def counting(*args):
+        reached[0] += 1
+        return leaf(*args)
+
+    def spy(graph, *args, **kwargs):
+        before = reached[0]
+        data = label(graph, *args, **kwargs)
+        searches.append((data[0] if len(data) == 4 else None, reached[0] - before))
+        return data
+
+    monkeypatch.setattr(graphs, "_leaf", counting)
+    monkeypatch.setattr(complexes, "_canonical_data", spy)
+    full = {}
+    for g in range(2, 8):
+        full[g] = 0
+        for v in range(2, 2 * g - 1):  # the slices `raw_slice` makes
+            searches.clear()
+            found = _all_parallel_graphs(v, v + g - 1)
+            forms = [form for form, _ in searches if form is not None]
+            assert len(forms) == len(set(forms)) and set(found) <= set(forms), (g, v)
+            assert all(leaves == 1 for form, leaves in searches if form is None), (g, v)
+            full[g] += len(forms)
+    # each labeled to the end the first time only: 434 such labelings at g=7 otherwise
+    assert full == {2: 2, 3: 8, 4: 18, 5: 36, 6: 75, 7: 158}
 
 
 def test_raw_slices_are_pinned():

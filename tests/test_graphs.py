@@ -23,6 +23,7 @@ from gchom.graphs import (
     _edge_codes,
     _initial_cells,
     _is_zero,
+    _leaf,
     _neighbors,
     _refine,
     automorphism_generators,
@@ -146,13 +147,19 @@ def test_search_matches_reference_search():
 def assert_known_lookups_match_the_plain_search(graphs, known):
     """Each graph in a class of ``known`` hits it on an isomorphism; any other misses.
 
-    A hit must give the class ``_canonical_data`` finds, through a labeling
-    that relabels the graph onto it and has the sign of the first canonical
-    labeling in each parity where the class is nonzero, zero-tested on the
-    form with its generators.  A miss must give the plain search's exact
-    quadruple.  Returns the number of hits.
+    ``known`` maps edge codes to a form, or to a `_families` record value
+    ``(form, generators, to_form)``, whose ``to_form`` (None for the form's
+    own codes) relabels the edge list onto the form.  A hit must give the
+    class ``_canonical_data`` finds, through a labeling (``to_form`` after
+    the hit's) that relabels the graph onto it and has the sign of the
+    first canonical labeling in each parity where the class is nonzero,
+    zero-tested on the form with its generators.  A miss must give the
+    plain search's exact quadruple.  Returns the number of hits.
     """
-    classes = set(known.values())
+    def form_and_map(value):
+        return (value, None) if isinstance(value, Multigraph) else (value[0], value[2])
+
+    classes = {form_and_map(value)[0] for value in known.values()}
     hits = 0
     for g in graphs:
         plain = _canonical_data(g)
@@ -161,7 +168,10 @@ def assert_known_lookups_match_the_plain_search(graphs, known):
             assert got == plain, g
             continue
         hits += 1
-        form, labeling = got
+        value, labeling = got
+        form, to_form = form_and_map(value)
+        if to_form is not None:
+            labeling = tuple(to_form[i] for i in labeling)
         assert form == plain[0], g
         assert g.relabel(labeling) == form, g
         for parity in Parity:
@@ -186,8 +196,10 @@ def test_span_check_children_stop_on_their_row_class():
         table = _families(loops)
         children = [child for kind in ("X", "Y") for x, generators in table.classes[kind].items()
                     for _, child in _split_children(x, generators)]
-        # the B, A and A' classes: X and Y have an edge fewer than the children
-        rows = {code: m for code, (m, _) in table.record.items() if len(code) == 3 * loops - 3}
+        # every edge list of the B, A and A' classes: X and Y have an edge
+        # fewer than the children
+        rows = {code: value for code, value in table.record.items()
+                if len(code) == 3 * loops - 3}
         hits = assert_known_lookups_match_the_plain_search(children, rows)
         assert hits > len(children) // 2, loops
 
@@ -203,6 +215,59 @@ def test_search_without_a_known_class_matches_the_plain_search():
         form = known.pop(own)
         assert _canonical_data(g, known=known) == plain, g
         known[own] = form
+
+
+def test_recorded_leaves_stop_every_copy_at_its_first_leaf(monkeypatch):
+    """A class keyed by every edge list its own search reached stops any copy at once.
+
+    For every raw class with g <= 5 and every family graph with 4 <= g <= 7, and
+    three random relabelings of each: the search, given the lists the
+    original's search recorded in ``leaves``, hits at its first leaf, and
+    the list's ``to_form`` (the canonical labeling after the inverse of
+    the list's labeling) after the hit's labeling relabels the copy onto
+    the form, with the plain search's sign wherever the class is nonzero.
+    """
+    reached = [0]
+
+    def counting(*args):
+        reached[0] += 1
+        return _leaf(*args)
+
+    monkeypatch.setattr("gchom.graphs._leaf", counting)
+    originals = [m for g in range(2, 6) for v in range(2, 2 * g - 1) for m in raw_slice(g, v)]
+    for g in range(4, 8):
+        for kind, degree in (("B", g - 1), ("X", g - 2), ("Y", g - 2),
+                             ("A", g - 2), ("Aprime", g - 2)):
+            originals.extend(oracles.family_graph(kind, p)
+                             for p in itertools.permutations(range(degree)))
+    rng = random.Random(89)
+    for original in originals:
+        n = original.num_vertices
+        leaves = {}
+        form, best, generators, _ = _canonical_data(original, leaves=leaves)
+        assert leaves[_edge_codes(form)] == best, original
+        known = {}
+        for code, pos in leaves.items():
+            to_form = [0] * n
+            for v, i in enumerate(pos):
+                to_form[i] = best[v]
+            assert oracles.relabel_sorted(Multigraph._trusted(n, tuple(
+                divmod(c, n) for c in code)), to_form) == form.edges, original
+            known[code] = tuple(to_form)
+        nonzero = [p for p in Parity if not _is_zero(form, p, generators)]
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = original.relabel(perm)
+            before = reached[0]
+            to_form, pos = _canonical_data(copy, known=known)
+            assert reached[0] - before == 1, (original, perm)
+            lab = [to_form[i] for i in pos]
+            assert oracles.relabel_sorted(copy, lab) == form.edges, (original, perm)
+            plain = _canonical_data(copy)[1]
+            for p in nonzero:
+                assert (orientation_sign(copy, lab, p)
+                        == orientation_sign(copy, plain, p)), (original, perm, p)
 
 
 def _multiplicities(row) -> tuple:

@@ -322,6 +322,37 @@ def test_bound_labelings_are_pinned(monkeypatch):
             assert len(labeled) == count, (loops, parities)
 
 
+def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
+    reached = [0]
+    leaf, label = graphs._leaf, kneissler._canonical_data
+    hits = []  # leaves per hit
+
+    def counting(*args):
+        reached[0] += 1
+        return leaf(*args)
+
+    def spy(graph, *args, **kwargs):
+        before = reached[0]
+        data = label(graph, *args, **kwargs)
+        if len(data) == 2:
+            hits.append(reached[0] - before)
+        return data
+
+    monkeypatch.setattr(graphs, "_leaf", counting)
+    monkeypatch.setattr(kneissler, "_canonical_data", spy)
+    for loops in range(5, 9):
+        for cached in (build_families, _families):
+            cached.cache_clear()
+        hits.clear()
+        _families(loops)
+        family_hits = len(hits)
+        for parity in Parity:
+            restricted_differential(loops, parity)
+        # g=5 has no repeated family class; every loop order's split terms hit
+        assert (family_hits > 0) == (loops > 5) and len(hits) > family_hits, loops
+        assert set(hits) == {1}, loops
+
+
 def test_wiedemann_method_agrees():
     g6 = upper_bound(6, Parity.ODD, method="wiedemann", seed=0)
     assert g6.columns() == BOUND_SMALL[(Parity.ODD, 6)]
