@@ -58,8 +58,10 @@ from gchom.graphs import (
     Parity,
     _canonical_data,
     _edge_codes,
+    _inverse,
     _is_zero,
     _neighbors,
+    _new_class,
     _orbit_roots,
     is_triconnected,
     orientation_sign,
@@ -137,7 +139,7 @@ def _connected_simple_graphs(num_vertices: int, max_edges: int) -> set[Multigrap
     for k in range(1, num_vertices):
         budget = max_edges - (num_vertices - 1 - k)
         grown: set[Multigraph] = set()
-        known: dict[tuple[int, ...], None] = {}
+        known: dict[tuple[int, ...], tuple] = {}
         for graph in level:
             for size in range(1, min(k, budget - len(graph.edges)) + 1):
                 for subset in itertools.combinations(range(k), size):
@@ -147,21 +149,6 @@ def _connected_simple_graphs(num_vertices: int, max_edges: int) -> set[Multigrap
                         grown.add(data[0])
         level = grown
     return level
-
-
-def _new_class(graph: Multigraph, known: dict):
-    """``graph``'s `_canonical_data` quadruple if its class is not in ``known``, else None.
-
-    ``known`` is keyed by every edge list that the searches of the classes
-    found so far reached (`_canonical_data`'s ``leaves``); a new class adds
-    its own, so a later graph of it stops at its first leaf.
-    """
-    leaves: dict[tuple[int, ...], tuple[int, ...]] = {}
-    data = _canonical_data(graph, known=known, leaves=leaves)
-    if len(data) == 2:
-        return None
-    known.update(dict.fromkeys(leaves))
-    return data
 
 
 def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, tuple]:
@@ -177,7 +164,7 @@ def _all_parallel_graphs(num_vertices: int, num_edges: int) -> dict[Multigraph, 
     out: dict[Multigraph, tuple] = {}
     if num_vertices == 1 or 2 * (num_vertices - 1) > num_edges:
         return out
-    known: dict[tuple[int, ...], None] = {}
+    known: dict[tuple[int, ...], tuple] = {}
     for support in _connected_simple_graphs(num_vertices, num_edges // 2):
         sup_edges = support.edges
         for comp in _compositions(num_edges - 2 * len(sup_edges), len(sup_edges)):
@@ -600,9 +587,7 @@ def _generators_of(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
     generators = _raw_classes.get((graph.loop_order, graph.num_vertices), {}).get(graph)
     if generators is None:
         _, lab, generators, _ = _canonical_data(graph)
-        inv = [0] * len(lab)
-        for v, i in enumerate(lab):
-            inv[i] = v
+        inv = _inverse(lab)
         generators = tuple(tuple([inv[sigma[i]] for i in lab]) for sigma in generators)
     return generators
 

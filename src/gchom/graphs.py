@@ -275,6 +275,8 @@ def orientation_sign(graph: Multigraph, perm, parity: Parity) -> int:
 # labeling ``pos`` composed with ``best∘pos_L⁻¹`` (L's recorded labeling
 # ``pos_L`` and the class's canonical one ``best``) is an isomorphism onto
 # the form, with the sign and edge orbits any isomorphism gives.
+# `_new_class` keeps such a map of classes, and `_onto_class` labels a
+# graph against it.
 # ---------------------------------------------------------------------------
 
 
@@ -504,11 +506,17 @@ def _leaf(cells, depth: int, anchor: int, st: _Search) -> int:
     return depth
 
 
+def _inverse(perm) -> tuple[int, ...]:
+    """The inverse of a permutation of range(len(perm)), i -> the j with perm[j] = i."""
+    inv = [0] * len(perm)
+    for j, i in enumerate(perm):
+        inv[i] = j
+    return tuple(inv)
+
+
 def _add_generator(st: _Search, target, pos) -> None:
     """Record the automorphism taking labeling ``target`` to ``pos``."""
-    inv = [0] * len(pos)
-    for v, i in enumerate(target):
-        inv[i] = v
+    inv = _inverse(target)
     gamma = [inv[i] for i in pos]
     st.generators.append(gamma)
     if st.orbits is None:
@@ -604,12 +612,53 @@ def _canonical_data(graph: Multigraph, nbrs=None, known=None, leaves=None):
     if _search(cells, cells[:-1], 0, 0, st) < 0:
         return st.hit
     best = st.best
-    inv = [0] * n
-    for v, i in enumerate(best):
-        inv[i] = v
+    inv = _inverse(best)
     canon = Multigraph._trusted(n, tuple(divmod(code, n) for code in st.best_key))
     generators = tuple(tuple([best[gamma[v]] for v in inv]) for gamma in st.generators)
     return canon, tuple(best), generators, st.order
+
+
+def _new_class(graph: Multigraph, known: dict):
+    """``graph``'s `_canonical_data` quadruple if its class is not in ``known``, else None.
+
+    ``known`` maps every edge list that the searches of the classes found
+    so far reached (their ``leaves``) to ``(form, generators, to_form)``,
+    and a new class adds its own.  ``to_form`` is None for the form's own
+    list; for another list L it relabels L onto the form, ``best∘pos_L⁻¹``
+    (see the comment above `_neighbors`).  It is kept as bytes, a third of
+    a tuple's size, so ``graph`` must have fewer than 256 vertices.  A
+    later graph of a known class stops at its first leaf.
+    """
+    leaves: dict[tuple[int, ...], tuple[int, ...]] = {}
+    data = _canonical_data(graph, known=known, leaves=leaves)
+    if len(data) == 2:
+        return None
+    form, best, generators, _ = data
+    codes = _edge_codes(form)
+    for code, pos in leaves.items():
+        to_form = None if code == codes else bytes([best[v] for v in _inverse(pos)])
+        known[code] = form, generators, to_form
+    return data
+
+
+def _onto_class(graph: Multigraph, known: dict):
+    """``(form, generators, labeling)``: ``graph``'s class, Aut(form), an isomorphism onto it.
+
+    ``known`` is a map `_new_class` filled.  A graph in one of its classes
+    stops at its first leaf, and the labeling is that leaf's followed by
+    the list's ``to_form``.  Any other graph is searched to the end, and
+    gives the form, generators and first canonical labeling of the plain
+    search.  Either labeling gives a nonzero class the sign, and each edge
+    the Aut(form) orbit, that the first canonical labeling gives.
+    """
+    data = _canonical_data(graph, known=known)
+    if len(data) == 4:
+        form, labeling, generators, _ = data
+        return form, generators, labeling
+    (form, generators, to_form), labeling = data
+    if to_form is not None:
+        labeling = tuple([to_form[i] for i in labeling])
+    return form, generators, labeling
 
 
 @lru_cache(maxsize=1 << 18)
@@ -634,9 +683,7 @@ def automorphism_generators(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
 
 def _generators(labelings) -> tuple[tuple[int, ...], ...]:
     """The generators behind `canonical_data` labelings, as vertex permutations."""
-    inv = [0] * len(labelings[0])
-    for v, i in enumerate(labelings[0]):
-        inv[i] = v
+    inv = _inverse(labelings[0])
     return tuple(tuple([inv[i] for i in lab]) for lab in labelings[1:])
 
 

@@ -18,14 +18,10 @@ members, which the check that their images stay in the row span labels
 anyway: each split orbit of a column graph is one edge orbit of the row
 graph its child is isomorphic to, so no contracted image is labeled.
 Each column class's children are labeled once, for both parities, with
-the uncached `_canonical_data` given the barrel and complement classes,
-each keyed by every edge list its own search reached: the search tree is
-isomorphism-invariant, so a child in one of them spells such a list at
-its first leaf and stops there.  That leaf's labeling, followed by the
-list's map onto the form, is an isomorphism onto the class and gives the
-edge orbit, and for a nonzero class the sign, that the first canonical
-labeling gives.  So neither the `canonical_data` nor the `canonicalize`
-cache is used.
+`_onto_class` against the barrel and complement classes, each keyed by
+every edge list its own search reached, so a child in one of them stops
+at its first leaf (see `gchom.graphs`).  So neither the `canonical_data`
+nor the `canonicalize` cache is used.
 
 Each family is built once per loop order, with no parity, as `raw_slice`
 builds a slice: one defining permutation per orbit of its frame
@@ -36,14 +32,14 @@ union-find over the permutations in `itertools.permutations` order, so
 each orbit's root is its first permutation.  A and A' are the vertex-0
 splits of X and Y, which the symmetries fix, so one pass over S_{g-2}
 builds X and A, and one Y and A'.  Only the root's graph is built and
-labeled, and its class is kept with the generators the search returns
-and every edge list it reached; a root in a class already found, or in
-a barrel class for the complement, is skipped at its first leaf.  Each
-parity then keeps the nonzero classes, tested on those generators, so
-the second parity builds and labels nothing.  One table per loop order,
-`_families`, holds every class with its generators, per kind and keyed
-by its edge codes (a B, A or A' class by every list its search reached),
-and the split terms of each X/Y class once used.
+labeled, by `_new_class`, into one of three groups: the barrels B, the
+columns V (X and Y) and the complement C (A and A', less the barrels).
+A root in a class its group has already found is skipped at its first
+leaf.  Each parity then keeps the nonzero classes, tested on the
+generators found with them, so the second parity builds and labels
+nothing.  One table per loop order, `_families`, holds the classes of
+each group, C's map of known classes, which the split children are
+labeled against, and the split terms of each column class once used.
 """
 
 from __future__ import annotations
@@ -66,17 +62,17 @@ from gchom.complexes import (
 from gchom.graphs import (
     Multigraph,
     Parity,
-    _canonical_data,
     _edge_codes,
+    _inverse,
     _is_zero,
     _neighbors,
+    _new_class,
+    _onto_class,
     _orbit_roots,
     orientation_sign,
 )
 from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, rank_field, reduce_mod_p
 from gchom.sparse import IntSparseMatrix
-
-FAMILY_KINDS = ("B", "X", "Y", "A", "Aprime")
 
 
 class ImageOutsideSpanError(RuntimeError):
@@ -189,13 +185,6 @@ def _compose(a, b) -> tuple[int, ...]:
     return tuple([a[i] for i in b])
 
 
-def _inverse(p) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def _frame_symmetries(kind: str, n: int):
     """Maps p -> p' such that a relabeling of the frame takes build(p) to build(p').
 
@@ -239,77 +228,54 @@ def _by_edges(classes) -> tuple[Multigraph, ...]:
 class _FamilyTable(NamedTuple):
     """One loop order's classes, zero or not, for both parities.
 
-    ``classes``: each kind -> its canonical forms, sorted by edges -> Aut generators.
-    ``record``: edge codes -> (class, generators, to_form).  It holds the
-    `_edge_codes` of every class's form, with to_form None, and every other
-    edge list the search of a B, A or A' class reached, with
-    ``to_form[i] = best[v]`` where the first leaf spelling it put v at i
-    and the class's canonical labeling ``best`` puts v at ``best[v]``: the
-    relabeling of that list onto the form.  It is kept as bytes, a third
-    of a tuple's size (a family graph has far fewer than 256 vertices, and
-    g=10 keeps about 69k of them).  X and Y classes have an edge fewer than
-    B, A and A' ones, so no graph spells both, and their other lists are
-    left out, as no split child can spell them.
-    ``split_terms``: each X/Y class used so far -> its `_split_terms`.
+    ``classes``: each group, "B", "V" or "C" -> its canonical forms,
+    sorted by edges -> Aut generators.
+    ``rows``: the `_new_class` map of the B and C classes, which keys each
+    by every edge list its search reached.  The V classes have an edge
+    fewer, so no split child spells one of their lists.
+    ``split_terms``: each V class used so far -> its `_split_terms`.
     """
 
     classes: dict[str, dict[Multigraph, tuple]]
-    record: dict[tuple[int, ...], tuple[Multigraph, tuple, bytes | None]]
+    rows: dict[tuple[int, ...], tuple[Multigraph, tuple, bytes | None]]
     split_terms: dict[Multigraph, tuple]
 
 
 @lru_cache(maxsize=None)
 def _families(loops: int) -> _FamilyTable:
-    """The `_FamilyTable` of one loop order, its record made in the same pass.
+    """The `_FamilyTable` of one loop order.
 
     One pass per permutation group, for both parities: barrels over the
     frame-orbit roots of S_{g-1}, then X and Y over those of S_{g-2},
     each root's graph also split at vertex 0 into its A or A' graph.
     Each class comes with the generators of its automorphism group that
-    the search of its first root returns, as in `raw_slice`.  Hub families
-    (Y, A') keep only their simple graphs: routing the hub strand back
-    onto its own anchor doubles an edge, and those degenerate graphs are
-    not part of the relation span.  The complement kinds (A, A') drop
-    graphs isomorphic to a barrel.
-
-    A root's graph is labeled against the classes of its kind found so
-    far, and the barrels for A and A', so a graph in one of those classes
-    is skipped; only a graph of a new class is searched to the end, and it
-    gives the class.  That search's `leaves` key the class in ``known`` by
-    every edge list it reached, so a later graph of the class stops at its
-    first leaf, whatever list that leaf spells.
+    the search of its first root returns, as in `raw_slice`.  The hub
+    builders (Y, A') keep only their simple graphs: routing the hub strand
+    back onto its own anchor doubles an edge, and those degenerate graphs
+    are not part of the relation span.  A root's graph is labeled by
+    `_new_class` against its group's classes found so far, and C's map
+    starts with the barrels', so the complement drops graphs isomorphic
+    to a barrel.  Only a graph of a new class is searched to the end.
     """
-    known = {kind: {} for kind in FAMILY_KINDS}
-    classes = {kind: {} for kind in FAMILY_KINDS}
-    record = {}
+    known = {"B": {}, "V": {}, "C": {}}
+    classes = {group: {} for group in known}
 
-    def label(kind: str, g: Multigraph) -> None:
-        if kind in ("Y", "Aprime") and not g.is_simple():
-            return
-        leaves = {}
-        data = _canonical_data(g, known=known[kind], leaves=leaves)
-        if len(data) == 2:  # a barrel, or a class found at an earlier root
-            return
-        form, best, generators, _ = data
-        classes[kind][form] = generators
-        codes = _edge_codes(form)
-        record[codes] = form, generators, None
-        for code, pos in leaves.items():
-            known[kind][code] = form
-            if kind not in ("X", "Y") and code != codes:
-                record[code] = form, generators, bytes(_compose(best, _inverse(pos)))
+    def label(group: str, g: Multigraph, hub: bool = False) -> None:
+        if (not hub or g.is_simple()) and (data := _new_class(g, known[group])):
+            classes[group][data[0]] = data[2]
 
     for perm in _frame_orbit_roots("B", loops - 1):
         label("B", barrel(perm))
-    for kind, complement, build in (("X", "A", x_graph), ("Y", "Aprime", y_graph)):
-        known[complement].update(known["B"])
+    known["C"].update(known["B"])
+    for kind, build in (("X", x_graph), ("Y", y_graph)):
+        hub = kind == "Y"
         for perm in _frame_orbit_roots(kind, loops - 2):
             g = build(perm)
-            label(kind, g)
-            label(complement, _vertex_0_split(g, perm, hub=kind == "Y"))
+            label("V", g, hub)
+            label("C", _vertex_0_split(g, perm, hub), hub)
     return _FamilyTable(
-        {kind: {m: found[m] for m in _by_edges(found)} for kind, found in classes.items()},
-        record, {})
+        {group: {m: found[m] for m in _by_edges(found)} for group, found in classes.items()},
+        known["C"], {})
 
 
 @dataclass(frozen=True)
@@ -347,11 +313,10 @@ def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     labeled for a parity once the other has built the table.
     """
     _supported(loops, parity)
-    kept = {kind: [m for m, generators in found.items() if not _is_zero(m, parity, generators)]
-            for kind, found in _families(loops).classes.items()}
-    return KneisslerFamilies(loops, parity, tuple(kept["B"]),
-                             _by_edges({*kept["A"], *kept["Aprime"]}),
-                             _by_edges({*kept["X"], *kept["Y"]}))
+    kept = {group: tuple([m for m, generators in found.items()
+                          if not _is_zero(m, parity, generators)])
+            for group, found in _families(loops).classes.items()}
+    return KneisslerFamilies(loops, parity, kept["B"], kept["C"], kept["V"])
 
 
 def _edge_weights(row: Multigraph, generators) -> dict[tuple[int, int], int]:
@@ -363,32 +328,20 @@ def _edge_weights(row: Multigraph, generators) -> dict[tuple[int, int], int]:
 
 def _split_terms(x: Multigraph, families: _FamilyTable
                  ) -> tuple[tuple[Multigraph, tuple[int, int], int, int], ...]:
-    """``(class, edge, even sign, odd sign)`` per split child of X/Y class x.
+    """``(class, edge, even sign, odd sign)`` per split child of column class x.
 
-    Each child is labeled once, with no parity, against the record of
-    ``families``, x's loop order's table.  The record holds every edge
-    list the search of a B, A or A' class reached, so a child in one of
-    those classes stops at its first leaf, whose labeling ``pos`` relabels
-    it onto such a list; the record gives the list's ``to_form``, and
-    ``lab = to_form∘pos`` is an isomorphism onto the class, with the
-    class's generators.  A child in no such class is labeled to the end,
-    and the search returns the generators of its form.  Either way the
-    class is zero or nonzero by those generators.  ``edge`` is the image
-    of the child's fresh edge (v, n) under the labeling, and a parity's
-    sign is the child's orientation sign times the sign of contracting
-    (v, n), or 0 where the child is zero.
+    Each child is labeled once, with no parity, by `_onto_class` against
+    the ``rows`` of ``families``, x's loop order's table: a child in a B
+    or C class stops at its first leaf, and any other is labeled to the
+    end.  The class is zero or nonzero by the generators that come with
+    it.  ``edge`` is the image of the child's fresh edge (v, n) under the
+    labeling, and a parity's sign is the child's orientation sign times
+    the sign of contracting (v, n), or 0 where the child is zero.
     """
-    record = families.record
     n = x.num_vertices
     terms = []
-    for v, child in _split_children(x, record[_edge_codes(x)][1]):
-        data = _canonical_data(child, known=record)
-        if len(data) == 2:
-            (form, generators, to_form), lab = data
-            if to_form is not None:
-                lab = _compose(to_form, lab)
-        else:  # in no family class
-            form, lab, generators, _ = data
+    for v, child in _split_children(x, families.classes["V"][x]):
+        form, generators, lab = _onto_class(child, families.rows)
         signs = [0 if _is_zero(form, p, generators) else orientation_sign(child, lab, p)
                  for p in Parity]
         fresh = child.edges.index((v, n))
@@ -426,7 +379,7 @@ def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
             if i is None:
                 raise ImageOutsideSpanError(f"split of {x} produced {row}")
             if row not in weights:
-                weights[row] = _edge_weights(row, families.record[_edge_codes(row)][1])
+                weights[row] = _edge_weights(row, families.rows[_edge_codes(row)][1])
             acc[(i, j)] = acc.get((i, j), 0) + weights[row][edge] * sign
     return {k: val for k, val in acc.items() if val}
 

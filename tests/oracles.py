@@ -570,9 +570,10 @@ def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
 
     No frame-symmetry orbits: each defining permutation's graph is built,
     filtered and labeled on its own, in `itertools.permutations` order,
-    and the complement kinds exclude the forms of every barrel.  The keys
-    are the classes of ``kneissler._families(loops).classes[kind]`` that
-    do not vanish under ``parity``.
+    and the complement kinds exclude the forms of every barrel.  The keys,
+    over the kinds of a group (X and Y for "V", A and Aprime for "C"), are
+    the classes of ``kneissler._families(loops).classes[group]`` that do
+    not vanish under ``parity``.
     """
     from gchom.graphs import canonical_data, canonicalize
 

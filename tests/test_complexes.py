@@ -184,7 +184,7 @@ def test_connected_simple_supports_match_edge_addition_oracle():
 def test_all_parallel_graphs_search_each_class_to_the_end_once(monkeypatch):
     """A support or all-parallel graph of a class found before stops at its first leaf."""
     reached = [0]
-    leaf, label = graphs._leaf, complexes._canonical_data
+    leaf, label = graphs._leaf, graphs._canonical_data
     searches = []  # (form or None for a hit, leaves reached)
 
     def counting(*args):
@@ -198,7 +198,7 @@ def test_all_parallel_graphs_search_each_class_to_the_end_once(monkeypatch):
         return data
 
     monkeypatch.setattr(graphs, "_leaf", counting)
-    monkeypatch.setattr(complexes, "_canonical_data", spy)
+    monkeypatch.setattr(graphs, "_canonical_data", spy)
     full = {}
     for g in range(2, 8):
         full[g] = 0

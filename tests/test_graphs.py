@@ -25,6 +25,8 @@ from gchom.graphs import (
     _is_zero,
     _leaf,
     _neighbors,
+    _new_class,
+    _onto_class,
     _refine,
     automorphism_generators,
     automorphism_group_size,
@@ -147,7 +149,7 @@ def test_search_matches_reference_search():
 def assert_known_lookups_match_the_plain_search(graphs, known):
     """Each graph in a class of ``known`` hits it on an isomorphism; any other misses.
 
-    ``known`` maps edge codes to a form, or to a `_families` record value
+    ``known`` maps edge codes to a form, or to a `_new_class` value
     ``(form, generators, to_form)``, whose ``to_form`` (None for the form's
     own codes) relabels the edge list onto the form.  A hit must give the
     class ``_canonical_data`` finds, through a labeling (``to_form`` after
@@ -194,13 +196,10 @@ def test_known_classes_stop_the_search_on_an_isomorphism():
 def test_span_check_children_stop_on_their_row_class():
     for loops in range(4, 9):
         table = _families(loops)
-        children = [child for kind in ("X", "Y") for x, generators in table.classes[kind].items()
+        children = [child for x, generators in table.classes["V"].items()
                     for _, child in _split_children(x, generators)]
-        # every edge list of the B, A and A' classes: X and Y have an edge
-        # fewer than the children
-        rows = {code: value for code, value in table.record.items()
-                if len(code) == 3 * loops - 3}
-        hits = assert_known_lookups_match_the_plain_search(children, rows)
+        # every edge list of the B and C classes
+        hits = assert_known_lookups_match_the_plain_search(children, table.rows)
         assert hits > len(children) // 2, loops
 
 
@@ -220,12 +219,16 @@ def test_search_without_a_known_class_matches_the_plain_search():
 def test_recorded_leaves_stop_every_copy_at_its_first_leaf(monkeypatch):
     """A class keyed by every edge list its own search reached stops any copy at once.
 
-    For every raw class with g <= 5 and every family graph with 4 <= g <= 7, and
-    three random relabelings of each: the search, given the lists the
-    original's search recorded in ``leaves``, hits at its first leaf, and
-    the list's ``to_form`` (the canonical labeling after the inverse of
-    the list's labeling) after the hit's labeling relabels the copy onto
-    the form, with the plain search's sign wherever the class is nonzero.
+    For every raw class with g <= 5 and every family graph with 4 <= g <= 7,
+    against one map per vertex count of the classes met before it: a
+    graph of a class the map lacks gets from `_onto_class` the plain
+    search's form, generators and first canonical labeling, and
+    `_new_class` then stores under each list the plain search recorded in
+    ``leaves`` that list's ``to_form`` (the canonical labeling after the
+    inverse of the list's labeling), which relabels the list onto the
+    form.  For three random relabelings of each graph, `_onto_class` hits
+    at the first leaf, and its labeling relabels the copy onto the form,
+    with the plain search's sign wherever the class is nonzero.
     """
     reached = [0]
 
@@ -241,28 +244,37 @@ def test_recorded_leaves_stop_every_copy_at_its_first_leaf(monkeypatch):
             originals.extend(oracles.family_graph(kind, p)
                              for p in itertools.permutations(range(degree)))
     rng = random.Random(89)
+    maps = {}  # vertex count -> the classes met so far
     for original in originals:
         n = original.num_vertices
+        known = maps.setdefault(n, {})
         leaves = {}
         form, best, generators, _ = _canonical_data(original, leaves=leaves)
-        assert leaves[_edge_codes(form)] == best, original
-        known = {}
-        for code, pos in leaves.items():
-            to_form = [0] * n
-            for v, i in enumerate(pos):
-                to_form[i] = best[v]
-            assert oracles.relabel_sorted(Multigraph._trusted(n, tuple(
-                divmod(c, n) for c in code)), to_form) == form.edges, original
-            known[code] = tuple(to_form)
+        codes = _edge_codes(form)
+        assert leaves[codes] == best, original
+        if codes not in known:
+            size = len(known)
+            assert _onto_class(original, known) == (form, generators, best), original
+            assert len(known) == size, original
+            assert _new_class(original, known)[:3] == (form, best, generators), original
+            assert len(known) == size + len(leaves), original
+            for code, pos in leaves.items():
+                to_form = [0] * n
+                for v, i in enumerate(pos):
+                    to_form[i] = best[v]
+                assert oracles.relabel_sorted(Multigraph._trusted(n, tuple(
+                    divmod(c, n) for c in code)), to_form) == form.edges, original
+                stored = None if code == codes else bytes(to_form)
+                assert known[code] == (form, generators, stored), original
         nonzero = [p for p in Parity if not _is_zero(form, p, generators)]
         for _ in range(3):
             perm = list(range(n))
             rng.shuffle(perm)
             copy = original.relabel(perm)
             before = reached[0]
-            to_form, pos = _canonical_data(copy, known=known)
+            got, _, lab = _onto_class(copy, known)
             assert reached[0] - before == 1, (original, perm)
-            lab = [to_form[i] for i in pos]
+            assert got == form, (original, perm)
             assert oracles.relabel_sorted(copy, lab) == form.edges, (original, perm)
             plain = _canonical_data(copy)[1]
             for p in nonzero:

@@ -17,7 +17,6 @@ from gchom.graphs import (
 from gchom.complexes import ComplexSpec, Variant, enumerate_basis
 from gchom.cohomology import KNOWN_VALUES
 from gchom.kneissler import (
-    FAMILY_KINDS,
     ImageOutsideSpanError,
     _coboundary_entries,
     _families,
@@ -33,6 +32,9 @@ from gchom.kneissler import (
 )
 
 import oracles
+
+# the kinds of each group of `_families`
+GROUPS = {"B": ("B",), "V": ("X", "Y"), "C": ("A", "Aprime")}
 
 BOUND_SMALL = {
     (Parity.EVEN, 5): (0, 0, 1, 0, 0),
@@ -119,18 +121,19 @@ def test_build_families_rejects_unsupported():
         build_families(4, Parity.EVEN)
     with pytest.raises(ValueError):
         build_families(3, Parity.ODD)
-    # the table has the five kinds and no other
-    assert tuple(_families(6).classes) == FAMILY_KINDS
+    # the table has the three groups and no other
+    assert tuple(_families(6).classes) == tuple(GROUPS)
 
 
 def test_family_classes_match_exhaustive_family():
     for parity in Parity:
         for loops in range(5 if parity is Parity.EVEN else 4, 8):
-            for kind, found in _families(loops).classes.items():
+            for group, found in _families(loops).classes.items():
                 got = tuple(m for m, generators in found.items()
                             if not _is_zero(m, parity, generators))
-                want = oracles.exhaustive_family(kind, loops, parity)
-                assert got == tuple(sorted(want, key=lambda m: m.edges)), (kind, loops, parity)
+                want = {m for kind in GROUPS[group]
+                        for m in oracles.exhaustive_family(kind, loops, parity)}
+                assert got == tuple(sorted(want, key=lambda m: m.edges)), (group, loops, parity)
 
 
 def test_second_parity_builds_and_labels_nothing(monkeypatch):
@@ -146,7 +149,7 @@ def test_second_parity_builds_and_labels_nothing(monkeypatch):
 
     for name in ("barrel", "x_graph", "y_graph", "_vertex_0_split"):
         monkeypatch.setattr(kneissler, name, spy(name, getattr(kneissler, name)))
-    for module in (graphs, complexes, kneissler):
+    for module in (graphs, complexes):
         monkeypatch.setattr(module, "_canonical_data", spy("label", module._canonical_data))
     before = canonicalize.cache_info()
     fam = build_families(7, Parity.EVEN)
@@ -158,11 +161,11 @@ def test_second_parity_builds_and_labels_nothing(monkeypatch):
 def test_frame_symmetries_preserve_the_graph_class():
     # A and A' are the vertex-0 splits of X and Y, and share their symmetries
     frames = {"B": "B", "X": "X", "Y": "Y", "A": "X", "Aprime": "Y"}
-    for kind in FAMILY_KINDS:
+    for kind, frame in frames.items():
         for n in range(2, 7 if kind == "B" else 6):  # g <= 7
             for perm in itertools.permutations(range(n)):
                 form = canonical_data(oracles.family_graph(kind, perm))[0]
-                for move in _frame_symmetries(frames[kind], n):
+                for move in _frame_symmetries(frame, n):
                     moved = oracles.family_graph(kind, move(perm))
                     assert canonical_data(moved)[0] == form, (kind, perm)
 
@@ -238,9 +241,13 @@ def test_family_classes_record_their_automorphism_groups():
     for parity in Parity:
         for loops in (5, 6):
             fam = build_families(loops, parity)
+            table = _families(loops)
+            found = {m: gens for group in table.classes.values() for m, gens in group.items()}
             for m in set(fam.b_members) | set(fam.bperp_members) | set(fam.v_members):
                 n = m.num_vertices
-                generators = _families(loops).record[_edge_codes(m)][1]
+                generators = found[m]
+                if m not in fam.v_members:
+                    assert table.rows[_edge_codes(m)] == (m, generators, None), m
                 assert (oracles.permutation_group(generators, n)
                         == oracles.permutation_group(automorphism_generators(m), n)), m
                 for p in Parity:
@@ -252,6 +259,28 @@ def test_image_outside_span_detection():
     broken = dataclasses.replace(fam, b_members=(), bperp_members=())
     with pytest.raises(ImageOutsideSpanError):
         _coboundary_entries(broken)
+
+
+def test_split_child_in_no_row_class_is_searched_to_the_end(monkeypatch):
+    """With the table's ``rows`` emptied, a split child hits no class and is labeled to the end.
+
+    Its form, the plain search's, is in no row either, so the span check raises.
+    """
+    fam = build_families(5, Parity.ODD)
+    table = _families(5)._replace(rows={}, split_terms={})
+    monkeypatch.setattr(kneissler, "_families", lambda loops: table)
+    label = graphs._canonical_data
+    results = []
+
+    def spy(graph, *args, **kwargs):
+        results.append(label(graph, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(graphs, "_canonical_data", spy)
+    broken = dataclasses.replace(fam, b_members=(), bperp_members=())
+    with pytest.raises(ImageOutsideSpanError):
+        _coboundary_entries(broken)
+    assert results and all(len(data) == 4 for data in results)
 
 
 def test_restricted_differential_labels_only_split_children(monkeypatch):
@@ -268,7 +297,7 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
         return wrapper
 
     # cached and uncached labelings alike
-    for module in (graphs, complexes, kneissler):
+    for module in (graphs, complexes):
         monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
     for parity in Parity:
         restricted_differential(loops, parity)
@@ -307,7 +336,7 @@ def test_bound_labelings_are_pinned(monkeypatch):
             return label(graph, *args, **kwargs)
         return wrapper
 
-    for module in (graphs, complexes, kneissler):
+    for module in (graphs, complexes):
         monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
     for loops, counts in BOUND_LABELINGS.items():
         for parities, count in zip(((Parity.ODD,), (Parity.EVEN,), tuple(Parity)), counts):
@@ -324,7 +353,7 @@ def test_bound_labelings_are_pinned(monkeypatch):
 
 def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
     reached = [0]
-    leaf, label = graphs._leaf, kneissler._canonical_data
+    leaf, label = graphs._leaf, graphs._canonical_data
     hits = []  # leaves per hit
 
     def counting(*args):
@@ -339,7 +368,7 @@ def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
         return data
 
     monkeypatch.setattr(graphs, "_leaf", counting)
-    monkeypatch.setattr(kneissler, "_canonical_data", spy)
+    monkeypatch.setattr(graphs, "_canonical_data", spy)
     for loops in range(5, 9):
         for cached in (build_families, _families):
             cached.cache_clear()
@@ -348,9 +377,32 @@ def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
         family_hits = len(hits)
         for parity in Parity:
             restricted_differential(loops, parity)
-        # g=5 has no repeated family class; every loop order's split terms hit
-        assert (family_hits > 0) == (loops > 5) and len(hits) > family_hits, loops
+        # g=5 repeats one class, shared by A and A'; every loop order's split terms hit
+        assert family_hits > 0 and len(hits) > family_hits, loops
         assert set(hits) == {1}, loops
+
+
+def test_each_family_class_is_searched_to_the_end_once(monkeypatch):
+    """A class shared by X and Y, or by A and A', is found once, in its group."""
+    label = graphs._canonical_data
+    full = []
+
+    def spy(graph, *args, **kwargs):
+        data = label(graph, *args, **kwargs)
+        if len(data) == 4:
+            full.append(graph)
+        return data
+
+    monkeypatch.setattr(graphs, "_canonical_data", spy)
+    counts = {}
+    for loops in range(5, 9):
+        _families.cache_clear()
+        full.clear()
+        classes = _families(loops).classes
+        counts[loops] = len(full)
+        assert len(full) == sum(len(found) for found in classes.values()), loops
+    # one full search per kind's class, shared ones twice: 8, 15, 67 and 326
+    assert counts == {5: 7, 6: 12, 7: 56, 8: 279}
 
 
 def test_wiedemann_method_agrees():
