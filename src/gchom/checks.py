@@ -23,6 +23,7 @@ from gchom.complexes import ComplexSpec, Variant
 from gchom.graphs import Parity
 from gchom.kneissler import dperp_rank, upper_bound
 from gchom.linalg import (
+    CONFIRM_PRIME,
     DEFAULT_PRIME,
     FpSparseMatrix,
     PrimeField,
@@ -71,7 +72,7 @@ def suite_d2(max_loops: int = 6, cache: FileCache | None = None) -> list[CheckRe
 
 
 def suite_tables(max_even: int = 7, max_odd: int = 7,
-                 primes: tuple[int, int] = (3323, 10007),
+                 primes: tuple[int, int] = (DEFAULT_PRIME, CONFIRM_PRIME),
                  cache: FileCache | None = None) -> list[CheckResult]:
     """Published tables, quasi-isomorphism, and Euler identity."""
     out = []
@@ -134,7 +135,7 @@ BOUND_ROWS_G10 = {
 }
 
 
-def suite_kneissler(max_loops: int = 8, prime: int = 3323) -> list[CheckResult]:
+def suite_kneissler(max_loops: int = 8, prime: int = DEFAULT_PRIME) -> list[CheckResult]:
     """Top-degree bound table rows and the surjectivity of d-perp."""
     out = []
     rows = {**BOUND_ROWS, **BOUND_ROWS_STRETCH, **BOUND_ROWS_G10}
@@ -221,7 +222,7 @@ def suite_linalg(seed: int = 0, num_random: int = 200, prime: int = DEFAULT_PRIM
         if m.nrows > 200 or m.ncols > 200:
             continue
         rq = rational_rank(m)
-        for q in sorted({prime, 10007, 32003}):
+        for q in sorted({prime, CONFIRM_PRIME, 32003}):
             rp = gauss_rank(reduce_mod_p(m, PrimeField(q))).rank
             ok = ok and rp <= rq
     out.append(CheckResult("F_p rank <= rational rank", ok))

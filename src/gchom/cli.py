@@ -18,7 +18,8 @@ from gchom.cohomology import cohomology_dims, render_text
 from gchom.complexes import ComplexSpec, Variant, dump_basis
 from gchom.graphs import Parity
 from gchom.kneissler import upper_bound
-from gchom.linalg import RANK_METHODS, PrimeField, rank_field, reduce_mod_p
+from gchom.linalg import (CONFIRM_PRIME, DEFAULT_PRIME, RANK_METHODS, PrimeField, rank_field,
+                          reduce_mod_p)
 from gchom.sparse import dump_sms, load_sms
 
 
@@ -56,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank of an SMS matrix over F_p")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--prime", type=int, default=3323)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--method", choices=list(RANK_METHODS), default="gauss")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("cohomology", help="cohomology dimension table")
     _add_spec_flags(p)
-    p.add_argument("--prime", type=int, default=3323)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--method", choices=list(RANK_METHODS), default="gauss")
     p.add_argument("--confirm-prime", type=int)
     p.add_argument("--seed", type=int)
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kneissler", help="top-degree upper-bound report")
     _add_spec_flags(p, variant=False)
-    p.add_argument("--prime", type=int, default=3323)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--method", choices=list(RANK_METHODS), default="gauss")
     p.add_argument("--seed", type=int)
 
@@ -162,7 +163,8 @@ def cmd_check(args) -> int:
     kwargs = {
         "d2": {"max_loops": loops, "cache": cache},
         "tables": {"max_even": loops, "max_odd": None if loops is None else min(loops, 7),
-                   "primes": None if prime is None else (prime, 3323 if prime == 10007 else 10007),
+                   "primes": None if prime is None else (
+                       prime, DEFAULT_PRIME if prime == CONFIRM_PRIME else CONFIRM_PRIME),
                    "cache": cache},
         "kneissler": {"max_loops": loops, "prime": prime},
         "linalg": {"seed": args.seed or 0, "prime": prime, "max_loops": loops},

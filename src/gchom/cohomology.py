@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from gchom.cache import FileCache
 from gchom.complexes import ComplexSpec, _split_work
-from gchom.linalg import PrimeField, gauss_ranks, rank_field, reduce_mod_p, wiedemann_rank
+from gchom.linalg import (DEFAULT_PRIME, PrimeField, gauss_ranks, rank_field, reduce_mod_p,
+                          wiedemann_rank)
 
 DEFAULT_GENERATOR_CAP = 5_000_000
 
@@ -80,7 +81,7 @@ def _slice_range(spec: ComplexSpec) -> range:
     return range(2, 2 * (spec.loops - 1) + 1)
 
 
-def cohomology_dims(spec: ComplexSpec, prime: int = 3323, method: str = "gauss",
+def cohomology_dims(spec: ComplexSpec, prime: int = DEFAULT_PRIME, method: str = "gauss",
                     seed: int = 0, confirm_prime: int | None = None,
                     cache: FileCache | None = None) -> CohomologyTable:
     """Dimension table of the complex, one row per slice degree.

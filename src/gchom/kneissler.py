@@ -13,15 +13,10 @@ with the rank taken over a prime field, which can only lower it.  The
 restricted differential is the contraction differential from the
 trivalent barrel and complement generators to the X/Y classes, the
 transpose of the coboundary in dual bases, so all ranks agree.  It is
-assembled on the coboundary side, from the vertex splits of the X/Y
-members, which the check that their images stay in the row span labels
-anyway: each split orbit of a column graph is one edge orbit of the row
-graph its child is isomorphic to, so no contracted image is labeled.
-Each column class's children are labeled once, for both parities, with
-`_onto_class` against the barrel and complement classes, each keyed by
-every edge list its own search reached, so a child in one of them stops
-at its first leaf (see `gchom.graphs`).  So neither the `canonical_data`
-nor the `canonicalize` cache is used.
+assembled from the vertex splits of the X/Y members: each split orbit
+of a column graph is one edge orbit of the row graph its child is
+isomorphic to, so no contracted image is labeled.  Neither the
+`canonical_data` nor the `canonicalize` cache is used.
 
 Each family is built once per loop order, with no parity, as `raw_slice`
 builds a slice: one defining permutation per orbit of its frame
@@ -35,11 +30,12 @@ builds X and A, and one Y and A'.  Only the root's graph is built and
 labeled, by `_new_class`, into one of three groups: the barrels B, the
 columns V (X and Y) and the complement C (A and A', less the barrels).
 A root in a class its group has already found is skipped at its first
-leaf.  Each parity then keeps the nonzero classes, tested on the
-generators found with them, so the second parity builds and labels
-nothing.  One table per loop order, `_families`, holds the classes of
-each group, C's map of known classes, which the split children are
-labeled against, and the split terms of each column class once used.
+leaf.  The split children of the columns are then labeled against the
+B and C classes, each keyed by every edge list its own search reached,
+so a child in one of them stops at its first leaf (see `gchom.graphs`).
+One table per loop order, `_families`, holds the classes and each
+column's split terms for both parities; each parity keeps the nonzero
+classes, so the second parity builds and labels nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from gchom.complexes import (
 from gchom.graphs import (
     Multigraph,
     Parity,
-    _edge_codes,
     _inverse,
     _is_zero,
     _neighbors,
@@ -71,7 +66,8 @@ from gchom.graphs import (
     _orbit_roots,
     orientation_sign,
 )
-from gchom.linalg import RANK_METHODS, PrimeField, gauss_rank, rank_field, reduce_mod_p
+from gchom.linalg import (DEFAULT_PRIME, RANK_METHODS, PrimeField, gauss_rank, rank_field,
+                          reduce_mod_p)
 from gchom.sparse import IntSparseMatrix
 
 
@@ -230,32 +226,24 @@ class _FamilyTable(NamedTuple):
 
     ``classes``: each group, "B", "V" or "C" -> its canonical forms,
     sorted by edges -> Aut generators.
-    ``rows``: the `_new_class` map of the B and C classes, which keys each
-    by every edge list its search reached.  The V classes have an edge
-    fewer, so no split child spells one of their lists.
-    ``split_terms``: each V class used so far -> its `_split_terms`.
+    ``split_terms``: each V class that is nonzero in some parity -> its
+    `_split_terms`.
     """
 
     classes: dict[str, dict[Multigraph, tuple]]
-    rows: dict[tuple[int, ...], tuple[Multigraph, tuple, bytes | None]]
     split_terms: dict[Multigraph, tuple]
 
 
-@lru_cache(maxsize=None)
-def _families(loops: int) -> _FamilyTable:
-    """The `_FamilyTable` of one loop order.
+def _label_families(loops: int):
+    """``(classes, rows)``: `_FamilyTable.classes` and C's `_new_class` map.
 
-    One pass per permutation group, for both parities: barrels over the
-    frame-orbit roots of S_{g-1}, then X and Y over those of S_{g-2},
-    each root's graph also split at vertex 0 into its A or A' graph.
-    Each class comes with the generators of its automorphism group that
-    the search of its first root returns, as in `raw_slice`.  The hub
-    builders (Y, A') keep only their simple graphs: routing the hub strand
-    back onto its own anchor doubles an edge, and those degenerate graphs
-    are not part of the relation span.  A root's graph is labeled by
-    `_new_class` against its group's classes found so far, and C's map
-    starts with the barrels', so the complement drops graphs isomorphic
-    to a barrel.  Only a graph of a new class is searched to the end.
+    One pass per permutation group: barrels over the frame-orbit roots of
+    S_{g-1}, then X and Y over those of S_{g-2}, each root's graph also
+    split at vertex 0 into its A or A' graph.  The hub builders (Y, A')
+    keep only their simple graphs: routing the hub strand back onto its
+    own anchor doubles an edge, and those degenerate graphs are not part
+    of the relation span.  C's map starts with the barrels', so the
+    complement drops graphs isomorphic to a barrel.
     """
     known = {"B": {}, "V": {}, "C": {}}
     classes = {group: {} for group in known}
@@ -273,9 +261,19 @@ def _families(loops: int) -> _FamilyTable:
             g = build(perm)
             label("V", g, hub)
             label("C", _vertex_0_split(g, perm, hub), hub)
-    return _FamilyTable(
-        {group: {m: found[m] for m in _by_edges(found)} for group, found in classes.items()},
-        known["C"], {})
+    return ({group: {m: found[m] for m in _by_edges(found)} for group, found in classes.items()},
+            known["C"])
+
+
+@lru_cache(maxsize=None)
+def _families(loops: int) -> _FamilyTable:
+    """The `_FamilyTable` of one loop order; the row map is freed on return."""
+    classes, rows = _label_families(loops)
+    orbits: dict[Multigraph, dict[tuple[int, int], int]] = {}
+    split_terms = {x: _split_terms(x, generators, rows, orbits)
+                   for x, generators in classes["V"].items()
+                   if not all(_is_zero(x, p, generators) for p in Parity)}
+    return _FamilyTable(classes, split_terms)
 
 
 @dataclass(frozen=True)
@@ -319,68 +317,54 @@ def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     return KneisslerFamilies(loops, parity, kept["B"], kept["C"], kept["V"])
 
 
-def _edge_weights(row: Multigraph, generators) -> dict[tuple[int, int], int]:
-    """Each simple edge of ``row`` -> the size of its orbit under Aut(row) = <generators>."""
-    roots = _edge_orbit_roots(row, generators)
-    sizes = Counter(roots.values())
-    return {row.edges[i]: sizes[root] for i, root in roots.items()}
+def _split_terms(x: Multigraph, generators, rows: dict, orbits: dict
+                 ) -> tuple[tuple[Multigraph, int, int], ...]:
+    """``(row, even coefficient, odd coefficient)`` per split child of column class x.
 
-
-def _split_terms(x: Multigraph, families: _FamilyTable
-                 ) -> tuple[tuple[Multigraph, tuple[int, int], int, int], ...]:
-    """``(class, edge, even sign, odd sign)`` per split child of column class x.
-
-    Each child is labeled once, with no parity, by `_onto_class` against
-    the ``rows`` of ``families``, x's loop order's table: a child in a B
-    or C class stops at its first leaf, and any other is labeled to the
-    end.  The class is zero or nonzero by the generators that come with
-    it.  ``edge`` is the image of the child's fresh edge (v, n) under the
-    labeling, and a parity's sign is the child's orientation sign times
-    the sign of contracting (v, n), or 0 where the child is zero.
+    ``generators`` generate Aut(x).  Each child is labeled once, with no
+    parity, by `_onto_class` against ``rows``, a `_new_class` map.  A
+    parity's coefficient is 0 where the row is zero, and otherwise the
+    size of the Aut(row) orbit of the image of the fresh edge (v, n) under
+    the labeling, times the child's orientation sign, times the sign of
+    contracting (v, n).  ``orbits`` keeps each row's edge orbit sizes.
     """
     n = x.num_vertices
     terms = []
-    for v, child in _split_children(x, families.classes["V"][x]):
-        form, generators, lab = _onto_class(child, families.rows)
-        signs = [0 if _is_zero(form, p, generators) else orientation_sign(child, lab, p)
-                 for p in Parity]
+    for v, child in _split_children(x, generators):
+        row, row_generators, lab = _onto_class(child, rows)
+        if row not in orbits:
+            roots = _edge_orbit_roots(row, row_generators)
+            sizes = Counter(roots.values())
+            orbits[row] = {row.edges[i]: sizes[root] for i, root in roots.items()}
+        weight = orbits[row][_sorted_pair(lab[v], lab[n])]
         fresh = child.edges.index((v, n))
-        terms.append((form, _sorted_pair(lab[v], lab[n]),
-                      *[s * _contract(child, fresh, p)[1] if s else 0
-                        for s, p in zip(signs, Parity)]))
+        terms.append((row, *[0 if _is_zero(row, p, row_generators) else weight
+                             * orientation_sign(child, lab, p) * _contract(child, fresh, p)[1]
+                             for p in Parity]))
     return tuple(terms)
 
 
 def _coboundary_entries(fam: KneisslerFamilies) -> dict[tuple[int, int], int]:
-    """Entries of `restricted_differential`, from one pass over the X/Y splits.
+    """Entries of `restricted_differential`, summed from the columns' split terms.
 
-    The same pass checks the span: a nonzero split child whose class is
-    no row signals a mis-built complement and raises
-    ImageOutsideSpanError.  The children's terms come from `_split_terms`,
-    labeled the first time a class is used and kept in its loop order's
-    `_families` table, for both parities and for the rebuild `dperp_rank`
-    makes after `upper_bound`, outside the `canonical_data` and
-    `canonicalize` caches.  Each row's edge orbits are computed once per
-    call, from the generators the table records with it.
+    The same pass checks the span: a child with a nonzero coefficient
+    whose row is not a member signals a mis-built complement and raises
+    ImageOutsideSpanError.  Each child is checked before any sum, so
+    children that cancel cannot hide one.
     """
-    families = _families(fam.loops)
+    split_terms = _families(fam.loops).split_terms
     odd = fam.parity is Parity.ODD
     rows = {r: i for i, r in enumerate(fam.b_members + fam.bperp_members)}
-    weights: dict[Multigraph, dict[tuple[int, int], int]] = {}
     acc: dict[tuple[int, int], int] = {}
     for j, x in enumerate(fam.v_members):
-        if x not in families.split_terms:
-            families.split_terms[x] = _split_terms(x, families)
-        for row, edge, even_sign, odd_sign in families.split_terms[x]:
-            sign = odd_sign if odd else even_sign
-            if not sign:
+        for row, even_coefficient, odd_coefficient in split_terms[x]:
+            coefficient = odd_coefficient if odd else even_coefficient
+            if not coefficient:
                 continue
             i = rows.get(row)
             if i is None:
                 raise ImageOutsideSpanError(f"split of {x} produced {row}")
-            if row not in weights:
-                weights[row] = _edge_weights(row, families.rows[_edge_codes(row)][1])
-            acc[(i, j)] = acc.get((i, j), 0) + weights[row][edge] * sign
+            acc[(i, j)] = acc.get((i, j), 0) + coefficient
     return {k: val for k, val in acc.items() if val}
 
 
@@ -413,7 +397,7 @@ def restricted_differential(loops: int, parity: Parity) -> IntSparseMatrix:
     return IntSparseMatrix(fam.dim_b + fam.dim_bperp, fam.dim_v, entries)
 
 
-def dperp_rank(loops: int, parity: Parity, prime: int = 3323) -> tuple[int, int]:
+def dperp_rank(loops: int, parity: Parity, prime: int = DEFAULT_PRIME) -> tuple[int, int]:
     """(rank of the complement block, dim of the complement).
 
     Equality is the surjectivity of the coboundary onto the complement.
@@ -450,7 +434,7 @@ class KneisslerReport:
                 self.upper_bound)
 
 
-def upper_bound(loops: int, parity: Parity, prime: int = 3323,
+def upper_bound(loops: int, parity: Parity, prime: int = DEFAULT_PRIME,
                 method: str = "gauss", seed: int = 0) -> KneisslerReport:
     """Top-degree upper bound dim B - rank(d) + dim B-complement.
 

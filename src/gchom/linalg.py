@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_PRIME = 3323
+CONFIRM_PRIME = 10007  # the second prime that certifies a Gauss rank
 
 _FAST_PRIME_LIMIT = 1 << 25  # products stay below 2**50 in int64
 _INT64_SUM_LIMIT = 1 << 63

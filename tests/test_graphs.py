@@ -37,7 +37,7 @@ from gchom.graphs import (
     orientation_sign,
 )
 from gchom.complexes import _split_children
-from gchom.kneissler import _families
+from gchom.kneissler import _label_families
 
 import oracles
 
@@ -195,11 +195,11 @@ def test_known_classes_stop_the_search_on_an_isomorphism():
 
 def test_span_check_children_stop_on_their_row_class():
     for loops in range(4, 9):
-        table = _families(loops)
-        children = [child for x, generators in table.classes["V"].items()
+        classes, rows = _label_families(loops)
+        children = [child for x, generators in classes["V"].items()
                     for _, child in _split_children(x, generators)]
         # every edge list of the B and C classes
-        hits = assert_known_lookups_match_the_plain_search(children, table.rows)
+        hits = assert_known_lookups_match_the_plain_search(children, rows)
         assert hits > len(children) // 2, loops
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -20,7 +21,10 @@ from gchom.kneissler import (
     ImageOutsideSpanError,
     _coboundary_entries,
     _families,
+    _FamilyTable,
     _frame_symmetries,
+    _label_families,
+    _split_terms,
     _vertex_0_split,
     barrel,
     build_families,
@@ -57,8 +61,8 @@ PINNED_RESTRICTED_DIFFERENTIALS = {
 }
 
 # `_canonical_data` calls of `upper_bound` from an empty family table, for
-# the odd parity, the even one and both; `dperp_rank` after it makes none
-BOUND_LABELINGS = {7: (198, 177, 198), 8: (1175, 1109, 1185)}
+# the odd parity, the even one and both alike; `dperp_rank` after it makes none
+BOUND_LABELINGS = {7: 198, 8: 1185}
 
 
 def test_barrel_counts():
@@ -238,16 +242,17 @@ def test_orbit_weighted_restricted_differential_matches_per_edge_sum():
 
 
 def test_family_classes_record_their_automorphism_groups():
-    for parity in Parity:
-        for loops in (5, 6):
+    for loops in (5, 6):
+        classes, rows = _label_families(loops)
+        assert classes == _families(loops).classes
+        found = {m: gens for group in classes.values() for m, gens in group.items()}
+        for parity in Parity:
             fam = build_families(loops, parity)
-            table = _families(loops)
-            found = {m: gens for group in table.classes.values() for m, gens in group.items()}
             for m in set(fam.b_members) | set(fam.bperp_members) | set(fam.v_members):
                 n = m.num_vertices
                 generators = found[m]
                 if m not in fam.v_members:
-                    assert table.rows[_edge_codes(m)] == (m, generators, None), m
+                    assert rows[_edge_codes(m)] == (m, generators, None), m
                 assert (oracles.permutation_group(generators, n)
                         == oracles.permutation_group(automorphism_generators(m), n)), m
                 for p in Parity:
@@ -262,13 +267,13 @@ def test_image_outside_span_detection():
 
 
 def test_split_child_in_no_row_class_is_searched_to_the_end(monkeypatch):
-    """With the table's ``rows`` emptied, a split child hits no class and is labeled to the end.
+    """Against an empty row map, a split child hits no class and is labeled to the end.
 
-    Its form, the plain search's, is in no row either, so the span check raises.
+    The plain search gives the same terms as the table's.  With the members
+    emptied, the children's forms are in no row, so the span check raises.
     """
     fam = build_families(5, Parity.ODD)
-    table = _families(5)._replace(rows={}, split_terms={})
-    monkeypatch.setattr(kneissler, "_families", lambda loops: table)
+    table = _families(5)
     label = graphs._canonical_data
     results = []
 
@@ -277,36 +282,53 @@ def test_split_child_in_no_row_class_is_searched_to_the_end(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(graphs, "_canonical_data", spy)
+    orbits = {}
+    split_terms = {x: _split_terms(x, table.classes["V"][x], {}, orbits)
+                   for x in table.split_terms}
+    assert results and all(len(data) == 4 for data in results)
+    assert split_terms == table.split_terms
+    monkeypatch.setattr(kneissler, "_families",
+                        lambda loops: _FamilyTable(table.classes, split_terms))
     broken = dataclasses.replace(fam, b_members=(), bperp_members=())
     with pytest.raises(ImageOutsideSpanError):
         _coboundary_entries(broken)
-    assert results and all(len(data) == 4 for data in results)
 
 
 def test_restricted_differential_labels_only_split_children(monkeypatch):
+    """The family build labels the columns' split children; `restricted_differential` nothing."""
     loops = 7
-    for parity in Parity:
-        build_families(loops, parity)
-    _families(loops).split_terms.clear()
-    labeled = []
+    for cached in (build_families, _families):
+        cached.cache_clear()
+    labeled, built = [], []
 
-    def spy(label):
+    def labeling(label):
         def wrapper(graph, *args, **kwargs):
-            labeled.append(graph.num_vertices)
+            labeled.append(graph)
             return label(graph, *args, **kwargs)
+        return wrapper
+
+    def building(build):
+        def wrapper(perm):
+            built.append(build(perm))
+            return built[-1]
         return wrapper
 
     # cached and uncached labelings alike
     for module in (graphs, complexes):
-        monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
-    for parity in Parity:
-        restricted_differential(loops, parity)
-    # the X/Y members' split children have 2g-2 vertices, the contraction
-    # images of the rows (the X/Y classes) 2g-3
-    assert set(labeled) == {2 * loops - 2}
-    # a rebuild, as `dperp_rank` makes after `upper_bound`, labels nothing
+        monkeypatch.setattr(module, "_canonical_data", labeling(module._canonical_data))
+    for name in ("x_graph", "y_graph"):
+        monkeypatch.setattr(kneissler, name, building(getattr(kneissler, name)))
+    table = _families(loops)
+    children = [child for x in table.split_terms
+                for _, child in complexes._split_children(x, table.classes["V"][x])]
+    assert collections.Counter(children) <= collections.Counter(labeled)
+    # the X/Y graphs and the contraction images of the rows have 2g-3
+    # vertices, and only the former are labeled
+    assert {g for g in labeled if g.num_vertices == 2 * loops - 3} <= set(built)
+    # the bounds, and the rebuild `dperp_rank` makes after `upper_bound`, label nothing
     count = len(labeled)
     for parity in Parity:
+        restricted_differential(loops, parity)
         restricted_differential(loops, parity)
     assert len(labeled) == count
 
@@ -338,8 +360,8 @@ def test_bound_labelings_are_pinned(monkeypatch):
 
     for module in (graphs, complexes):
         monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
-    for loops, counts in BOUND_LABELINGS.items():
-        for parities, count in zip(((Parity.ODD,), (Parity.EVEN,), tuple(Parity)), counts):
+    for loops, count in BOUND_LABELINGS.items():
+        for parities in ((Parity.ODD,), (Parity.EVEN,), tuple(Parity)):
             for cached in (build_families, _families):
                 cached.cache_clear()
             labeled.clear()
@@ -353,8 +375,9 @@ def test_bound_labelings_are_pinned(monkeypatch):
 
 def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
     reached = [0]
-    leaf, label = graphs._leaf, graphs._canonical_data
+    leaf, label, split_terms = graphs._leaf, graphs._canonical_data, kneissler._split_terms
     hits = []  # leaves per hit
+    family_hits = {}  # loop order -> hits before its first split terms
 
     def counting(*args):
         reached[0] += 1
@@ -367,19 +390,31 @@ def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
             hits.append(reached[0] - before)
         return data
 
+    def first_split_terms(*args):
+        family_hits.setdefault(loops, len(hits))
+        return split_terms(*args)
+
     monkeypatch.setattr(graphs, "_leaf", counting)
     monkeypatch.setattr(graphs, "_canonical_data", spy)
+    monkeypatch.setattr(kneissler, "_split_terms", first_split_terms)
     for loops in range(5, 9):
         for cached in (build_families, _families):
             cached.cache_clear()
         hits.clear()
         _families(loops)
-        family_hits = len(hits)
-        for parity in Parity:
-            restricted_differential(loops, parity)
         # g=5 repeats one class, shared by A and A'; every loop order's split terms hit
-        assert family_hits > 0 and len(hits) > family_hits, loops
+        assert family_hits[loops] > 0 and len(hits) > family_hits[loops], loops
         assert set(hits) == {1}, loops
+
+
+def test_family_table_holds_the_classes_and_every_nonzero_column_split_terms():
+    assert _FamilyTable._fields == ("classes", "split_terms")
+    for loops in range(5, 9):
+        _families.cache_clear()
+        table = _families(loops)
+        nonzero = {x for x, generators in table.classes["V"].items()
+                   if not all(_is_zero(x, p, generators) for p in Parity)}
+        assert set(table.split_terms) == nonzero, loops
 
 
 def test_each_family_class_is_searched_to_the_end_once(monkeypatch):
