@@ -134,12 +134,19 @@ BOUND_ROWS_G10 = {
     (Parity.ODD, 10): (652, 3778, 11091, 4424, 6),
 }
 
+# the published top-degree values at g=11: odd k=-3 is 8, even k=8 is 0
+BOUND_ROWS_G11 = {
+    (Parity.ODD, 11): (4779, 36217, 104692, 40988, 8),
+    (Parity.EVEN, 11): (4160, 34485, 101450, 38645, 0),
+}
+
+_ALL_ROWS = {**BOUND_ROWS, **BOUND_ROWS_STRETCH, **BOUND_ROWS_G10, **BOUND_ROWS_G11}
+
 
 def suite_kneissler(max_loops: int = 8, prime: int = DEFAULT_PRIME) -> list[CheckResult]:
     """Top-degree bound table rows and the surjectivity of d-perp."""
     out = []
-    rows = {**BOUND_ROWS, **BOUND_ROWS_STRETCH, **BOUND_ROWS_G10}
-    for (parity, g), want in sorted(rows.items(), key=lambda kv: (kv[0][1], str(kv[0][0]))):
+    for (parity, g), want in sorted(_ALL_ROWS.items(), key=lambda kv: (kv[0][1], str(kv[0][0]))):
         if g > max_loops:
             continue
         rep = upper_bound(g, parity, prime=prime)
@@ -249,9 +256,10 @@ def suite_linalg(seed: int = 0, num_random: int = 200, prime: int = DEFAULT_PRIM
     return out
 
 
-# the least max_loops at which each suite that takes one runs a check (for
-# linalg, a check of a table differential: the first is at g=3)
-FIRST_LOOPS = {"d2": 2, "tables": 2, "kneissler": min(g for _, g in BOUND_ROWS), "linalg": 3}
+# the loop orders of each suite's first and last check, the range --max-loops may
+# take (None: no last; linalg's first check is of a table differential, at g=3)
+LOOPS = {"d2": (2, None), "tables": (2, None), "linalg": (3, None),
+         "kneissler": (min(g for _, g in BOUND_ROWS), max(g for _, g in _ALL_ROWS))}
 
 SUITES = {
     "d2": suite_d2,

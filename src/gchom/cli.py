@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from gchom.cache import resolve_cache
-from gchom.checks import FIRST_LOOPS, SUITES
+from gchom.checks import LOOPS, SUITES
 from gchom.cohomology import cohomology_dims, render_text
 from gchom.complexes import ComplexSpec, Variant, dump_basis
 from gchom.graphs import Parity
@@ -151,9 +151,11 @@ def cmd_check(args) -> int:
     for flag in ("prime", "seed", "cache"):
         if getattr(args, flag) is not None and flag not in _CHECK_FLAGS[args.suite]:
             raise ValueError(f"--{flag} is not read by the {args.suite} suite")
-    first = FIRST_LOOPS.get(args.suite)
-    if loops is not None and first is not None and loops < first:
+    first, last = LOOPS[args.suite]
+    if loops is not None and loops < first:
         raise ValueError(f"--max-loops below {first} selects no {args.suite} check")
+    if loops is not None and last is not None and loops > last:
+        raise ValueError(f"--max-loops above {last} selects no further {args.suite} check")
     if prime is not None and args.suite == "linalg":
         # the suite ranks by Wiedemann too, which takes primes below 2**25 only
         rank_field("wiedemann", prime)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from gchom.cache import FileCache
 from gchom.complexes import ComplexSpec, _split_work
-from gchom.linalg import (DEFAULT_PRIME, PrimeField, gauss_ranks, rank_field, reduce_mod_p,
-                          wiedemann_rank)
+from gchom.linalg import (DEFAULT_PRIME, PrimeField, _wiedemann_rank, gauss_ranks, rank_field,
+                          reduce_mod_p, wiedemann_rank)
 
 DEFAULT_GENERATOR_CAP = 5_000_000
 
@@ -155,7 +155,7 @@ def cohomology_dims(spec: ComplexSpec, prime: int = DEFAULT_PRIME, method: str =
 
         def retry(item) -> int:
             mat, cap = item
-            return wiedemann_rank(reduce_mod_p(mat, fp), seed + 1, cap, seeds=2).rank
+            return _wiedemann_rank(reduce_mod_p(mat, fp), seed + 1, cap, 2).rank
 
         weights = [len(mat.entries) for mat, _ in items]
         for v, r in zip(low, _split_work(retry, items, weights)):

@@ -676,17 +676,6 @@ def canonical_data(graph: Multigraph) -> tuple[Multigraph, tuple[tuple[int, ...]
     return canon, (lab,) + tuple(tuple([sigma[i] for i in lab]) for sigma in generators), order
 
 
-def automorphism_generators(graph: Multigraph) -> tuple[tuple[int, ...], ...]:
-    """Generators of the vertex automorphism group, as vertex permutations."""
-    return _generators(canonical_data(graph)[1])
-
-
-def _generators(labelings) -> tuple[tuple[int, ...], ...]:
-    """The generators behind `canonical_data` labelings, as vertex permutations."""
-    inv = _inverse(labelings[0])
-    return tuple(tuple([inv[i] for i in lab]) for lab in labelings[1:])
-
-
 @lru_cache(maxsize=1 << 18)
 def canonicalize(graph: Multigraph, parity: Parity) -> CanonicalResult:
     """Canonical representative with sign, or Zero.
@@ -695,14 +684,13 @@ def canonicalize(graph: Multigraph, parity: Parity) -> CanonicalResult:
     the orientation datum; under even parity any graph with a parallel
     edge vanishes this way (swapping the two copies is an odd edge
     permutation fixing the graph).  The sign is a homomorphism on the
-    automorphism group, so checking the generators suffices.
+    automorphism group, so checking the generators of Aut(form) that
+    `_canonical_data` returns suffices.
     """
-    if parity is Parity.EVEN and not graph.is_simple():
+    form, labeling, generators, _ = _canonical_data(graph)
+    if _is_zero(form, parity, generators):
         return CanonicalResult.zero()
-    canon, labelings, _ = canonical_data(graph)
-    if _is_zero(graph, parity, _generators(labelings)):
-        return CanonicalResult.zero()
-    return CanonicalResult(canon, orientation_sign(graph, labelings[0], parity))
+    return CanonicalResult(form, orientation_sign(graph, labeling, parity))
 
 
 def _is_zero(graph: Multigraph, parity: Parity, generators) -> bool:

@@ -33,9 +33,9 @@ A root in a class its group has already found is skipped at its first
 leaf.  The split children of the columns are then labeled against the
 B and C classes, each keyed by every edge list its own search reached,
 so a child in one of them stops at its first leaf (see `gchom.graphs`).
-One table per loop order, `_families`, holds the classes and each
-column's split terms for both parities; each parity keeps the nonzero
-classes, so the second parity builds and labels nothing.
+One table per loop order, `_families`, holds each class's nonzero
+parities, tested once as the class is found, and each column's split
+terms, so the second parity builds, labels and zero-tests nothing.
 """
 
 from __future__ import annotations
@@ -217,25 +217,31 @@ def _frame_orbit_roots(kind: str, n: int) -> list[tuple[int, ...]]:
     return [p for i, p in enumerate(perms) if roots[i] == i]
 
 
-def _by_edges(classes) -> tuple[Multigraph, ...]:
-    return tuple(sorted(classes, key=lambda m: m.edges))
+# every tuple of nonzero parities, each shared by the classes that have it
+_NONZERO = {parities: parities for parities in ((), (Parity.EVEN,), (Parity.ODD,), tuple(Parity))}
+
+
+def _nonzero_parities(m: Multigraph, generators) -> tuple[Parity, ...]:
+    """The parities in which ``m`` is nonzero, given Aut(m)'s generators, as a `_NONZERO` tuple."""
+    return _NONZERO[tuple([p for p in Parity if not _is_zero(m, p, generators)])]
 
 
 class _FamilyTable(NamedTuple):
     """One loop order's classes, zero or not, for both parities.
 
     ``classes``: each group, "B", "V" or "C" -> its canonical forms,
-    sorted by edges -> Aut generators.
+    sorted by edges -> its `_nonzero_parities`.
     ``split_terms``: each V class that is nonzero in some parity -> its
     `_split_terms`.
     """
 
-    classes: dict[str, dict[Multigraph, tuple]]
+    classes: dict[str, dict[Multigraph, tuple[Parity, ...]]]
     split_terms: dict[Multigraph, tuple]
 
 
 def _label_families(loops: int):
-    """``(classes, rows)``: `_FamilyTable.classes` and C's `_new_class` map.
+    """``(classes, generators, rows)``: `_FamilyTable.classes`, each class -> Aut
+    generators, and C's `_new_class` map.
 
     One pass per permutation group: barrels over the frame-orbit roots of
     S_{g-1}, then X and Y over those of S_{g-2}, each root's graph also
@@ -247,10 +253,12 @@ def _label_families(loops: int):
     """
     known = {"B": {}, "V": {}, "C": {}}
     classes = {group: {} for group in known}
+    generators = {}
 
     def label(group: str, g: Multigraph, hub: bool = False) -> None:
         if (not hub or g.is_simple()) and (data := _new_class(g, known[group])):
-            classes[group][data[0]] = data[2]
+            classes[group][data[0]] = _nonzero_parities(data[0], data[2])
+            generators[data[0]] = data[2]
 
     for perm in _frame_orbit_roots("B", loops - 1):
         label("B", barrel(perm))
@@ -261,18 +269,17 @@ def _label_families(loops: int):
             g = build(perm)
             label("V", g, hub)
             label("C", _vertex_0_split(g, perm, hub), hub)
-    return ({group: {m: found[m] for m in _by_edges(found)} for group, found in classes.items()},
-            known["C"])
+    return ({group: dict(sorted(found.items(), key=lambda item: item[0].edges))
+             for group, found in classes.items()}, generators, known["C"])
 
 
 @lru_cache(maxsize=None)
 def _families(loops: int) -> _FamilyTable:
-    """The `_FamilyTable` of one loop order; the row map is freed on return."""
-    classes, rows = _label_families(loops)
-    orbits: dict[Multigraph, dict[tuple[int, int], int]] = {}
-    split_terms = {x: _split_terms(x, generators, rows, orbits)
-                   for x, generators in classes["V"].items()
-                   if not all(_is_zero(x, p, generators) for p in Parity)}
+    """The `_FamilyTable` of one loop order; the generators and row map are freed on return."""
+    classes, generators, rows = _label_families(loops)
+    memo: dict[Multigraph, tuple] = {}
+    split_terms = {x: _split_terms(x, generators[x], rows, memo)
+                   for x, parities in classes["V"].items() if parities}
     return _FamilyTable(classes, split_terms)
 
 
@@ -307,17 +314,16 @@ class KneisslerFamilies:
 def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     """The classes of `_families` that do not vanish under the parity.
 
-    Tested on the generators found with them, so nothing is built or
-    labeled for a parity once the other has built the table.
+    Read off the table's nonzero parities, so nothing is built, labeled or
+    zero-tested for a parity once the other has built the table.
     """
     _supported(loops, parity)
-    kept = {group: tuple([m for m, generators in found.items()
-                          if not _is_zero(m, parity, generators)])
+    kept = {group: tuple([m for m, parities in found.items() if parity in parities])
             for group, found in _families(loops).classes.items()}
     return KneisslerFamilies(loops, parity, kept["B"], kept["C"], kept["V"])
 
 
-def _split_terms(x: Multigraph, generators, rows: dict, orbits: dict
+def _split_terms(x: Multigraph, generators, rows: dict, memo: dict
                  ) -> tuple[tuple[Multigraph, int, int], ...]:
     """``(row, even coefficient, odd coefficient)`` per split child of column class x.
 
@@ -326,21 +332,23 @@ def _split_terms(x: Multigraph, generators, rows: dict, orbits: dict
     parity's coefficient is 0 where the row is zero, and otherwise the
     size of the Aut(row) orbit of the image of the fresh edge (v, n) under
     the labeling, times the child's orientation sign, times the sign of
-    contracting (v, n).  ``orbits`` keeps each row's edge orbit sizes.
+    contracting (v, n).  ``memo`` keeps each row's nonzero parities and
+    edge orbit sizes, so a row is zero-tested once.
     """
     n = x.num_vertices
     terms = []
     for v, child in _split_children(x, generators):
         row, row_generators, lab = _onto_class(child, rows)
-        if row not in orbits:
+        if row not in memo:
             roots = _edge_orbit_roots(row, row_generators)
             sizes = Counter(roots.values())
-            orbits[row] = {row.edges[i]: sizes[root] for i, root in roots.items()}
-        weight = orbits[row][_sorted_pair(lab[v], lab[n])]
+            memo[row] = (_nonzero_parities(row, row_generators),
+                         {row.edges[i]: sizes[root] for i, root in roots.items()})
+        parities, weights = memo[row]
+        weight = weights[_sorted_pair(lab[v], lab[n])]
         fresh = child.edges.index((v, n))
-        terms.append((row, *[0 if _is_zero(row, p, row_generators) else weight
-                             * orientation_sign(child, lab, p) * _contract(child, fresh, p)[1]
-                             for p in Parity]))
+        terms.append((row, *[0 if p not in parities else weight * orientation_sign(child, lab, p)
+                             * _contract(child, fresh, p)[1] for p in Parity]))
     return tuple(terms)
 
 

@@ -642,6 +642,11 @@ def wiedemann_rank(matrix: FpSparseMatrix, seed: int = 0, cap: int | None = None
     raised before any work.
     """
     _check_seed(seed)
+    return _wiedemann_rank(matrix, seed, cap, seeds)
+
+
+def _wiedemann_rank(matrix: FpSparseMatrix, seed: int, cap: int | None, seeds: int) -> RankResult:
+    """`wiedemann_rank` with no seed check, for a caller's seeds after a checked one."""
     # only the diagonals depend on the seed
     arrays = matrix.to_arrays()
     ri, ci, _ = arrays

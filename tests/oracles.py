@@ -225,6 +225,16 @@ def reference_canonical_data(graph: Multigraph):
     return best, tuple(labelings)
 
 
+def automorphism_group(graph: Multigraph) -> set[tuple[int, ...]]:
+    """Aut(graph) as vertex permutations, read off `reference_canonical_data`.
+
+    Every minimal labeling is the first one composed with an automorphism.
+    """
+    labelings = reference_canonical_data(graph)[1]
+    inv = {i: v for v, i in enumerate(labelings[0])}
+    return {tuple(inv[i] for i in lab) for lab in labelings}
+
+
 def permutation_group(generators, n: int) -> set[tuple[int, ...]]:
     """Every product of the generators (permutations of range(n)), by search."""
     identity = tuple(range(n))

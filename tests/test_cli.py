@@ -200,7 +200,7 @@ def test_check_kneissler_reaches_the_g10_rows(capsys, monkeypatch):
 
     def fake_upper_bound(g, parity, prime):
         asked.append((parity, g))
-        want = checks.BOUND_ROWS_G10.get((parity, g), (0, 0, 0, 0, 0))
+        want = {**checks.BOUND_ROWS_G10, **checks.BOUND_ROWS_G11}.get((parity, g), (0, 0, 0, 0, 0))
         return KneisslerReport(g, parity, *want, prime, "gauss", 0)
 
     monkeypatch.setattr(checks, "upper_bound", fake_upper_bound)
@@ -216,6 +216,16 @@ def test_check_kneissler_reaches_the_g10_rows(capsys, monkeypatch):
     asked.clear()
     run(capsys, "check", "--suite", "kneissler", "--max-loops", "9")
     assert max(g for _, g in asked) == 9
+    # the published g=11 rows: odd k=-3 is 8, even k=8 is 0
+    asked.clear()
+    _, out, _ = run(capsys, "check", "--suite", "kneissler", "--max-loops", "11")
+    assert sorted(g for _, g in asked) == [5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11]
+    assert "PASS bound odd g=11" in out and "PASS bound even g=11" in out
+    assert "PASS surjectivity odd g=11" in out and "PASS surjectivity even g=11" in out
+    assert checks.BOUND_ROWS_G11 == {
+        (Parity.ODD, 11): (4779, 36217, 104692, 40988, 8),
+        (Parity.EVEN, 11): (4160, 34485, 101450, 38645, 0),
+    }
 
 
 def test_check_rejects_a_zero_flag_before_running_the_suite(capsys, monkeypatch):
@@ -231,6 +241,9 @@ def test_check_rejects_a_zero_flag_before_running_the_suite(capsys, monkeypatch)
     calls = recording_suite(monkeypatch, "kneissler")
     code, _, _ = run(capsys, "check", "--suite", "kneissler", "--max-loops", "4")
     assert code == 1 and calls == []
+    # and end at g=11: a larger --max-loops would promise rows that are not pinned
+    code, _, err = run(capsys, "check", "--suite", "kneissler", "--max-loops", "12")
+    assert code == 1 and "above 11" in err and calls == []
     code, _, _ = run(capsys, "check", "--suite", "kneissler", "--max-loops", "5",
                      "--prime", "10007")
     assert code == 0 and calls == [{"max_loops": 5, "prime": 10007}]
@@ -250,6 +263,32 @@ def test_check_linalg_takes_the_prime_and_max_loops(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "--suite", "linalg", "--max-loops", "2")
     assert code == 1 and "selects no" in err
     assert calls == []
+
+
+def test_a_wiedemann_table_at_the_last_seed_runs_to_the_end(capsys, monkeypatch):
+    import os
+
+    from gchom import cohomology
+
+    # on one CPU every rank runs in this process, where the spy sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    retried = []
+
+    def spy(matrix, seed, cap, seeds):
+        retried.append(seed)
+        return retry(matrix, seed, cap, seeds)
+
+    retry = cohomology._wiedemann_rank
+    monkeypatch.setattr(cohomology, "_wiedemann_rank", spy)
+    # 2**62 - 1 is the last seed in range; at p=3 the retry round ranks at the seeds after it
+    last = str(2 ** 62 - 1)
+    argv = ("cohomology", "--parity", "odd", "--variant", "full", "--loops", "5",
+            "--method", "wiedemann", "--prime", "3", "--seed", last)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith(f"seed={last}\n")
+    assert retried and set(retried) == {2 ** 62}
+    h = [line.split()[-1] for line in out.splitlines()[2:]]
+    assert h == ["0", "0", "0", "0", "0", "0", "2"]
 
 
 def test_check_linalg_rejects_its_last_seed_before_any_rank(capsys, monkeypatch):

@@ -28,7 +28,6 @@ from gchom.graphs import (
     _new_class,
     _onto_class,
     _refine,
-    automorphism_generators,
     automorphism_group_size,
     canonical_data,
     canonicalize,
@@ -135,8 +134,11 @@ def test_search_matches_reference_search():
         assert labelings[0] == reference[0]
         assert set(labelings) <= set(reference)
         assert order == len(reference)
-        group = oracles.permutation_group(automorphism_generators(g), g.num_vertices)
+        # each later labeling is the first composed with one generator
         first = labelings[0]
+        inv = {i: v for v, i in enumerate(first)}
+        group = oracles.permutation_group([tuple(inv[i] for i in lab) for lab in labelings[1:]],
+                                          g.num_vertices)
         assert {tuple(first[h[v]] for v in range(g.num_vertices)) for h in group} == set(reference)
         # the uncached search's generators of Aut(form), conjugated back through its labeling
         _, lab, generators, _ = _canonical_data(g)
@@ -195,9 +197,8 @@ def test_known_classes_stop_the_search_on_an_isomorphism():
 
 def test_span_check_children_stop_on_their_row_class():
     for loops in range(4, 9):
-        classes, rows = _label_families(loops)
-        children = [child for x, generators in classes["V"].items()
-                    for _, child in _split_children(x, generators)]
+        classes, generators, rows = _label_families(loops)
+        children = [child for x in classes["V"] for _, child in _split_children(x, generators[x])]
         # every edge list of the B and C classes
         hits = assert_known_lookups_match_the_plain_search(children, rows)
         assert hits > len(children) // 2, loops

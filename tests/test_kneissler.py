@@ -11,7 +11,6 @@ from gchom.graphs import (
     Parity,
     _edge_codes,
     _is_zero,
-    automorphism_generators,
     canonical_data,
     canonicalize,
 )
@@ -63,6 +62,9 @@ PINNED_RESTRICTED_DIFFERENTIALS = {
 # `_canonical_data` calls of `upper_bound` from an empty family table, for
 # the odd parity, the even one and both alike; `dperp_rank` after it makes none
 BOUND_LABELINGS = {7: 198, 8: 1185}
+# `kneissler._is_zero` calls, counted as BOUND_LABELINGS counts labelings: each
+# class and each distinct split-term row is tested once in each parity
+BOUND_ZERO_TESTS = {7: 160, 8: 756}
 
 
 def test_barrel_counts():
@@ -133,8 +135,7 @@ def test_family_classes_match_exhaustive_family():
     for parity in Parity:
         for loops in range(5 if parity is Parity.EVEN else 4, 8):
             for group, found in _families(loops).classes.items():
-                got = tuple(m for m, generators in found.items()
-                            if not _is_zero(m, parity, generators))
+                got = tuple(m for m, parities in found.items() if parity in parities)
                 want = {m for kind in GROUPS[group]
                         for m in oracles.exhaustive_family(kind, loops, parity)}
                 assert got == tuple(sorted(want, key=lambda m: m.edges)), (group, loops, parity)
@@ -155,6 +156,7 @@ def test_second_parity_builds_and_labels_nothing(monkeypatch):
         monkeypatch.setattr(kneissler, name, spy(name, getattr(kneissler, name)))
     for module in (graphs, complexes):
         monkeypatch.setattr(module, "_canonical_data", spy("label", module._canonical_data))
+    monkeypatch.setattr(kneissler, "_is_zero", spy("zero test", kneissler._is_zero))
     before = canonicalize.cache_info()
     fam = build_families(7, Parity.EVEN)
     assert calls == []
@@ -242,21 +244,23 @@ def test_orbit_weighted_restricted_differential_matches_per_edge_sum():
 
 
 def test_family_classes_record_their_automorphism_groups():
+    """The generators found with each class generate Aut(class) and give its parities."""
     for loops in (5, 6):
-        classes, rows = _label_families(loops)
+        classes, generators, rows = _label_families(loops)
         assert classes == _families(loops).classes
-        found = {m: gens for group in classes.values() for m, gens in group.items()}
+        assert set(generators) == {m for found in classes.values() for m in found}
         for parity in Parity:
             fam = build_families(loops, parity)
-            for m in set(fam.b_members) | set(fam.bperp_members) | set(fam.v_members):
+            for m in set(fam.b_members) | set(fam.bperp_members):
+                assert rows[_edge_codes(m)] == (m, generators[m], None), m
+        for found in classes.values():
+            for m, parities in found.items():
                 n = m.num_vertices
-                generators = found[m]
-                if m not in fam.v_members:
-                    assert rows[_edge_codes(m)] == (m, generators, None), m
-                assert (oracles.permutation_group(generators, n)
-                        == oracles.permutation_group(automorphism_generators(m), n)), m
+                assert (oracles.permutation_group(generators[m], n)
+                        == oracles.automorphism_group(m)), m
                 for p in Parity:
-                    assert _is_zero(m, p, generators) == canonicalize(m, p).is_zero, (m, p)
+                    assert _is_zero(m, p, generators[m]) == canonicalize(m, p).is_zero, (m, p)
+                assert parities == tuple(p for p in Parity if not canonicalize(m, p).is_zero), m
 
 
 def test_image_outside_span_detection():
@@ -274,6 +278,7 @@ def test_split_child_in_no_row_class_is_searched_to_the_end(monkeypatch):
     """
     fam = build_families(5, Parity.ODD)
     table = _families(5)
+    generators = _label_families(5)[1]
     label = graphs._canonical_data
     results = []
 
@@ -282,9 +287,8 @@ def test_split_child_in_no_row_class_is_searched_to_the_end(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(graphs, "_canonical_data", spy)
-    orbits = {}
-    split_terms = {x: _split_terms(x, table.classes["V"][x], {}, orbits)
-                   for x in table.split_terms}
+    memo = {}
+    split_terms = {x: _split_terms(x, generators[x], {}, memo) for x in table.split_terms}
     assert results and all(len(data) == 4 for data in results)
     assert split_terms == table.split_terms
     monkeypatch.setattr(kneissler, "_families",
@@ -297,6 +301,7 @@ def test_split_child_in_no_row_class_is_searched_to_the_end(monkeypatch):
 def test_restricted_differential_labels_only_split_children(monkeypatch):
     """The family build labels the columns' split children; `restricted_differential` nothing."""
     loops = 7
+    generators = _label_families(loops)[1]
     for cached in (build_families, _families):
         cached.cache_clear()
     labeled, built = [], []
@@ -320,7 +325,7 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
         monkeypatch.setattr(kneissler, name, building(getattr(kneissler, name)))
     table = _families(loops)
     children = [child for x in table.split_terms
-                for _, child in complexes._split_children(x, table.classes["V"][x])]
+                for _, child in complexes._split_children(x, generators[x])]
     assert collections.Counter(children) <= collections.Counter(labeled)
     # the X/Y graphs and the contraction images of the rows have 2g-3
     # vertices, and only the former are labeled
@@ -373,6 +378,31 @@ def test_bound_labelings_are_pinned(monkeypatch):
             assert len(labeled) == count, (loops, parities)
 
 
+def test_bound_zero_tests_are_pinned(monkeypatch):
+    tested = []
+
+    def spy(graph, parity, generators):
+        tested.append(graph)
+        return _is_zero(graph, parity, generators)
+
+    monkeypatch.setattr(kneissler, "_is_zero", spy)
+    for loops, count in BOUND_ZERO_TESTS.items():
+        for parities in ((Parity.ODD,), (Parity.EVEN,), tuple(Parity)):
+            for cached in (build_families, _families):
+                cached.cache_clear()
+            tested.clear()
+            for parity in parities:
+                upper_bound(loops, parity)
+            assert len(tested) == count, (loops, parities)
+            for parity in parities:
+                dperp_rank(loops, parity)
+            assert len(tested) == count, (loops, parities)
+        # at most once per parity for each class and each distinct split-term row
+        table = _families(loops)
+        rows = {row for terms in table.split_terms.values() for row, _, _ in terms}
+        assert count <= 2 * (sum(len(found) for found in table.classes.values()) + len(rows))
+
+
 def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
     reached = [0]
     leaf, label, split_terms = graphs._leaf, graphs._canonical_data, kneissler._split_terms
@@ -412,9 +442,13 @@ def test_family_table_holds_the_classes_and_every_nonzero_column_split_terms():
     for loops in range(5, 9):
         _families.cache_clear()
         table = _families(loops)
-        nonzero = {x for x, generators in table.classes["V"].items()
-                   if not all(_is_zero(x, p, generators) for p in Parity)}
+        nonzero = {x for x, parities in table.classes["V"].items() if parities}
         assert set(table.split_terms) == nonzero, loops
+        # each class's parities are one of the four tuples every class shares
+        shared = {id(parities) for parities in kneissler._NONZERO.values()}
+        assert len(shared) == 2 ** len(Parity)
+        assert {id(parities) for found in table.classes.values()
+                for parities in found.values()} <= shared, loops
 
 
 def test_each_family_class_is_searched_to_the_end_once(monkeypatch):
