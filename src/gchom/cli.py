@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("check", help="run a self-check suite")
-    p.add_argument("--suite", required=True,
-                   choices=["d2", "tables", "kneissler", "linalg"])
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--max-loops", type=int)
     p.add_argument("--prime", type=int)
     p.add_argument("--seed", type=int)

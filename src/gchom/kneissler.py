@@ -19,23 +19,23 @@ isomorphic to, so no contracted image is labeled.  Neither the
 `canonical_data` nor the `canonicalize` cache is used.
 
 Each family is built once per loop order, with no parity, as `raw_slice`
-builds a slice: one defining permutation per orbit of its frame
-symmetries, which are relabelings of the fixed frame (reflecting or
-rotating a rim, swapping the two barrel rims) that map the graph of p
-onto the graph of another permutation p'.  The orbits come from
-union-find over the permutations in `itertools.permutations` order, so
-each orbit's root is its first permutation.  A and A' are the vertex-0
-splits of X and Y, which the symmetries fix, so one pass over S_{g-2}
-builds X and A, and one Y and A'.  Only the root's graph is built and
-labeled, by `_new_class`, into one of three groups: the barrels B, the
-columns V (X and Y) and the complement C (A and A', less the barrels).
-A root in a class its group has already found is skipped at its first
-leaf.  The split children of the columns are then labeled against the
-B and C classes, each keyed by every edge list its own search reached,
-so a child in one of them stops at its first leaf (see `gchom.graphs`).
-One table per loop order, `_families`, holds each class's nonzero
-parities, tested once as the class is found, and each column's split
-terms, so the second parity builds, labels and zero-tests nothing.
+builds a slice: one defining permutation per orbit of its frame group,
+the relabelings of the fixed frame (reflecting or rotating a rim,
+swapping the two barrel rims) that map the graph of p onto the graph of
+another permutation p'.  Each orbit's root is its least member, the
+first that `itertools.permutations` yields, kept by testing that no
+element of the group maps it lower, so S_n is never listed.  A and A'
+are the vertex-0 splits of X and Y, which the group fixes, so one pass
+over S_{g-2} builds X and A, and one Y and A'.  Only the root's graph is
+built and labeled, by `_new_class`, into one of three groups: the
+barrels B, the columns V (X and Y) and the complement C (A and A', less
+the barrels).  A root in a class its group has already found is skipped
+at its first leaf.  The split children of the columns are then labeled
+against the B and C classes, each keyed by every edge list its own
+search reached, so a child in one of them stops at its first leaf (see
+`gchom.graphs`).  One table, the last loop order's, holds each class's
+nonzero parities, tested once as the class is found, and each column's
+split terms, so the second parity builds, labels and zero-tests nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from gchom.complexes import (
@@ -63,7 +62,6 @@ from gchom.graphs import (
     _neighbors,
     _new_class,
     _onto_class,
-    _orbit_roots,
     orientation_sign,
 )
 from gchom.linalg import (DEFAULT_PRIME, RANK_METHODS, PrimeField, gauss_rank, rank_field,
@@ -176,45 +174,48 @@ def _supported(loops: int, parity: Parity) -> None:
         )
 
 
-def _compose(a, b) -> tuple[int, ...]:
-    """The permutation a∘b, i -> a[b[i]]."""
-    return tuple([a[i] for i in b])
+def _frame_group(kind: str, n: int):
+    """``(lefts, rights, swap)``: p -> a∘p∘b, and a∘p⁻¹∘b if ``swap``, relabel the frame.
 
-
-def _frame_symmetries(kind: str, n: int):
-    """Maps p -> p' such that a relabeling of the frame takes build(p) to build(p').
-
-    For barrels (n = g-1), p∘r and p∘s rotate and reflect the upper rim,
-    r∘p and s∘p the lower rim, and p⁻¹ swaps the rims, where r(i) = i+1
-    and s(i) = -i mod n.  For X (n = g-2), s∘p reflects the short rim
-    about vertex 0, and p∘rev reflects the long rim about vertex n, which
-    swaps slot i with slot n-1-i.  For Y, s∘p reflects the upper rim
-    about vertex 0, and p∘s reflects the lower rim about vertex n, fixing
-    the hub and swapping source i with source -i mod n.  These fix vertex
-    0, so A and A', the vertex-0 splits of X and Y, share them.
+    For barrels (n = g-1), a and b range over the dihedral groups of the
+    lower and upper rim, r^k and r^k∘s for r(i) = i+1 and s(i) = -i mod n,
+    and p⁻¹ swaps the rims.  For X (n = g-2), s on the left reflects the
+    short rim about vertex 0, and rev(i) = n-1-i on the right the long rim
+    about vertex n.  For Y, s on the left reflects the upper rim about
+    vertex 0, on the right the lower rim about vertex n, fixing the hub.
+    These fix vertex 0, so A and A', the vertex-0 splits of X and Y, share them.
     """
+    identity = tuple(range(n))
     s = tuple(-i % n for i in range(n))
     if kind == "B":
-        r = tuple((i + 1) % n for i in range(n))
-        return (lambda p: _compose(p, r), lambda p: _compose(p, s),
-                lambda p: _compose(r, p), lambda p: _compose(s, p), _inverse)
-    if kind == "X":
-        rev = tuple(reversed(range(n)))
-        return (lambda p: _compose(s, p), lambda p: _compose(p, rev))
-    return (lambda p: _compose(s, p), lambda p: _compose(p, s))
+        rotations = [tuple((k + i) % n for i in range(n)) for k in range(n)]
+        reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
+        dihedral = tuple(dict.fromkeys(rotations + reflections))
+        return dihedral, dihedral, True
+    return (identity, s), (identity, tuple(reversed(identity)) if kind == "X" else s), False
+
+
+def _is_frame_root(p: tuple[int, ...], lefts, rights, swap: bool) -> bool:
+    """Whether no `_frame_group` element maps p below p; only an a with a[q[b[0]]] <= p[0] can."""
+    for q in (p, _inverse(p)) if swap else (p,):
+        for b in rights:
+            qb = [q[i] for i in b]
+            for a in lefts:
+                if a[qb[0]] <= p[0] and tuple([a[i] for i in qb]) < p:
+                    return False
+    return True
 
 
 def _frame_orbit_roots(kind: str, n: int) -> list[tuple[int, ...]]:
-    """The first permutation of each orbit of `_frame_symmetries` on range(n).
+    """The least member of each `_frame_group` orbit on S_n, in `itertools.permutations` order.
 
-    First and in order as `itertools.permutations` lists them, so a root
-    comes before every other member of its orbit.
+    A barrel root starts with 0, since a rotation of the lower rim maps
+    any other p below p, so only those (n-1)! permutations are tested.
     """
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    moved = ([index[move(p)] for p in perms] for move in _frame_symmetries(kind, n))
-    roots = _orbit_roots(len(perms), moved)
-    return [p for i, p in enumerate(perms) if roots[i] == i]
+    lefts, rights, swap = _frame_group(kind, n)
+    candidates = (((0, *rest) for rest in itertools.permutations(range(1, n))) if kind == "B"
+                  else itertools.permutations(range(n)))
+    return [p for p in candidates if _is_frame_root(p, lefts, rights, swap)]
 
 
 # every tuple of nonzero parities, each shared by the classes that have it
@@ -273,14 +274,20 @@ def _label_families(loops: int):
              for group, found in classes.items()}, generators, known["C"])
 
 
-@lru_cache(maxsize=None)
+_TABLE: dict[int, _FamilyTable] = {}  # the last loop order `_families` built -> its table
+
+
 def _families(loops: int) -> _FamilyTable:
-    """The `_FamilyTable` of one loop order; the generators and row map are freed on return."""
-    classes, generators, rows = _label_families(loops)
-    memo: dict[Multigraph, tuple] = {}
-    split_terms = {x: _split_terms(x, generators[x], rows, memo)
-                   for x, parities in classes["V"].items() if parities}
-    return _FamilyTable(classes, split_terms)
+    """The `_FamilyTable` of one loop order; the generators and row map are freed on return,
+    and the last table is dropped before another is built, so no two are held at once."""
+    if loops not in _TABLE:
+        _TABLE.clear()
+        classes, generators, rows = _label_families(loops)
+        memo: dict[Multigraph, tuple] = {}
+        split_terms = {x: _split_terms(x, generators[x], rows, memo)
+                       for x, parities in classes["V"].items() if parities}
+        _TABLE[loops] = _FamilyTable(classes, split_terms)
+    return _TABLE[loops]
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,6 @@ class KneisslerFamilies:
         return len(self.v_members)
 
 
-@lru_cache(maxsize=8)
 def build_families(loops: int, parity: Parity) -> KneisslerFamilies:
     """The classes of `_families` that do not vanish under the parity.
 

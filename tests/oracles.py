@@ -9,6 +9,7 @@ check.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -602,6 +603,126 @@ def exhaustive_family(kind: str, loops: int, parity: Parity) -> dict:
             continue
         reps.setdefault(form, []).append(perm)
     return {k: tuple(v) for k, v in reps.items()}
+
+
+def _compose(a, b) -> tuple[int, ...]:
+    """a∘b, i -> a[b[i]]."""
+    return tuple(a[i] for i in b)
+
+
+def _inverse(p) -> tuple[int, ...]:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _frame_moves(kind: str, n: int):
+    """Generators of the frame group of ``kind`` on S_n, as maps p -> p'.
+
+    Barrels: p∘r and p∘s (upper rim), r∘p and s∘p (lower rim), and p⁻¹
+    (the rim swap), where r(i) = i+1 and s(i) = -i mod n.  X: s∘p and
+    p∘rev, rev(i) = n-1-i.  Y: s∘p and p∘s.
+    """
+    s = tuple(-i % n for i in range(n))
+    if kind == "B":
+        r = tuple((i + 1) % n for i in range(n))
+        return (lambda p: _compose(p, r), lambda p: _compose(p, s),
+                lambda p: _compose(r, p), lambda p: _compose(s, p), _inverse)
+    right = tuple(reversed(range(n))) if kind == "X" else s
+    return (lambda p: _compose(s, p), lambda p: _compose(p, right))
+
+
+def frame_orbit_roots(kind: str, n: int) -> list[tuple[int, ...]]:
+    """The first permutation of each frame-group orbit, by listing S_n.
+
+    Union-find over every permutation in `itertools.permutations` order,
+    joining each to its images under `_frame_moves`; a root is the least
+    index of its orbit.
+    """
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    parent = list(range(len(perms)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for move in _frame_moves(kind, n):
+        for i, p in enumerate(perms):
+            a, b = find(i), find(index[move(p)])
+            parent[max(a, b)] = min(a, b)
+    return [p for i, p in enumerate(perms) if find(i) == i]
+
+
+def _cycle_type(perm) -> tuple[int, ...]:
+    """The sorted cycle lengths of a permutation."""
+    seen, lengths = set(), []
+    for i in range(len(perm)):
+        length = 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _centralizer_order(cycle_type) -> int:
+    """|C(a)| in S_n for a of this cycle type: the product of k^m · m! over lengths k, m cycles each."""
+    out = 1
+    for k, m in Counter(cycle_type).items():
+        out *= k ** m * math.factorial(m)
+    return out
+
+
+def _square_roots(cycle_type) -> int:
+    """The number of x in S_n with x² = a, for a of this cycle type.
+
+    A 2k-cycle squares to two k-cycles, and k 2k-cycles square to a given
+    pair; an odd k-cycle is also the square of one k-cycle.  So even k
+    need their m cycles in pairs, (m-1)!! · k^(m/2) ways, and odd k sum
+    C(m, 2j) · (2j-1)!! · k^j over the j pairs.
+    """
+    def pairings(m):  # (m-1)!!, the perfect matchings of m points, m even
+        return math.prod(range(m - 1, 0, -2))
+
+    out = 1
+    for k, m in Counter(cycle_type).items():
+        if k % 2 == 0:
+            out *= 0 if m % 2 else pairings(m) * k ** (m // 2)
+        else:
+            out *= sum(math.comb(m, 2 * j) * pairings(2 * j) * k ** j for j in range(m // 2 + 1))
+    return out
+
+
+def burnside_root_count(kind: str, n: int) -> int:
+    """The number of frame-group orbits on S_n, from cycle types alone.
+
+    Burnside: the mean number of fixed points over the group's elements
+    (a, b), p -> a∘p∘b, and for barrels also (a, b, swap), p -> a∘p⁻¹∘b,
+    a over the lower and b over the upper rim's dihedral group (X: a in
+    {1, s}, b in {1, rev}; Y: a, b in {1, s}).  p = a∘p∘b has |C(a)|
+    solutions when a and b⁻¹ are conjugate, and none otherwise; p =
+    a∘p⁻¹∘b has as many as a∘b⁻¹ has square roots.  No permutation of
+    S_n is listed, only the group's elements.
+    """
+    identity = tuple(range(n))
+    s = tuple(-i % n for i in range(n))
+    if kind == "B":
+        rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+        lefts = rights = rotations + [_compose(r, s) for r in rotations]
+    else:
+        lefts = [identity, s]
+        rights = [identity, tuple(reversed(range(n))) if kind == "X" else s]
+    fixed = sum(_centralizer_order(_cycle_type(a)) for a in lefts for b in rights
+                if _cycle_type(a) == _cycle_type(b))  # b⁻¹ has b's cycle type
+    order = len(lefts) * len(rights)
+    if kind == "B":
+        fixed += sum(_square_roots(_cycle_type(_compose(a, _inverse(b))))
+                     for a in lefts for b in rights)
+        order *= 2
+    assert fixed % order == 0, (kind, n, fixed, order)
+    return fixed // order
 
 
 def complement_graph(kind: str, perm) -> Multigraph:

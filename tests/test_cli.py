@@ -291,17 +291,29 @@ def test_a_wiedemann_table_at_the_last_seed_runs_to_the_end(capsys, monkeypatch)
     assert h == ["0", "0", "0", "0", "0", "0", "2"]
 
 
-def test_check_linalg_rejects_its_last_seed_before_any_rank(capsys, monkeypatch):
+def test_check_linalg_runs_every_accepted_seed_to_the_end(capsys, monkeypatch):
     from gchom import checks
 
-    ranked = []
-    for name in ("gauss_rank", "wiedemann_rank"):
-        monkeypatch.setattr(checks, name, lambda *args, **kwargs: ranked.append(args))
-    # the first seed is in range; the suite's later matrices would rank past 2**62
+    seeds, ranked, wiedemann, gauss = [], [], checks._wiedemann_rank, checks.gauss_rank
+
+    def spy(matrix, seed, *args):
+        seeds.append(seed)
+        return wiedemann(matrix, seed, *args)
+
+    monkeypatch.setattr(checks, "_wiedemann_rank", spy)
+    monkeypatch.setattr(checks, "gauss_rank", lambda *args: ranked.append(args) or gauss(*args))
+    # the last seed in range: the suite's later matrices rank past 2**62, as a table's retries may
     code, out, err = run(capsys, "check", "--suite", "linalg", "--seed", str(2 ** 62 - 1),
                          "--max-loops", "3")
+    assert code == 0 and "4/4 checks passed" in out and err == ""
+    assert seeds[0] == 2 ** 62 - 1 and max(seeds) > 2 ** 62
+    # the first seed out of range exits 1 before any rank
+    seeds.clear()
+    ranked.clear()
+    code, out, err = run(capsys, "check", "--suite", "linalg", "--seed", str(2 ** 62),
+                         "--max-loops", "3")
     assert code == 1 and out == "" and "is outside [0, 2**62)" in err
-    assert ranked == []
+    assert seeds == [] and ranked == []
 
 
 @pytest.mark.parametrize("suite,flag,value", [

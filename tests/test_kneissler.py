@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,8 @@ from gchom.kneissler import (
     _coboundary_entries,
     _families,
     _FamilyTable,
-    _frame_symmetries,
+    _frame_group,
+    _frame_orbit_roots,
     _label_families,
     _split_terms,
     _vertex_0_split,
@@ -65,6 +67,11 @@ BOUND_LABELINGS = {7: 198, 8: 1185}
 # `kneissler._is_zero` calls, counted as BOUND_LABELINGS counts labelings: each
 # class and each distinct split-term row is tested once in each parity
 BOUND_ZERO_TESTS = {7: 160, 8: 756}
+
+
+# one loop order's table is kept at a time, so its parametrized tests run in a row
+def by_loop_order(key):
+    return key[1], str(key[0])
 
 
 def test_barrel_counts():
@@ -142,7 +149,7 @@ def test_family_classes_match_exhaustive_family():
 
 
 def test_second_parity_builds_and_labels_nothing(monkeypatch):
-    build_families.cache_clear()
+    kneissler._TABLE.clear()
     build_families(7, Parity.ODD)
     calls = []
 
@@ -165,15 +172,48 @@ def test_second_parity_builds_and_labels_nothing(monkeypatch):
 
 
 def test_frame_symmetries_preserve_the_graph_class():
-    # A and A' are the vertex-0 splits of X and Y, and share their symmetries
+    # A and A' are the vertex-0 splits of X and Y, and share their group
     frames = {"B": "B", "X": "X", "Y": "Y", "A": "X", "Aprime": "Y"}
     for kind, frame in frames.items():
         for n in range(2, 7 if kind == "B" else 6):  # g <= 7
+            lefts, rights, swap = _frame_group(frame, n)
+            assert swap == (frame == "B")
             for perm in itertools.permutations(range(n)):
                 form = canonical_data(oracles.family_graph(kind, perm))[0]
-                for move in _frame_symmetries(frame, n):
-                    moved = oracles.family_graph(kind, move(perm))
-                    assert canonical_data(moved)[0] == form, (kind, perm)
+                # each factor with the identity on the other side, and the swap
+                moved = ([tuple(a[i] for i in perm) for a in lefts]
+                         + [tuple(perm[i] for i in b) for b in rights]
+                         + [graphs._inverse(perm)] * swap)
+                for image in moved:
+                    assert canonical_data(oracles.family_graph(kind, image))[0] == form, (kind, perm)
+
+
+def test_frame_orbit_roots_match_the_listing_reference():
+    # the same roots in the same order: the order decides which member labels a class first
+    for kind in ("B", "X", "Y"):
+        for n in range(1, 9):
+            assert _frame_orbit_roots(kind, n) == oracles.frame_orbit_roots(kind, n), (kind, n)
+
+
+def test_frame_orbit_root_counts_are_burnsides():
+    for kind in ("B", "X", "Y"):
+        for n in range(1, 9):
+            assert len(_frame_orbit_roots(kind, n)) == oracles.burnside_root_count(kind, n), (kind, n)
+    # beyond what the tests enumerate: the roots of g=10..12
+    pinned = {("B", 9): 686, ("B", 10): 4975, ("B", 11): 42529, ("X", 9): 90816,
+              ("X", 10): 907200, ("Y", 9): 90816, ("Y", 10): 907392}
+    assert {key: oracles.burnside_root_count(*key) for key in pinned} == pinned
+
+
+def test_frame_orbit_roots_list_no_symmetric_group():
+    # S_8 as a list of tuples alone takes 4.5 MB; the test for its 127 barrel roots peaks at 17 kB
+    tracemalloc.start()
+    try:
+        roots = _frame_orbit_roots("B", 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(roots) == 127 and peak < 200_000
 
 
 def test_complement_excludes_barrel_isomorphic_graphs():
@@ -195,13 +235,13 @@ def test_barrel_members_live_in_the_top_slice():
             assert fam.dim_b <= len(top)
 
 
-@pytest.mark.parametrize("parity,loops", sorted(BOUND_SMALL, key=str))
+@pytest.mark.parametrize("parity,loops", sorted(BOUND_SMALL, key=by_loop_order))
 def test_bound_table_rows(parity, loops):
     rep = upper_bound(loops, parity)
     assert rep.columns() == BOUND_SMALL[(parity, loops)]
 
 
-@pytest.mark.parametrize("parity,loops", sorted(BOUND_SMALL, key=str))
+@pytest.mark.parametrize("parity,loops", sorted(BOUND_SMALL, key=by_loop_order))
 def test_dperp_surjective(parity, loops):
     rank, dim = dperp_rank(loops, parity)
     assert rank == dim
@@ -302,8 +342,7 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
     """The family build labels the columns' split children; `restricted_differential` nothing."""
     loops = 7
     generators = _label_families(loops)[1]
-    for cached in (build_families, _families):
-        cached.cache_clear()
+    kneissler._TABLE.clear()
     labeled, built = [], []
 
     def labeling(label):
@@ -339,15 +378,15 @@ def test_restricted_differential_labels_only_split_children(monkeypatch):
 
 
 def test_bound_path_leaves_the_label_caches_alone():
-    for cached in (build_families, _families):
-        cached.cache_clear()
+    kneissler._TABLE.clear()
     before = (canonical_data.cache_info(), canonicalize.cache_info())
     for parity in Parity:
         assert upper_bound(7, parity).columns() == BOUND_SMALL[(parity, 7)]
     assert (canonical_data.cache_info(), canonicalize.cache_info()) == before
 
 
-@pytest.mark.parametrize("parity,loops", sorted(PINNED_RESTRICTED_DIFFERENTIALS, key=str))
+@pytest.mark.parametrize("parity,loops",
+                         sorted(PINNED_RESTRICTED_DIFFERENTIALS, key=by_loop_order))
 def test_restricted_differentials_are_pinned(parity, loops):
     entries = restricted_differential(loops, parity).entries
     digest = hashlib.sha256(repr(sorted(entries.items())).encode()).hexdigest()
@@ -367,8 +406,7 @@ def test_bound_labelings_are_pinned(monkeypatch):
         monkeypatch.setattr(module, "_canonical_data", spy(module._canonical_data))
     for loops, count in BOUND_LABELINGS.items():
         for parities in ((Parity.ODD,), (Parity.EVEN,), tuple(Parity)):
-            for cached in (build_families, _families):
-                cached.cache_clear()
+            kneissler._TABLE.clear()
             labeled.clear()
             for parity in parities:
                 upper_bound(loops, parity)
@@ -388,8 +426,7 @@ def test_bound_zero_tests_are_pinned(monkeypatch):
     monkeypatch.setattr(kneissler, "_is_zero", spy)
     for loops, count in BOUND_ZERO_TESTS.items():
         for parities in ((Parity.ODD,), (Parity.EVEN,), tuple(Parity)):
-            for cached in (build_families, _families):
-                cached.cache_clear()
+            kneissler._TABLE.clear()
             tested.clear()
             for parity in parities:
                 upper_bound(loops, parity)
@@ -428,8 +465,7 @@ def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
     monkeypatch.setattr(graphs, "_canonical_data", spy)
     monkeypatch.setattr(kneissler, "_split_terms", first_split_terms)
     for loops in range(5, 9):
-        for cached in (build_families, _families):
-            cached.cache_clear()
+        kneissler._TABLE.clear()
         hits.clear()
         _families(loops)
         # g=5 repeats one class, shared by A and A'; every loop order's split terms hit
@@ -440,7 +476,7 @@ def test_family_and_split_term_hits_stop_at_their_first_leaf(monkeypatch):
 def test_family_table_holds_the_classes_and_every_nonzero_column_split_terms():
     assert _FamilyTable._fields == ("classes", "split_terms")
     for loops in range(5, 9):
-        _families.cache_clear()
+        kneissler._TABLE.clear()
         table = _families(loops)
         nonzero = {x for x, parities in table.classes["V"].items() if parities}
         assert set(table.split_terms) == nonzero, loops
@@ -449,6 +485,33 @@ def test_family_table_holds_the_classes_and_every_nonzero_column_split_terms():
         assert len(shared) == 2 ** len(Parity)
         assert {id(parities) for found in table.classes.values()
                 for parities in found.values()} <= shared, loops
+
+
+def test_a_new_loop_order_drops_the_last_table_before_its_build(monkeypatch):
+    label, held = kneissler._label_families, []
+
+    def spy(loops):
+        held.append((loops, dict(kneissler._TABLE)))
+        return label(loops)
+
+    monkeypatch.setattr(kneissler, "_label_families", spy)
+    kneissler._TABLE.clear()
+    six = _families(6)
+    assert _families(6) is six
+    seven = _families(7)
+    assert held == [(6, {}), (7, {})]
+    assert kneissler._TABLE == {7: seven}
+
+
+def test_the_bound_suite_builds_each_loop_order_once(capsys, monkeypatch):
+    from gchom.cli import main
+
+    label, built = kneissler._label_families, []
+    monkeypatch.setattr(kneissler, "_label_families", lambda loops: built.append(loops) or label(loops))
+    kneissler._TABLE.clear()
+    assert main(["check", "--suite", "kneissler", "--max-loops", "8"]) == 0
+    assert "16/16 checks passed" in capsys.readouterr().out
+    assert built == [5, 6, 7, 8]
 
 
 def test_each_family_class_is_searched_to_the_end_once(monkeypatch):
@@ -465,7 +528,7 @@ def test_each_family_class_is_searched_to_the_end_once(monkeypatch):
     monkeypatch.setattr(graphs, "_canonical_data", spy)
     counts = {}
     for loops in range(5, 9):
-        _families.cache_clear()
+        kneissler._TABLE.clear()
         full.clear()
         classes = _families(loops).classes
         counts[loops] = len(full)

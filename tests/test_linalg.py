@@ -751,13 +751,13 @@ def test_linalg_suite_ranks_at_its_prime_up_to_its_loop_order(monkeypatch):
     from gchom import checks
 
     seen = []
-    real = checks.wiedemann_rank
+    real = checks._wiedemann_rank
 
-    def recording(m, seed):
+    def recording(m, seed, *args):
         seen.append((m.p, m.nrows, m.ncols))
-        return real(m, seed)
+        return real(m, seed, *args)
 
-    monkeypatch.setattr(checks, "wiedemann_rank", recording)
+    monkeypatch.setattr(checks, "_wiedemann_rank", recording)
     results = checks.suite_linalg(num_random=10, prime=10007, max_loops=4)
     assert all(r.passed for r in results)
     tables = [(10007, m.nrows, m.ncols) for m in checks._table_differentials(4, 4)]
